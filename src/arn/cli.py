@@ -12,45 +12,61 @@ import numpy as np
 
 from . import corpus as corpus_mod
 from . import divlab, metrics, networks, training
-from .errors import ArnError, EmptyInputError, NumericsError, TrainingAborted
+from .distributions import GumbelConfig
+from .errors import (
+    ArnError, ConfigError, EmptyInputError, EncodingError, NumericsError, ShapeError,
+    TrainingAborted, VocabError,
+)
 from .networks import ArnConfig, ArnModel
-from .tensor import Tensor, grad_check
+from .tensor import grad_check, no_grad
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 
 
-def _merge_config(args, parser):
-    """Overlay JSON config-file values under explicitly passed flags."""
+def _merge_config(args, parser, argv):
+    """Overlay JSON config-file values under explicitly passed flags.
+
+    The file's keys become the subcommand's defaults and argv is parsed
+    again, so argparse itself decides which flags were given.
+    """
     if not getattr(args, "config", None):
         return args
     with open(args.config, encoding="utf-8") as fh:
         file_cfg = json.load(fh)
-    passed = {
-        action.dest
-        for action in parser._actions
-        for opt in action.option_strings
-        if opt in sys.argv
-    }
-    for key, value in file_cfg.items():
-        if hasattr(args, key) and key not in passed:
-            setattr(args, key, value)
-    return args
+    if not isinstance(file_cfg, dict):
+        raise ConfigError(f"{args.config}: config must be a JSON object")
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    sub_parser = sub.choices[args.command]
+    dests = {action.dest for action in sub_parser._actions}
+    sub_parser.set_defaults(**{k: v for k, v in file_cfg.items() if k in dests})
+    return parser.parse_args(argv)
 
 
-def _load_tokenized(path, t_len, vocab_size):
-    """Read a corpus file of space-separated tokens into id sequences.
+def _read_token_lines(path):
+    """Whitespace-split tokens of every non-empty line of a UTF-8 file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return [toks for toks in (line.split() for line in fh) if toks]
+    except UnicodeDecodeError as exc:
+        raise EncodingError(f"{path}: {exc}") from exc
 
-    Numeric tokens are treated as raw ids when no vocabulary is involved.
-    """
-    seqs = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            toks = line.split()
-            if toks:
-                seqs.append([int(t) for t in toks])
-    return seqs
+
+def _read_raw_ids(path, vocab_size):
+    """(N, T) id array from a corpus whose tokens are integer ids in [0, vocab_size)."""
+    seqs = _read_token_lines(path)
+    if not seqs:
+        raise EmptyInputError(f"{path}: empty corpus")
+    if len({len(s) for s in seqs}) != 1:
+        raise ShapeError(f"{path}: sequences differ in length")
+    try:
+        ids = np.asarray([[int(t) for t in s] for s in seqs], dtype=np.int64)
+    except (ValueError, OverflowError) as exc:
+        raise VocabError(f"{path}: token is not an integer id; pass --vocab for words ({exc})") from exc
+    if ids.min() < 0 or ids.max() >= vocab_size:
+        raise VocabError(f"{path}: token ids must lie in [0, {vocab_size})")
+    return ids
 
 
 def cmd_train(args):
@@ -62,10 +78,7 @@ def cmd_train(args):
     if vocab is not None:
         ids = corpus_mod.load_corpus(args.corpus, vocab, model_cfg.seq_len)
     else:
-        seqs = _load_tokenized(args.corpus, model_cfg.seq_len, model_cfg.vocab_size)
-        if not seqs:
-            raise EmptyInputError(f"{args.corpus}: empty corpus")
-        ids = np.asarray(seqs, dtype=np.int64)
+        ids = _read_raw_ids(args.corpus, model_cfg.vocab_size)
         model_cfg.seq_len = ids.shape[1]
     train_cfg = training.TrainConfig(
         batch_size=args.batch_size,
@@ -82,20 +95,18 @@ def cmd_train(args):
 
 
 def cmd_generate(args):
+    if args.count < 0:
+        raise ConfigError(f"--count must be >= 0, got {args.count}")
     model = training.load_checkpoint(args.checkpoint)
     vocab = corpus_mod.Vocabulary.load(args.vocab) if args.vocab else None
     rng = training.rng_streams(args.seed)["noise"]
     first_dist = None
     if args.mode == "decoded-x1":
         if args.seed_corpus:
-            vocab_for_ids = vocab
-            if vocab_for_ids is not None:
-                ids = corpus_mod.load_corpus(args.seed_corpus, vocab_for_ids, model.config.seq_len)
+            if vocab is not None:
+                ids = corpus_mod.load_corpus(args.seed_corpus, vocab, model.config.seq_len)
             else:
-                ids = np.asarray(
-                    _load_tokenized(args.seed_corpus, model.config.seq_len, model.config.vocab_size),
-                    dtype=np.int64,
-                )
+                ids = _read_raw_ids(args.seed_corpus, model.config.vocab_size)
             first_dist = corpus_mod.first_token_distribution(ids)
         else:
             first_dist = np.full(model.config.vocab_size, 1.0 / model.config.vocab_size)
@@ -116,19 +127,9 @@ def cmd_generate(args):
     return EXIT_OK
 
 
-def _read_token_corpus(path):
-    seqs = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            toks = line.split()
-            if toks:
-                seqs.append(toks)
-    return seqs
-
-
 def cmd_evaluate(args):
-    generated = _read_token_corpus(args.generated)
-    test = _read_token_corpus(args.test)
+    generated = _read_token_lines(args.generated)
+    test = _read_token_lines(args.test)
     if not generated or not test:
         raise EmptyInputError("empty generated or test corpus")
     # score over token strings; map to dense ids for the metric functions
@@ -165,18 +166,13 @@ def gradcheck_report(preset: str, seed: int) -> dict:
             self.i += 1
             return row
 
-    from .distributions import GumbelConfig
-
     def elbo_loss(m):
         total, _, _, _ = training.elbo_batch(m, ids, noise)
         return -total.mean()
 
     def disc_loss(m):
-        from .tensor import no_grad
-
         with no_grad():
             fake = networks.generate_relaxed_batch(m, z_adv, GumbelConfig(0.8), _FixedGumbel())
-            fake = [Tensor(r.data.copy()) for r in fake]
         return training.discriminator_loss(m, ids, fake)
 
     def gen_adv_loss(m):
@@ -284,8 +280,8 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    args = _merge_config(args, parser)
     try:
+        args = _merge_config(args, parser, argv)
         return args.func(args)
     except (OSError, EmptyInputError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

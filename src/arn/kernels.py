@@ -1,38 +1,21 @@
-"""Hot numeric kernels with optional numba acceleration.
+"""Hot numeric kernels: fused LSTM cell, row softmax, Adam, stable sigmoid.
 
-Every kernel has a pure-numpy implementation. When numba is importable and
-the environment variable ``ARN_NUMBA`` is not set to ``0``/``false``/``off``,
-the kernels are JIT-compiled at import time. Both paths compute the same
-IEEE-754 double operations in the same order, so results are bit-identical
-within a path and agree to round-off across paths.
-
-``bench/bench_kernels.py`` times the two paths against each other.
+One vectorized NumPy implementation of each.
 """
-
-import os
 
 import numpy as np
 
-
-def _numba_wanted() -> bool:
-    flag = os.environ.get("ARN_NUMBA", "1").strip().lower()
-    return flag not in ("0", "false", "off", "no")
+# perfbench/run.py records this in its environment block; there is no numba path.
+USING_NUMBA = False
 
 
-# ---------------------------------------------------------------------------
-# pure-numpy implementations
-# ---------------------------------------------------------------------------
-
-def _sigmoid(x):
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+def sigmoid(x):
+    """Logistic function without overflow: exp only ever sees -|x|."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
-def lstm_cell_forward_np(pre, c_prev):
+def lstm_cell_forward(pre, c_prev):
     """Fused LSTM cell: gate math given preactivations.
 
     pre: (B, 4H) preactivations laid out [i | f | o | g]; c_prev: (B, H).
@@ -40,9 +23,9 @@ def lstm_cell_forward_np(pre, c_prev):
     saved = (i, f, o, g, tanh_c_new) for the backward pass.
     """
     hdim = c_prev.shape[1]
-    i = _sigmoid(pre[:, :hdim])
-    f = _sigmoid(pre[:, hdim:2 * hdim])
-    o = _sigmoid(pre[:, 2 * hdim:3 * hdim])
+    i = sigmoid(pre[:, :hdim])
+    f = sigmoid(pre[:, hdim:2 * hdim])
+    o = sigmoid(pre[:, 2 * hdim:3 * hdim])
     g = np.tanh(pre[:, 3 * hdim:])
     c_new = f * c_prev + i * g
     tc = np.tanh(c_new)
@@ -51,7 +34,7 @@ def lstm_cell_forward_np(pre, c_prev):
     return hc, (i, f, o, g, tc)
 
 
-def lstm_cell_backward_np(d_hc, c_prev, i, f, o, g, tc):
+def lstm_cell_backward(d_hc, c_prev, i, f, o, g, tc):
     """Backward of the fused cell.
 
     d_hc: (B, 2H) gradient w.r.t. concat(h_new, c_new).
@@ -74,19 +57,19 @@ def lstm_cell_backward_np(d_hc, c_prev, i, f, o, g, tc):
     return d_pre, d_c_prev
 
 
-def softmax_rows_np(x):
+def softmax_rows(x):
     """Row-wise softmax with max subtraction (overflow guard)."""
     shifted = x - x.max(axis=-1, keepdims=True)
     ex = np.exp(shifted)
     return ex / ex.sum(axis=-1, keepdims=True)
 
 
-def log_softmax_rows_np(x):
+def log_softmax_rows(x):
     shifted = x - x.max(axis=-1, keepdims=True)
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
-def adam_update_np(param, grad, m, v, t, lr, beta1, beta2, eps):
+def adam_update(param, grad, m, v, t, lr, beta1, beta2, eps):
     """In-place bias-corrected Adam step on flat float64 arrays."""
     m *= beta1
     m += (1.0 - beta1) * grad
@@ -95,139 +78,3 @@ def adam_update_np(param, grad, m, v, t, lr, beta1, beta2, eps):
     mhat = m / (1.0 - beta1 ** t)
     vhat = v / (1.0 - beta2 ** t)
     param -= lr * mhat / (np.sqrt(vhat) + eps)
-
-
-NUMPY_IMPL = {
-    "lstm_cell_forward": lstm_cell_forward_np,
-    "lstm_cell_backward": lstm_cell_backward_np,
-    "softmax_rows": softmax_rows_np,
-    "log_softmax_rows": log_softmax_rows_np,
-    "adam_update": adam_update_np,
-}
-
-
-# ---------------------------------------------------------------------------
-# numba implementations (explicit loops; numba dislikes fancy slicing on exp)
-# ---------------------------------------------------------------------------
-
-NUMBA_IMPL = None
-
-if _numba_wanted():
-    try:
-        from numba import njit
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        njit = None
-
-    if njit is not None:
-
-        @njit(cache=True)
-        def _lstm_cell_forward_nb(pre, c_prev):
-            bsz, hdim = c_prev.shape
-            hc = np.empty((bsz, 2 * hdim), dtype=pre.dtype)
-            i = np.empty((bsz, hdim), dtype=pre.dtype)
-            f = np.empty((bsz, hdim), dtype=pre.dtype)
-            o = np.empty((bsz, hdim), dtype=pre.dtype)
-            g = np.empty((bsz, hdim), dtype=pre.dtype)
-            tc = np.empty((bsz, hdim), dtype=pre.dtype)
-            for b in range(bsz):
-                for k in range(hdim):
-                    xi = pre[b, k]
-                    xf = pre[b, hdim + k]
-                    xo = pre[b, 2 * hdim + k]
-                    xg = pre[b, 3 * hdim + k]
-                    si = 1.0 / (1.0 + np.exp(-xi)) if xi >= 0 else np.exp(xi) / (1.0 + np.exp(xi))
-                    sf = 1.0 / (1.0 + np.exp(-xf)) if xf >= 0 else np.exp(xf) / (1.0 + np.exp(xf))
-                    so = 1.0 / (1.0 + np.exp(-xo)) if xo >= 0 else np.exp(xo) / (1.0 + np.exp(xo))
-                    tg = np.tanh(xg)
-                    cn = sf * c_prev[b, k] + si * tg
-                    tcv = np.tanh(cn)
-                    i[b, k] = si
-                    f[b, k] = sf
-                    o[b, k] = so
-                    g[b, k] = tg
-                    tc[b, k] = tcv
-                    hc[b, k] = so * tcv
-                    hc[b, hdim + k] = cn
-            return hc, (i, f, o, g, tc)
-
-        @njit(cache=True)
-        def _lstm_cell_backward_nb(d_hc, c_prev, i, f, o, g, tc):
-            bsz, hdim = c_prev.shape
-            d_pre = np.empty((bsz, 4 * hdim), dtype=d_hc.dtype)
-            d_c_prev = np.empty((bsz, hdim), dtype=d_hc.dtype)
-            for b in range(bsz):
-                for k in range(hdim):
-                    dh = d_hc[b, k]
-                    dc = d_hc[b, hdim + k] + dh * o[b, k] * (1.0 - tc[b, k] * tc[b, k])
-                    do = dh * tc[b, k]
-                    di = dc * g[b, k]
-                    df = dc * c_prev[b, k]
-                    dg = dc * i[b, k]
-                    d_pre[b, k] = di * i[b, k] * (1.0 - i[b, k])
-                    d_pre[b, hdim + k] = df * f[b, k] * (1.0 - f[b, k])
-                    d_pre[b, 2 * hdim + k] = do * o[b, k] * (1.0 - o[b, k])
-                    d_pre[b, 3 * hdim + k] = dg * (1.0 - g[b, k] * g[b, k])
-                    d_c_prev[b, k] = dc * f[b, k]
-            return d_pre, d_c_prev
-
-        @njit(cache=True)
-        def _softmax_rows_nb(x):
-            flat = x.reshape(-1, x.shape[-1])
-            out = np.empty_like(flat)
-            for r in range(flat.shape[0]):
-                mx = flat[r, 0]
-                for k in range(1, flat.shape[1]):
-                    if flat[r, k] > mx:
-                        mx = flat[r, k]
-                s = 0.0
-                for k in range(flat.shape[1]):
-                    e = np.exp(flat[r, k] - mx)
-                    out[r, k] = e
-                    s += e
-                for k in range(flat.shape[1]):
-                    out[r, k] /= s
-            return out.reshape(x.shape)
-
-        @njit(cache=True)
-        def _log_softmax_rows_nb(x):
-            flat = x.reshape(-1, x.shape[-1])
-            out = np.empty_like(flat)
-            for r in range(flat.shape[0]):
-                mx = flat[r, 0]
-                for k in range(1, flat.shape[1]):
-                    if flat[r, k] > mx:
-                        mx = flat[r, k]
-                s = 0.0
-                for k in range(flat.shape[1]):
-                    s += np.exp(flat[r, k] - mx)
-                lse = np.log(s)
-                for k in range(flat.shape[1]):
-                    out[r, k] = flat[r, k] - mx - lse
-            return out.reshape(x.shape)
-
-        @njit(cache=True)
-        def _adam_update_nb(param, grad, m, v, t, lr, beta1, beta2, eps):
-            bc1 = 1.0 - beta1 ** t
-            bc2 = 1.0 - beta2 ** t
-            for k in range(param.shape[0]):
-                m[k] = beta1 * m[k] + (1.0 - beta1) * grad[k]
-                v[k] = beta2 * v[k] + (1.0 - beta2) * grad[k] * grad[k]
-                param[k] -= lr * (m[k] / bc1) / (np.sqrt(v[k] / bc2) + eps)
-
-        NUMBA_IMPL = {
-            "lstm_cell_forward": _lstm_cell_forward_nb,
-            "lstm_cell_backward": _lstm_cell_backward_nb,
-            "softmax_rows": _softmax_rows_nb,
-            "log_softmax_rows": _log_softmax_rows_nb,
-            "adam_update": _adam_update_nb,
-        }
-
-
-USING_NUMBA = NUMBA_IMPL is not None
-_ACTIVE = NUMBA_IMPL if USING_NUMBA else NUMPY_IMPL
-
-lstm_cell_forward = _ACTIVE["lstm_cell_forward"]
-lstm_cell_backward = _ACTIVE["lstm_cell_backward"]
-softmax_rows = _ACTIVE["softmax_rows"]
-log_softmax_rows = _ACTIVE["log_softmax_rows"]
-adam_update = _ACTIVE["adam_update"]

@@ -12,7 +12,7 @@ import numpy as np
 
 from .distributions import GaussianPosterior, GumbelConfig, gumbel_softmax
 from .errors import ConfigError, ShapeError, VocabError
-from .tensor import Tensor, gather_rows, lstm_cell, no_grad
+from .tensor import Tensor, gather_rows, lstm_cell, no_grad, pick
 
 INIT_SCALE = 0.08
 
@@ -124,7 +124,7 @@ def _check_ids(model, ids):
     return ids
 
 
-def init_state(model: ArnModel, batch: int, prefix="gen") -> RnnState:
+def init_state(model: ArnModel, batch: int) -> RnnState:
     hdim = model.config.d_hidden
     return RnnState(Tensor(np.zeros((batch, hdim))), Tensor(np.zeros((batch, hdim))))
 
@@ -181,8 +181,6 @@ def sequence_log_likelihood_batch(model: ArnModel, ids, z) -> tuple:
     """
     ids = _check_ids(model, ids)
     bsz, tlen = ids.shape
-    from .tensor import pick  # local import avoids a cycle in doc tooling
-
     lp1 = pick(decode_first_token(model, z).log_softmax(), ids[:, 0])
     state = init_state(model, bsz)
     ar = Tensor(np.zeros(bsz))

@@ -243,22 +243,14 @@ class Tensor:
 
     def sigmoid(self):
         a = self
-        data = np.where(
-            a.data >= 0,
-            1.0 / (1.0 + np.exp(-np.abs(a.data))),
-            np.exp(-np.abs(a.data)) / (1.0 + np.exp(-np.abs(a.data))),
-        )
+        data = kernels.sigmoid(a.data)
         return Tensor._make(data, (a,), lambda g: a._accum(g * data * (1.0 - data)))
 
     def log_sigmoid(self):
         """log(sigmoid(x)) computed as -softplus(-x); safe for large |x|."""
         a = self
         data = np.where(a.data >= 0, -np.log1p(np.exp(-a.data)), a.data - np.log1p(np.exp(a.data)))
-        sig = np.where(
-            a.data >= 0,
-            1.0 / (1.0 + np.exp(-np.abs(a.data))),
-            np.exp(-np.abs(a.data)) / (1.0 + np.exp(-np.abs(a.data))),
-        )
+        sig = kernels.sigmoid(a.data)
         return Tensor._make(data, (a,), lambda g: a._accum(g * (1.0 - sig)))
 
     def softmax(self):

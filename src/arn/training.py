@@ -2,19 +2,19 @@
 
 Sign conventions: both losses are minimized. The generator loss is the
 negated variational lower bound plus lambda_adv times the mean of
-log(1 - D(G(z))) (the saturating form as written; a non-saturating variant
--log D(G(z)) sits behind a flag). The discriminator loss is the standard
-binary cross-entropy -log D(real) - log(1 - D(fake)).
+log(1 - D(G(z))) (the saturating form as written). The discriminator loss
+is the standard binary cross-entropy -log D(real) - log(1 - D(fake)).
 """
 
 import io
 import json
+import math
 import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import networks
+from . import kernels, networks
 from .distributions import GumbelConfig, kl_gauss_std, reparam_sample
 from .errors import ConfigError, NumericsError, TrainingAborted
 from .networks import ArnConfig, ArnModel
@@ -53,14 +53,9 @@ class TrainConfig:
     beta2: float = 0.999
     eps: float = 1e-8
     lambda_adv: float = 1.0
-    d_steps: int = 1
-    g_steps: int = 1
     tau_start: float = 1.0
     tau_end: float = 0.2
-    hard: bool = False
-    non_saturating: bool = False
     seed: int = 0
-    checkpoint_every: int = 0
 
     def __post_init__(self):
         if self.batch_size < 1:
@@ -102,12 +97,8 @@ def elbo(model: ArnModel, seq: networks.TokenSequence, noise) -> LossBreakdown:
     return out
 
 
-def _detach_rows(rows):
-    return [Tensor(r.data.copy()) for r in rows]
-
-
 def discriminator_loss(model: ArnModel, real_ids: np.ndarray, fake_rows) -> Tensor:
-    """Mean of -log D(real) - log(1 - D(fake)); fake rows must be detached."""
+    """Mean of -log D(real) - log(1 - D(fake)); fake rows must carry no graph."""
     if len(real_ids) == 0 or len(fake_rows) == 0 or fake_rows[0].shape[0] == 0:
         raise ConfigError("empty batch")
     real_rows = networks.one_hot_rows(real_ids, model.config.vocab_size)
@@ -136,14 +127,11 @@ def generator_loss(model: ArnModel, real_ids: np.ndarray, cfg: TrainConfig, rngs
         ar_loglik=float(ar.data.mean()),
     )
     if cfg.lambda_adv > 0:
-        gcfg = GumbelConfig(temperature=cfg.tau_start if tau is None else tau, hard=cfg.hard)
+        gcfg = GumbelConfig(temperature=cfg.tau_start if tau is None else tau)
         z = rngs["noise"].standard_normal((bsz, dz))
         rows = networks.generate_relaxed_batch(model, z, gcfg, rngs["gumbel"])
         s_fake = networks.discriminator_score_batch(model, rows)
-        if cfg.non_saturating:
-            adv = -s_fake.log_sigmoid()
-        else:
-            adv = (-s_fake).log_sigmoid()
+        adv = (-s_fake).log_sigmoid()
         breakdown.adversarial = float(adv.data.mean())
         loss = loss + cfg.lambda_adv * adv.mean()
     breakdown.total_generator = float(loss.data)
@@ -163,8 +151,6 @@ def optimizer_step(params: dict, state: AdamState, cfg: TrainConfig, lr=None):
     Raises NumericsError (without touching any parameter) when a gradient is
     non-finite, so callers can reject the step.
     """
-    from . import kernels
-
     lr = cfg.lr if lr is None else lr
     grads = {}
     for name, p in params.items():
@@ -215,25 +201,22 @@ def train(model: ArnModel, corpus_ids: np.ndarray, cfg: TrainConfig,
             d_loss_val = 0.0
             try:
                 if cfg.lambda_adv > 0:
-                    for _ in range(cfg.d_steps):
-                        batch = sample_batch(corpus_ids, cfg.batch_size, rngs["data"])
-                        with no_grad():
-                            z = rngs["noise"].standard_normal((cfg.batch_size, model.config.d_latent))
-                            fake = networks.generate_relaxed_batch(
-                                model, z, GumbelConfig(temperature=tau, hard=cfg.hard), rngs["gumbel"]
-                            )
-                        d_loss = discriminator_loss(model, batch, _detach_rows(fake))
-                        d_loss.backward()
-                        optimizer_step(model.discriminator_params(), d_state, cfg, lr=lr)
-                        d_loss_val = float(d_loss.data)
-                breakdown = LossBreakdown()
-                for _ in range(cfg.g_steps):
                     batch = sample_batch(corpus_ids, cfg.batch_size, rngs["data"])
-                    g_loss, breakdown = generator_loss(model, batch, cfg, rngs, tau=tau)
-                    if not np.isfinite(g_loss.data):
-                        raise NumericsError("non-finite generator loss")
-                    g_loss.backward()
-                    optimizer_step(model.generator_params(), g_state, cfg, lr=lr)
+                    with no_grad():
+                        z = rngs["noise"].standard_normal((cfg.batch_size, model.config.d_latent))
+                        fake = networks.generate_relaxed_batch(
+                            model, z, GumbelConfig(temperature=tau), rngs["gumbel"]
+                        )
+                    d_loss = discriminator_loss(model, batch, fake)
+                    d_loss.backward()
+                    optimizer_step(model.discriminator_params(), d_state, cfg, lr=lr)
+                    d_loss_val = float(d_loss.data)
+                batch = sample_batch(corpus_ids, cfg.batch_size, rngs["data"])
+                g_loss, breakdown = generator_loss(model, batch, cfg, rngs, tau=tau)
+                if not np.isfinite(g_loss.data):
+                    raise NumericsError("non-finite generator loss")
+                g_loss.backward()
+                optimizer_step(model.generator_params(), g_state, cfg, lr=lr)
             except NumericsError as exc:
                 if halved:
                     if checkpoint_path:
@@ -256,8 +239,6 @@ def train(model: ArnModel, corpus_ids: np.ndarray, cfg: TrainConfig,
             trace.append(record)
             if trace_file:
                 trace_file.write(json.dumps(record) + "\n")
-            if checkpoint_path and cfg.checkpoint_every and (step + 1) % cfg.checkpoint_every == 0:
-                save_checkpoint(checkpoint_path, model)
     finally:
         if trace_file:
             trace_file.close()
@@ -303,29 +284,45 @@ def save_checkpoint(path, model: ArnModel):
         fh.write(buf.getvalue())
 
 
+def _read_exact(view, nbytes, path) -> bytes:
+    chunk = view.read(nbytes)
+    if len(chunk) != nbytes:
+        raise ConfigError(f"{path}: truncated checkpoint")
+    return chunk
+
+
+def _unpack(view, fmt, path):
+    return struct.unpack(fmt, _read_exact(view, struct.calcsize(fmt), path))[0]
+
+
 def load_checkpoint(path) -> ArnModel:
+    """Rebuild a model from a checkpoint; ConfigError if the file is malformed."""
     with open(path, "rb") as fh:
         raw = fh.read()
     view = io.BytesIO(raw)
     if view.read(4) != CHECKPOINT_MAGIC:
         raise ConfigError(f"{path}: not an ARN checkpoint")
-    (version,) = struct.unpack("<H", view.read(2))
+    version = _unpack(view, "<H", path)
     if version != CHECKPOINT_VERSION:
         raise ConfigError(f"unsupported checkpoint version {version}")
-    (count,) = struct.unpack("<I", view.read(4))
     manifest = []
-    for _ in range(count):
-        (name_len,) = struct.unpack("<H", view.read(2))
-        name = view.read(name_len).decode("utf-8")
-        (rank,) = struct.unpack("<B", view.read(1))
-        shape = tuple(struct.unpack("<Q", view.read(8))[0] for _ in range(rank))
-        (tag,) = struct.unpack("<B", view.read(1))
+    for _ in range(_unpack(view, "<I", path)):
+        try:
+            name = _read_exact(view, _unpack(view, "<H", path), path).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: tensor name is not UTF-8") from exc
+        shape = tuple(_unpack(view, "<Q", path) for _ in range(_unpack(view, "<B", path)))
+        tag = _unpack(view, "<B", path)
+        if tag not in _TAG_DTYPES:
+            raise ConfigError(f"{path}: unknown dtype tag {tag} for {name!r}")
         manifest.append((name, shape, _TAG_DTYPES[tag]))
     tensors = {}
     for name, shape, dtype in manifest:
-        nbytes = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize if shape else dtype.itemsize
-        data = np.frombuffer(view.read(nbytes), dtype=dtype).reshape(shape)
-        tensors[name] = data
+        nbytes = math.prod(shape) * dtype.itemsize
+        tensors[name] = np.frombuffer(_read_exact(view, nbytes, path), dtype=dtype).reshape(shape)
+    missing = [f for f in _META_FIELDS if _META_PREFIX + f not in tensors]
+    if missing:
+        raise ConfigError(f"{path}: missing model sizes {missing}")
     meta = {f: int(tensors.pop(_META_PREFIX + f).reshape(())) for f in _META_FIELDS}
     model = ArnModel(ArnConfig(**meta))
     for name, data in tensors.items():

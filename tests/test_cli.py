@@ -47,6 +47,27 @@ class TestTrain:
                     "--out", str(out)])
         assert code == 0 and out.exists()
 
+    def test_explicit_flag_beats_config_file(self, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"trials": 3, "outcomes": 4}))
+        assert run(["divlab", "--trials", "7", "--seed", "1", "--config", str(cfg)]) == 0
+        assert json.loads(capsys.readouterr().out)["trials"] == 7
+
+    @pytest.mark.parametrize("content", [None, "{not json", "[1, 2]"])
+    def test_bad_config_file(self, tmp_path, content):
+        cfg = tmp_path / "run.json"
+        if content is not None:
+            cfg.write_text(content)
+        assert run(["divlab", "--trials", "2", "--config", str(cfg)]) == 2
+
+    @pytest.mark.parametrize("text", ["0 1 2\n3 4\n", "0 1 a\n", "0 1 8\n", "0 -1 2\n",
+                                      "99999999999999999999 1\n", "\n\n"])
+    def test_bad_raw_id_corpus(self, tmp_path, text):
+        path = tmp_path / "corpus.txt"
+        path.write_text(text)
+        assert run(["train", "--corpus", str(path), "--steps", "1",
+                    "--out", str(tmp_path / "m.arn")]) == 2
+
 
 class TestGenerate:
     @pytest.fixture
@@ -58,6 +79,15 @@ class TestGenerate:
     def test_count_zero(self, checkpoint, tmp_path, capsys):
         assert run(["generate", "--checkpoint", checkpoint, "--count", "0"]) == 0
         assert capsys.readouterr().out == ""
+
+    def test_negative_count(self, checkpoint):
+        assert run(["generate", "--checkpoint", checkpoint, "--count", "-1"]) == 2
+
+    def test_truncated_checkpoint(self, checkpoint, tmp_path):
+        path = tmp_path / "cut.arn"
+        with open(checkpoint, "rb") as fh:
+            path.write_bytes(fh.read()[:-3])
+        assert run(["generate", "--checkpoint", str(path)]) == 2
 
     def test_fixed_seed_identical(self, checkpoint, tmp_path):
         outs = []
@@ -109,6 +139,13 @@ class TestEvaluate:
         report = json.loads(capsys.readouterr().out)
         assert report["diversity"]["2"] == 75.0
         assert report["fc"]["2"] == 25.0
+
+    def test_non_utf8_input(self, tmp_path):
+        gen = tmp_path / "gen.txt"
+        test = tmp_path / "test.txt"
+        gen.write_bytes(b"a \xff b\n")
+        test.write_text("a b\n")
+        assert run(["evaluate", "--generated", str(gen), "--test", str(test)]) == 2
 
     def test_empty_generated(self, tmp_path):
         gen = tmp_path / "gen.txt"

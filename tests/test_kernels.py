@@ -1,9 +1,13 @@
+"""NumPy kernels against naive reference formulas."""
+
+import math
+import warnings
+
 import numpy as np
 import pytest
+from scipy import special
 
 from arn import kernels
-
-pytestmark = pytest.mark.skipif(kernels.NUMBA_IMPL is None, reason="numba path disabled")
 
 
 @pytest.fixture
@@ -11,47 +15,100 @@ def rng():
     return np.random.default_rng(11)
 
 
-def test_lstm_forward_paths_agree(rng):
-    pre = rng.standard_normal((5, 16))
+def naive_sigmoid(x):
+    return 1.0 / (1.0 + math.exp(-x))
+
+
+def naive_lstm(pre, c_prev):
+    """Textbook gate math, one scalar at a time: returns (h, c)."""
+    bsz, hdim = c_prev.shape
+    h, c = np.empty_like(c_prev), np.empty_like(c_prev)
+    for b in range(bsz):
+        for k in range(hdim):
+            i = naive_sigmoid(pre[b, k])
+            f = naive_sigmoid(pre[b, hdim + k])
+            o = naive_sigmoid(pre[b, 2 * hdim + k])
+            g = math.tanh(pre[b, 3 * hdim + k])
+            c[b, k] = f * c_prev[b, k] + i * g
+            h[b, k] = o * math.tanh(c[b, k])
+    return h, c
+
+
+def test_lstm_forward_matches_textbook_gates(rng):
+    pre = rng.standard_normal((5, 16)) * 3
     c = rng.standard_normal((5, 4))
-    hc_np, saved_np = kernels.NUMPY_IMPL["lstm_cell_forward"](pre, c)
-    hc_nb, saved_nb = kernels.NUMBA_IMPL["lstm_cell_forward"](pre, c)
-    np.testing.assert_allclose(hc_np, hc_nb, atol=1e-15)
-    for a, b in zip(saved_np, saved_nb):
-        np.testing.assert_allclose(a, b, atol=1e-15)
+    hc, (i, f, o, g, tc) = kernels.lstm_cell_forward(pre, c)
+    h_ref, c_ref = naive_lstm(pre, c)
+    np.testing.assert_allclose(hc[:, :4], h_ref, rtol=1e-14, atol=1e-15)
+    np.testing.assert_allclose(hc[:, 4:], c_ref, rtol=1e-14, atol=1e-15)
+    np.testing.assert_allclose(tc, np.tanh(c_ref), rtol=1e-14, atol=1e-15)
+    np.testing.assert_allclose(g, np.tanh(pre[:, 12:]), rtol=1e-14, atol=1e-15)
 
 
-def test_lstm_backward_paths_agree(rng):
-    pre = rng.standard_normal((5, 16))
-    c = rng.standard_normal((5, 4))
-    d_hc = rng.standard_normal((5, 8))
-    _, saved = kernels.NUMPY_IMPL["lstm_cell_forward"](pre, c)
-    dp_np, dc_np = kernels.NUMPY_IMPL["lstm_cell_backward"](d_hc, c, *saved)
-    dp_nb, dc_nb = kernels.NUMBA_IMPL["lstm_cell_backward"](d_hc, c, *saved)
-    np.testing.assert_allclose(dp_np, dp_nb, atol=1e-15)
-    np.testing.assert_allclose(dc_np, dc_nb, atol=1e-15)
+def test_lstm_backward_matches_central_differences(rng):
+    pre = rng.standard_normal((3, 8))
+    c = rng.standard_normal((3, 2))
+    weight = rng.standard_normal((3, 4))  # loss = sum(weight * concat(h, c_new))
+
+    def loss(p, cp):
+        h, cn = naive_lstm(p, cp)
+        return float(np.sum(weight * np.concatenate([h, cn], axis=1)))
+
+    _, saved = kernels.lstm_cell_forward(pre, c)
+    d_pre, d_c = kernels.lstm_cell_backward(weight, c, *saved)
+    eps = 1e-6
+    for arr, grad in ((pre, d_pre), (c, d_c)):
+        numeric = np.empty_like(arr)
+        for idx in np.ndindex(arr.shape):
+            orig = arr[idx]
+            arr[idx] = orig + eps
+            hi = loss(pre, c)
+            arr[idx] = orig - eps
+            lo = loss(pre, c)
+            arr[idx] = orig
+            numeric[idx] = (hi - lo) / (2 * eps)
+        np.testing.assert_allclose(grad, numeric, rtol=1e-7, atol=1e-9)
 
 
-def test_softmax_paths_agree(rng):
-    x = rng.standard_normal((7, 9)) * 10
-    np.testing.assert_allclose(
-        kernels.NUMPY_IMPL["softmax_rows"](x), kernels.NUMBA_IMPL["softmax_rows"](x), atol=1e-15
-    )
-    np.testing.assert_allclose(
-        kernels.NUMPY_IMPL["log_softmax_rows"](x),
-        kernels.NUMBA_IMPL["log_softmax_rows"](x),
-        atol=1e-14,
-    )
+@pytest.mark.parametrize("scale", [1.0, 50.0, 800.0])
+def test_softmax_rows_match_scipy(rng, scale):
+    x = rng.standard_normal((7, 9)) * scale
+    np.testing.assert_allclose(kernels.softmax_rows(x), special.softmax(x, axis=-1),
+                               rtol=1e-13, atol=1e-300)
+    np.testing.assert_allclose(kernels.log_softmax_rows(x), special.log_softmax(x, axis=-1),
+                               rtol=1e-13, atol=1e-13)
 
 
-def test_adam_paths_agree(rng):
+def test_adam_update_matches_written_out_rule(rng):
+    lr, beta1, beta2, eps = 1e-3, 0.9, 0.999, 1e-8
     param = rng.standard_normal(64)
-    grad = rng.standard_normal(64)
-    p1, m1, v1 = param.copy(), np.zeros(64), np.zeros(64)
-    p2, m2, v2 = param.copy(), np.zeros(64), np.zeros(64)
-    for step in range(1, 4):
-        kernels.NUMPY_IMPL["adam_update"](p1, grad, m1, v1, step, 1e-3, 0.9, 0.999, 1e-8)
-        kernels.NUMBA_IMPL["adam_update"](p2, grad, m2, v2, step, 1e-3, 0.9, 0.999, 1e-8)
-    np.testing.assert_allclose(p1, p2, atol=1e-15)
-    np.testing.assert_allclose(m1, m2, atol=1e-15)
-    np.testing.assert_allclose(v1, v2, atol=1e-15)
+    m, v = np.zeros(64), np.zeros(64)
+    ref_p, ref_m, ref_v = param.copy(), np.zeros(64), np.zeros(64)
+    for t in range(1, 5):
+        grad = rng.standard_normal(64)
+        kernels.adam_update(param, grad, m, v, t, lr, beta1, beta2, eps)
+        ref_m = beta1 * ref_m + (1 - beta1) * grad
+        ref_v = beta2 * ref_v + (1 - beta2) * grad ** 2
+        m_hat = ref_m / (1 - beta1 ** t)
+        v_hat = ref_v / (1 - beta2 ** t)
+        ref_p = ref_p - lr * m_hat / (np.sqrt(v_hat) + eps)
+        np.testing.assert_allclose(m, ref_m, rtol=1e-15)
+        np.testing.assert_allclose(v, ref_v, rtol=1e-15)
+        np.testing.assert_allclose(param, ref_p, rtol=1e-15)
+
+
+def test_sigmoid_extremes_and_symmetry(rng):
+    x = np.concatenate([np.linspace(-800.0, 800.0, 4001), rng.standard_normal(1000) * 40, [0.0, -0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            s = kernels.sigmoid(x)
+            s_neg = kernels.sigmoid(-x)
+    assert kernels.sigmoid(np.array(800.0)) == 1.0
+    assert kernels.sigmoid(np.array(-800.0)) == 0.0
+    assert kernels.sigmoid(np.array(-0.0)) == 0.5
+    assert np.all((s >= 0.0) & (s <= 1.0))
+    assert np.max(np.abs(s + s_neg - 1.0)) <= 1e-15
+    moderate = np.abs(x) < 30
+    reference = np.array([naive_sigmoid(t) for t in x[moderate]])
+    np.testing.assert_allclose(s[moderate], reference, rtol=1e-14)

@@ -107,7 +107,6 @@ class TestDiscriminatorLoss:
         with no_grad():
             z = rngs["noise"].standard_normal((4, TINY.d_latent))
             fake = networks.generate_relaxed_batch(m, z, GumbelConfig(0.8), rngs["gumbel"])
-        fake = [Tensor(r.data.copy()) for r in fake]
         loss = training.discriminator_loss(m, tiny_corpus(8, n=4), fake)
         loss.backward()
         for name, p in m.generator_params().items():
@@ -268,6 +267,36 @@ class TestCheckpoint:
         path = tmp_path / "bogus.arn"
         path.write_bytes(b"NOPE" + b"\x00" * 16)
         with pytest.raises(ConfigError):
+            training.load_checkpoint(str(path))
+
+    def test_every_truncation_is_a_config_error(self, tmp_path):
+        src = tmp_path / "model.arn"
+        training.save_checkpoint(str(src), tiny_model(25))
+        raw = src.read_bytes()
+        path = tmp_path / "cut.arn"
+        for length in range(len(raw)):
+            path.write_bytes(raw[:length])
+            with pytest.raises(ConfigError):
+                training.load_checkpoint(str(path))
+
+    def test_unknown_dtype_tag(self, tmp_path):
+        path = tmp_path / "model.arn"
+        training.save_checkpoint(str(path), tiny_model(26))
+        raw = bytearray(path.read_bytes())
+        # first entry: 10-byte preamble, u16 name length, name, u8 rank 0, then the tag
+        name_len = int.from_bytes(raw[10:12], "little")
+        tag_at = 12 + name_len + 1
+        assert raw[tag_at] == 1
+        raw[tag_at] = 7
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ConfigError, match="dtype tag 7"):
+            training.load_checkpoint(str(path))
+
+    def test_missing_model_size(self, tmp_path):
+        path = tmp_path / "model.arn"
+        training.save_checkpoint(str(path), tiny_model(27))
+        path.write_bytes(path.read_bytes().replace(b"meta.seq_len", b"meta.seq_lem"))
+        with pytest.raises(ConfigError, match="seq_len"):
             training.load_checkpoint(str(path))
 
 
