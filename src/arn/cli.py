@@ -110,14 +110,13 @@ def cmd_generate(args):
             first_dist = corpus_mod.first_token_distribution(ids)
         else:
             first_dist = np.full(model.config.vocab_size, 1.0 / model.config.vocab_size)
-    lines = []
-    for _ in range(args.count):
-        seed_token = None
-        if args.mode == "decoded-x1":
-            seed_token = int(rng.choice(len(first_dist), p=first_dist))
-        seq = networks.generate(model, args.mode, rng, seed_token=seed_token)
-        toks = vocab.decode(seq.ids) if vocab else [str(i) for i in seq.ids]
-        lines.append(" ".join(toks))
+    # all seed tokens, then all latents, then the whole batch of samples
+    seed_tokens = None
+    if args.mode == "decoded-x1":
+        seed_tokens = rng.choice(len(first_dist), size=args.count, p=first_dist)
+    z = networks.draw_latents(model, args.mode, rng, args.count, seed_tokens)
+    lines = [" ".join(vocab.decode(row) if vocab else [str(i) for i in row])
+             for row in networks.generate_batch(model, z, rng)]
     out = "\n".join(lines) + ("\n" if lines else "")
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

@@ -81,6 +81,12 @@ def kl_gauss_std(q: GaussianPosterior) -> Tensor:
     return (term.sum(axis=axis) - q.mu.shape[-1]) * 0.5
 
 
+def gumbel_noise(uniform_noise) -> np.ndarray:
+    """Standard Gumbel draws -log(-log(u)) from uniforms, clamped away from 0 and 1."""
+    u = np.clip(np.asarray(uniform_noise, dtype=np.float64), _NOISE_CLAMP, 1.0 - _NOISE_CLAMP)
+    return -np.log(-np.log(u))
+
+
 def gumbel_softmax(logits, cfg: GumbelConfig, uniform_noise) -> Tensor:
     """Relaxed one-hot sample: softmax((logits + g) / tau), g = -log(-log(u)).
 
@@ -90,10 +96,9 @@ def gumbel_softmax(logits, cfg: GumbelConfig, uniform_noise) -> Tensor:
     if cfg.temperature <= 0:
         raise DomainError("temperature must be positive")
     logits = logits if isinstance(logits, Tensor) else Tensor(logits)
-    u = np.clip(np.asarray(uniform_noise, dtype=np.float64), _NOISE_CLAMP, 1.0 - _NOISE_CLAMP)
-    if u.shape != logits.shape:
-        raise ShapeError(f"noise shape {u.shape} != logits shape {logits.shape}")
-    g = -np.log(-np.log(u))
+    g = gumbel_noise(uniform_noise)
+    if g.shape != logits.shape:
+        raise ShapeError(f"noise shape {g.shape} != logits shape {logits.shape}")
     y = ((logits + Tensor(g)) * (1.0 / cfg.temperature)).softmax()
     if cfg.hard:
         return straight_through_hard(y)

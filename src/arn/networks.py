@@ -2,17 +2,19 @@
 and a sequence discriminator, plus the two generation procedures.
 
 All forward passes are batched: token batches are (B, T) int arrays, soft
-(relaxed) sequences are lists of T row tensors of shape (B, V). The public
-single-sequence operations wrap a batch of one.
+(relaxed) sequences are (T, B, V) tensors of rows on the simplex. The
+public single-sequence operations wrap a batch of one.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distributions import GaussianPosterior, GumbelConfig, gumbel_softmax
+from .distributions import GaussianPosterior, GumbelConfig, gumbel_noise, gumbel_softmax
 from .errors import ConfigError, ShapeError, VocabError
-from .tensor import Tensor, gather_rows, lstm_cell, no_grad, pick
+from .tensor import (
+    Tensor, concat, gather_rows, gumbel_lstm_sequence, lstm_cell, lstm_sequence, no_grad, pick,
+)
 
 INIT_SCALE = 0.08
 
@@ -153,24 +155,15 @@ def decode_first_token(model: ArnModel, z) -> Tensor:
     return logits.reshape(model.config.vocab_size) if single else logits
 
 
-def _lstm(model, prefix, inp, state):
-    pre = inp @ model.params[prefix + ".wx"] + state.h @ model.params[prefix + ".wh"] + model.params[prefix + ".b"]
-    hc = lstm_cell(pre, state.c)
-    hdim = model.config.d_hidden
-    return RnnState(hc[:, :hdim], hc[:, hdim:])
-
-
 def lstm_step(model: ArnModel, inp, state: RnnState):
     """One generator step: (logits over V, next state). inp is (B, d_emb)."""
     inp = inp if isinstance(inp, Tensor) else Tensor(inp)
-    new_state = _lstm(model, "gen", inp, state)
-    logits = new_state.h @ model.params["gen.proj_w"] + model.params["gen.proj_b"]
+    p = model.params
+    hc = lstm_cell(inp @ p["gen.wx"] + state.h @ p["gen.wh"] + p["gen.b"], state.c)
+    hdim = model.config.d_hidden
+    new_state = RnnState(hc[:, :hdim], hc[:, hdim:])
+    logits = new_state.h @ p["gen.proj_w"] + p["gen.proj_b"]
     return logits, new_state
-
-
-def soft_embed(model: ArnModel, rows: Tensor, table="emb") -> Tensor:
-    """Probability-weighted embedding lookup: rows (B, V) times the table."""
-    return rows @ model.params[table]
 
 
 def sequence_log_likelihood_batch(model: ArnModel, ids, z) -> tuple:
@@ -181,15 +174,12 @@ def sequence_log_likelihood_batch(model: ArnModel, ids, z) -> tuple:
     """
     ids = _check_ids(model, ids)
     bsz, tlen = ids.shape
+    p = model.params
     lp1 = pick(decode_first_token(model, z).log_softmax(), ids[:, 0])
-    state = init_state(model, bsz)
-    ar = Tensor(np.zeros(bsz))
-    inp = gather_rows(model.params["emb"], ids[:, 0])
-    for i in range(1, tlen):
-        logits, state = lstm_step(model, inp, state)
-        ar = ar + pick(logits.log_softmax(), ids[:, i])
-        inp = gather_rows(model.params["emb"], ids[:, i])
-    return lp1, ar
+    hs = lstm_sequence(gather_rows(p["emb"], ids[:, :-1].T), p["gen.wx"], p["gen.wh"], p["gen.b"])
+    logits = hs.reshape((tlen - 1) * bsz, model.config.d_hidden) @ p["gen.proj_w"] + p["gen.proj_b"]
+    steps = pick(logits.log_softmax(), ids[:, 1:].T.reshape(-1))
+    return lp1, steps.reshape(tlen - 1, bsz).sum(axis=0)
 
 
 def sequence_log_likelihood(model: ArnModel, seq: TokenSequence, z) -> Tensor:
@@ -223,77 +213,87 @@ def generate_batch(model: ArnModel, z: np.ndarray, rng, deterministic=False) -> 
     return ids
 
 
-def generate(model: ArnModel, mode, rng, seed_token=None, deterministic=False) -> TokenSequence:
-    """Sample one sequence.
+def draw_latents(model: ArnModel, mode, rng, count, seed_tokens=None) -> np.ndarray:
+    """(count, d_z) latent draws.
 
-    mode "noise": z ~ N(0, I). mode "decoded-x1": z ~ q(z | seed_token).
+    mode "noise": z ~ N(0, I). mode "decoded-x1": z ~ q(z | seed_tokens[k]).
     """
     dz = model.config.d_latent
     if mode == "noise":
-        z = rng.standard_normal((1, dz))
-    elif mode == "decoded-x1":
-        if seed_token is None:
-            raise ConfigError("decoded-x1 mode requires a seed token")
-        with no_grad():
-            q = encode_first_token(model, np.asarray([seed_token]))
-            sigma = np.exp(0.5 * q.log_var.data)
-            z = q.mu.data + sigma * rng.standard_normal((1, dz))
-    else:
+        return rng.standard_normal((count, dz))
+    if mode != "decoded-x1":
         raise ConfigError(f"unknown generation mode {mode!r}")
+    if seed_tokens is None:
+        raise ConfigError("decoded-x1 mode requires a seed token")
+    with no_grad():
+        q = encode_first_token(model, np.asarray(seed_tokens))
+        return q.mu.data + np.exp(0.5 * q.log_var.data) * rng.standard_normal((count, dz))
+
+
+def generate(model: ArnModel, mode, rng, seed_token=None, deterministic=False) -> TokenSequence:
+    """Sample one sequence (see draw_latents for the modes)."""
+    z = draw_latents(model, mode, rng, 1, None if seed_token is None else [seed_token])
     ids = generate_batch(model, z, rng, deterministic)
     return TokenSequence(ids[0], model.config.vocab_size)
 
 
-def generate_relaxed_batch(model: ArnModel, z, cfg: GumbelConfig, rng):
-    """Differentiable sampling: list of T relaxed one-hot rows, each (B, V)."""
+def generate_relaxed_batch(model: ArnModel, z, cfg: GumbelConfig, rng) -> Tensor:
+    """Differentiable sampling: a (T, B, V) soft sequence of relaxed one-hot rows.
+
+    Draws one rng.random((B, V)) per step, first token first.
+    """
     z = z if isinstance(z, Tensor) else Tensor(z)
-    bsz = z.shape[0]
-    vocab = model.config.vocab_size
-    rows = []
-    logits = decode_first_token(model, z)
-    row = gumbel_softmax(logits, cfg, rng.random((bsz, vocab)))
-    rows.append(row)
-    state = init_state(model, bsz)
-    for _ in range(1, model.config.seq_len):
-        inp = soft_embed(model, row)
-        logits, state = lstm_step(model, inp, state)
-        row = gumbel_softmax(logits, cfg, rng.random((bsz, vocab)))
-        rows.append(row)
-    return rows
+    bsz, vocab = z.shape[0], model.config.vocab_size
+    first = gumbel_softmax(decode_first_token(model, z), cfg, rng.random((bsz, vocab)))
+    noise = np.empty((model.config.seq_len - 1, bsz, vocab))
+    for row in noise:
+        row[...] = gumbel_noise(rng.random((bsz, vocab)))
+    p = model.params
+    return gumbel_lstm_sequence(
+        first, p["emb"], p["gen.wx"], p["gen.wh"], p["gen.b"], p["gen.proj_w"], p["gen.proj_b"],
+        noise, cfg.temperature, hard=cfg.hard,
+    )
 
 
-def generate_relaxed(model: ArnModel, z, cfg: GumbelConfig, rng):
-    """Single-sequence relaxed sample: list of T rows of shape (1, V)."""
+def generate_relaxed(model: ArnModel, z, cfg: GumbelConfig, rng) -> Tensor:
+    """Single-sequence relaxed sample: a (T, 1, V) soft sequence."""
     z = z if isinstance(z, Tensor) else Tensor(z)
     return generate_relaxed_batch(model, z.reshape(1, -1), cfg, rng)
 
 
-def one_hot_rows(ids: np.ndarray, vocab_size: int):
-    """Exact one-hot SoftSequence rows for a (B, T) hard batch."""
+def one_hot_rows(ids: np.ndarray, vocab_size: int) -> Tensor:
+    """Exact one-hot (T, B, V) soft sequence for a (B, T) hard batch."""
     ids = np.asarray(ids, dtype=np.int64)
-    rows = []
-    for i in range(ids.shape[1]):
-        row = np.zeros((ids.shape[0], vocab_size))
-        row[np.arange(ids.shape[0]), ids[:, i]] = 1.0
-        rows.append(Tensor(row))
-    return rows
+    rows = np.zeros((ids.shape[1], ids.shape[0], vocab_size))
+    np.put_along_axis(rows, ids.T[:, :, None], 1.0, axis=2)
+    return Tensor(rows)
 
 
-def discriminator_score_batch(model: ArnModel, rows) -> Tensor:
-    """Pre-sigmoid discriminator score, shape (B,). rows: list of (B, V)."""
-    bsz = rows[0].shape[0]
-    state = init_state(model, bsz)
-    for row in rows:
-        inp = soft_embed(model, row, table="disc.emb")
-        state = _lstm(model, "disc", inp, state)
-    score = state.h @ model.params["disc.head_w"] + model.params["disc.head_b"]
-    return score.reshape(bsz)
+def discriminator_score_batch(model: ArnModel, *batches) -> Tensor:
+    """Pre-sigmoid discriminator scores of one or more batches, run as one LSTM batch.
+
+    Each batch is a (B, T) array of token ids, embedded by row lookup, or a
+    (T, B, V) soft sequence, embedded by one (T*B, V) @ table product.
+    Returns the scores of all batches in order, shape (sum of B,).
+    """
+    p = model.params
+    inputs = []
+    for batch in batches:
+        if isinstance(batch, Tensor):
+            tlen, bsz, vocab = batch.shape
+            emb = batch.reshape(tlen * bsz, vocab) @ p["disc.emb"]
+            inputs.append(emb.reshape(tlen, bsz, model.config.d_emb))
+        else:
+            inputs.append(gather_rows(p["disc.emb"], _check_ids(model, batch).T))
+    x = inputs[0] if len(inputs) == 1 else concat(inputs, axis=1)
+    hs = lstm_sequence(x, p["disc.wx"], p["disc.wh"], p["disc.b"])
+    return (hs[-1] @ p["disc.head_w"] + p["disc.head_b"]).reshape(-1)
 
 
 def discriminate(model: ArnModel, seq) -> Tensor:
-    """D(X) in (0, 1) for a TokenSequence or a SoftSequence (list of rows)."""
+    """D(X) in (0, 1) for a TokenSequence or a soft sequence ((T, V) or (T, 1, V))."""
     if isinstance(seq, TokenSequence):
-        rows = one_hot_rows(seq.ids.reshape(1, -1), model.config.vocab_size)
+        batch = seq.ids.reshape(1, -1)
     else:
-        rows = [r if r.data.ndim == 2 else r.reshape(1, -1) for r in seq]
-    return discriminator_score_batch(model, rows).sigmoid().reshape(())
+        batch = seq if seq.data.ndim == 3 else seq.reshape(seq.shape[0], 1, -1)
+    return discriminator_score_batch(model, batch).sigmoid().reshape(())

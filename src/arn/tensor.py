@@ -15,6 +15,7 @@ from . import kernels
 from .errors import DomainError, NumericsError, RankError, ShapeError
 
 _grad_enabled = True
+_BASIC_INDEX = (int, np.integer, slice, type(Ellipsis), type(None))
 
 
 @contextlib.contextmanager
@@ -30,8 +31,9 @@ def no_grad():
 
 
 def _as_array(data):
+    """Float arrays are wrapped as they are (no copy); anything else becomes float64."""
     arr = np.asarray(data)
-    if arr.dtype == np.float32:
+    if arr.dtype in (np.float32, np.float64):
         return arr
     return arr.astype(np.float64)
 
@@ -112,18 +114,19 @@ class Tensor:
                 if id(parent) not in visited:
                     stack.append((parent, False))
         for node in topo:
-            if node.requires_grad:
-                node.grad = np.zeros_like(node.data)
+            node.grad = None
         self.grad = np.ones_like(self.data)
         for node in reversed(topo):
-            if node._backward is not None:
+            if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
 
     def _accum(self, grad):
         if self.requires_grad:
+            grad = _unbroadcast(grad, self.data.shape)
             if self.grad is None:
-                self.grad = np.zeros_like(self.data)
-            self.grad += _unbroadcast(grad, self.data.shape)
+                self.grad = np.array(grad, dtype=self.data.dtype)
+            else:
+                self.grad += grad
 
     # -- arithmetic -----------------------------------------------------------
 
@@ -182,8 +185,10 @@ class Tensor:
         data = a.data @ b.data
 
         def backward(g):
-            a._accum(g @ b.data.T)
-            b._accum(a.data.T @ g)
+            if a.requires_grad:
+                a._accum(g @ b.data.T)
+            if b.requires_grad:
+                b._accum(a.data.T @ g)
 
         return Tensor._make(data, (a, b), backward)
 
@@ -192,11 +197,15 @@ class Tensor:
     def __getitem__(self, key):
         a = self
         data = a.data[key]
+        basic = all(isinstance(k, _BASIC_INDEX) for k in (key if isinstance(key, tuple) else (key,)))
 
         def backward(g):
             if a.requires_grad:
                 buf = np.zeros_like(a.data)
-                np.add.at(buf, key, g)
+                if basic:  # a view: no index repeats
+                    buf[key] += g
+                else:
+                    np.add.at(buf, key, g)
                 a._accum(buf)
 
         return Tensor._make(data, (a,), backward)
@@ -210,11 +219,8 @@ class Tensor:
         a = self
         data = a.data.sum(axis=axis)
 
-        def backward(g):
-            if axis is None:
-                a._accum(np.broadcast_to(g, a.data.shape).copy())
-            else:
-                a._accum(np.broadcast_to(np.expand_dims(g, axis), a.data.shape).copy())
+        def backward(g):  # _accum copies the broadcast view
+            a._accum(np.broadcast_to(g if axis is None else np.expand_dims(g, axis), a.data.shape))
 
         return Tensor._make(data, (a,), backward)
 
@@ -354,13 +360,134 @@ def lstm_cell(pre, c_prev):
     return Tensor._make(data, (pre, c_prev), backward)
 
 
+class _LstmTape:
+    """An LSTM run from the zero state, kept for its reverse loop.
+
+    h[t] and c[t] are the states entering step t; the caller supplies each
+    step's input projection x_t @ wx.
+    """
+
+    def __init__(self, wh, b, tlen, bsz):
+        self.wh, self.b = wh, b
+        self.h = np.zeros((tlen + 1, bsz, wh.shape[0]))
+        self.c = np.zeros_like(self.h)
+        self.saved = []
+
+    def step(self, t, xw):
+        hc, saved = kernels.lstm_cell_forward(xw + self.h[t] @ self.wh + self.b, self.c[t])
+        hdim = self.wh.shape[0]
+        self.h[t + 1], self.c[t + 1] = hc[:, :hdim], hc[:, hdim:]
+        self.saved.append(saved)
+        return self.h[t + 1]
+
+    def backward_step(self, t, dh, dc):
+        """(d_pre, dL/dc[t]) of step t from dL/dh[t + 1] and dL/dc[t + 1]."""
+        return kernels.lstm_cell_backward(np.concatenate([dh, dc], axis=1), self.c[t], *self.saved[t])
+
+    def accum_weights(self, x, d_pre, wx, wh, b):
+        """Weight gradients from the (T*B, 4H) d_pre rows, one GEMM per matrix."""
+        for w, inp in ((wx, x), (wh, self.h[:-1])):
+            if w.requires_grad:
+                w._accum(inp.reshape(len(d_pre), inp.shape[-1]).T @ d_pre)
+        b._accum(d_pre.sum(axis=0))
+
+
+def _check_lstm_weights(wx, wh, b, d_in):
+    hdim = wh.data.shape[0]
+    shapes = (wx.data.shape, wh.data.shape, b.data.shape)
+    if shapes != ((d_in, 4 * hdim), (hdim, 4 * hdim), (4 * hdim,)):
+        raise ShapeError(f"LSTM weights need ({d_in},4H), (H,4H), (4H,), got {shapes}")
+
+
+def lstm_sequence(x, wx, wh, b):
+    """Teacher-forced LSTM over a (T, B, D) sequence from the zero state, as one node.
+
+    Returns the (T, B, H) hidden states. The input projection of all steps
+    is one GEMM, and so is each weight gradient.
+    """
+    x, wx, wh, b = (Tensor._lift(t) for t in (x, wx, wh, b))
+    if x.data.ndim != 3:
+        raise ShapeError(f"lstm_sequence needs a (T,B,D) input, got {x.data.shape}")
+    tlen, bsz, d_in = x.data.shape
+    _check_lstm_weights(wx, wh, b, d_in)
+    xw = (x.data.reshape(tlen * bsz, d_in) @ wx.data).reshape(tlen, bsz, wx.data.shape[1])
+    tape = _LstmTape(wh.data, b.data, tlen, bsz)
+    for t in range(tlen):
+        tape.step(t, xw[t])
+
+    def backward(g):
+        d_pre = np.empty_like(xw)
+        dh_next, dc = 0.0, np.zeros_like(tape.h[0])
+        for t in reversed(range(tlen)):
+            d_pre[t], dc = tape.backward_step(t, g[t] + dh_next, dc)
+            dh_next = d_pre[t] @ wh.data.T
+        d_pre = d_pre.reshape(tlen * bsz, xw.shape[2])
+        if x.requires_grad:
+            x._accum((d_pre @ wx.data.T).reshape(x.data.shape))
+        tape.accum_weights(x.data, d_pre, wx, wh, b)
+
+    return Tensor._make(tape.h[1:], (x, wx, wh, b), backward)
+
+
+def gumbel_lstm_sequence(y0, emb, wx, wh, b, proj_w, proj_b, gumbel, tau, hard=False):
+    """Free-running Gumbel-softmax LSTM generator, as one node.
+
+    From the (B, V) first row y0, step t embeds row t - 1 by the (V, D)
+    table, runs the LSTM and the projection, and emits
+    softmax((logits + gumbel[t - 1]) / tau), or with hard its one-hot argmax
+    with the soft row's gradient. Returns the (len(gumbel) + 1, B, V) rows.
+    """
+    y0, emb, wx, wh, b, proj_w, proj_b = (Tensor._lift(t) for t in (y0, emb, wx, wh, b, proj_w, proj_b))
+    steps, bsz, vocab = gumbel.shape
+    _check_lstm_weights(wx, wh, b, emb.data.shape[1])
+    rows = np.empty((steps + 1, bsz, vocab))
+    rows[0] = y0.data
+    soft = np.empty((steps, bsz, vocab)) if hard else rows[1:]
+    x = np.empty((steps, bsz, emb.data.shape[1]))
+    tape = _LstmTape(wh.data, b.data, steps, bsz)
+    for t in range(steps):
+        x[t] = rows[t] @ emb.data
+        h = tape.step(t, x[t] @ wx.data)
+        soft[t] = kernels.softmax_rows((h @ proj_w.data + proj_b.data + gumbel[t]) * (1.0 / tau))
+        if hard:
+            rows[t + 1] = _one_hot_argmax(soft[t])
+
+    def backward(g):
+        d_logits, d_x = np.empty_like(soft), np.empty_like(x)
+        d_pre = np.empty((steps, bsz, 4 * tape.h.shape[2]))
+        dy, dh_next, dc = g[steps], 0.0, np.zeros_like(tape.h[0])
+        for t in reversed(range(steps)):
+            y = soft[t]
+            d_logits[t] = (y * (dy - (dy * y).sum(axis=-1, keepdims=True))) * (1.0 / tau)
+            d_pre[t], dc = tape.backward_step(t, d_logits[t] @ proj_w.data.T + dh_next, dc)
+            dh_next = d_pre[t] @ wh.data.T
+            d_x[t] = d_pre[t] @ wx.data.T
+            dy = g[t] + d_x[t] @ emb.data.T
+        y0._accum(dy)
+        rows_in = steps * bsz
+        tape.accum_weights(x, d_pre.reshape(rows_in, d_pre.shape[2]), wx, wh, b)
+        d_logits = d_logits.reshape(rows_in, vocab)
+        if emb.requires_grad:
+            emb._accum(rows[:-1].reshape(rows_in, vocab).T @ d_x.reshape(rows_in, x.shape[2]))
+        if proj_w.requires_grad:
+            proj_w._accum(tape.h[1:].reshape(rows_in, tape.h.shape[2]).T @ d_logits)
+        proj_b._accum(d_logits.sum(axis=0))
+
+    return Tensor._make(rows, (y0, emb, wx, wh, b, proj_w, proj_b), backward)
+
+
+def _one_hot_argmax(y):
+    """One-hot rows marking the argmax of the last axis."""
+    flat = y.reshape(-1, y.shape[-1])
+    hard = np.zeros_like(flat)
+    hard[np.arange(flat.shape[0]), flat.argmax(axis=1)] = 1.0
+    return hard.reshape(y.shape)
+
+
 def straight_through_hard(y):
     """One-hot argmax of the last axis in the value; identity in the gradient."""
     y = Tensor._lift(y)
-    flat = y.data.reshape(-1, y.data.shape[-1])
-    hard = np.zeros_like(flat)
-    hard[np.arange(flat.shape[0]), flat.argmax(axis=1)] = 1.0
-    return Tensor._make(hard.reshape(y.data.shape), (y,), lambda g: y._accum(g))
+    return Tensor._make(_one_hot_argmax(y.data), (y,), lambda g: y._accum(g))
 
 
 def grad_check(f, x, eps=1e-5):

@@ -6,9 +6,11 @@ log(1 - D(G(z))) (the saturating form as written). The discriminator loss
 is the standard binary cross-entropy -log D(real) - log(1 - D(fake)).
 """
 
+import contextlib
 import io
 import json
 import math
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -97,13 +99,15 @@ def elbo(model: ArnModel, seq: networks.TokenSequence, noise) -> LossBreakdown:
     return out
 
 
-def discriminator_loss(model: ArnModel, real_ids: np.ndarray, fake_rows) -> Tensor:
-    """Mean of -log D(real) - log(1 - D(fake)); fake rows must carry no graph."""
-    if len(real_ids) == 0 or len(fake_rows) == 0 or fake_rows[0].shape[0] == 0:
+def discriminator_loss(model: ArnModel, real_ids: np.ndarray, fake: Tensor) -> Tensor:
+    """Mean of -log D(real) - log(1 - D(fake)); the (T, B, V) fake rows must carry no graph.
+
+    Real and fake batches are scored together as one 2B batch.
+    """
+    if len(real_ids) == 0 or fake.shape[1] == 0:
         raise ConfigError("empty batch")
-    real_rows = networks.one_hot_rows(real_ids, model.config.vocab_size)
-    s_real = networks.discriminator_score_batch(model, real_rows)
-    s_fake = networks.discriminator_score_batch(model, fake_rows)
+    scores = networks.discriminator_score_batch(model, real_ids, fake)
+    s_real, s_fake = scores[:len(real_ids)], scores[len(real_ids):]
     # log D = log_sigmoid(s); log(1 - D) = log_sigmoid(-s)
     return (-s_real.log_sigmoid() - (-s_fake).log_sigmoid()).mean()
 
@@ -111,8 +115,9 @@ def discriminator_loss(model: ArnModel, real_ids: np.ndarray, fake_rows) -> Tens
 def generator_loss(model: ArnModel, real_ids: np.ndarray, cfg: TrainConfig, rngs, tau=None):
     """Total generator objective on a real batch.
 
-    Returns (loss Tensor, LossBreakdown). Discriminator parameters take part
-    in the forward pass but are not updated by the caller on this path.
+    Returns (loss Tensor, LossBreakdown). The fakes are scored through a
+    view of the model whose discriminator parameters are constants, so the
+    backward pass computes no discriminator gradient.
     """
     if len(real_ids) == 0:
         raise ConfigError("empty batch")
@@ -130,7 +135,10 @@ def generator_loss(model: ArnModel, real_ids: np.ndarray, cfg: TrainConfig, rngs
         gcfg = GumbelConfig(temperature=cfg.tau_start if tau is None else tau)
         z = rngs["noise"].standard_normal((bsz, dz))
         rows = networks.generate_relaxed_batch(model, z, gcfg, rngs["gumbel"])
-        s_fake = networks.discriminator_score_batch(model, rows)
+        frozen = ArnModel(model.config, {
+            name: Tensor(p.data) if name.startswith("disc.") else p for name, p in model.params.items()
+        })
+        s_fake = networks.discriminator_score_batch(frozen, rows)
         adv = (-s_fake).log_sigmoid()
         breakdown.adversarial = float(adv.data.mean())
         loss = loss + cfg.lambda_adv * adv.mean()
@@ -167,7 +175,7 @@ def optimizer_step(params: dict, state: AdamState, cfg: TrainConfig, lr=None):
             state.v[name] = np.zeros(p.data.size)
         flat = p.data.reshape(-1)
         kernels.adam_update(
-            flat, g.reshape(-1).astype(np.float64), state.m[name], state.v[name],
+            flat, g.reshape(-1).astype(np.float64, copy=False), state.m[name], state.v[name],
             state.t, lr, cfg.beta1, cfg.beta2, cfg.eps,
         )
 
@@ -280,8 +288,17 @@ def save_checkpoint(path, model: ArnModel):
         arrays.append(arr)
     for arr in arrays:
         buf.write(np.ascontiguousarray(arr).astype(arr.dtype.newbyteorder("<")).tobytes())
-    with open(path, "wb") as fh:
-        fh.write(buf.getvalue())
+    # write beside the target, then rename over it: a reader sees the old
+    # file or the new one, and a failed write leaves the old one in place
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(buf.getvalue())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def _read_exact(view, nbytes, path) -> bytes:

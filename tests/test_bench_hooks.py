@@ -1,0 +1,56 @@
+"""The benchmark's span recorder still finds every attribute it patches.
+
+perfbench/tracer.py wraps functions of the arn modules by name for the
+traced benchmark run (--trace 1). A rename in the program would break that
+run only; this test makes it fail here too.
+"""
+
+import gc
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+
+import arn
+import arn.cli
+
+TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+OWNERS = (arn.tensor, arn.tensor.Tensor, arn.kernels, arn.networks, arn.training, arn.corpus,
+          arn.corpus.Vocabulary, arn.metrics, arn.divlab, arn.cli, arn.distributions)
+
+
+def load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_span_recorder_install_run_uninstall(tmp_path):
+    corpus = tmp_path / "corpus.txt"
+    ids = np.random.default_rng(0).integers(0, 8, size=(20, 8))
+    corpus.write_text("".join(" ".join(map(str, row)) + "\n" for row in ids))
+    before = [dict(vars(owner)) for owner in OWNERS]
+
+    rec = load_tracer().SpanRecorder()
+    rec.install(arn)
+    try:
+        assert arn.cli.main(["train", "--corpus", str(corpus), "--steps", "2", "--batch-size", "4",
+                             "--out", str(tmp_path / "m.arn")]) == 0
+        assert arn.cli.main(["generate", "--checkpoint", str(tmp_path / "m.arn"), "--count", "2",
+                             "--out", str(tmp_path / "gen.txt")]) == 0
+    finally:
+        rec.uninstall()
+
+    spans = rec.self_times()
+    for name in ("cli.main", "training.discriminator_loss", "training.generator_loss",
+                 "networks.discriminator_score_batch", "networks.generate_relaxed_batch",
+                 "networks.generate_relaxed_batch.nograd", "networks.sequence_log_likelihood_batch",
+                 "networks.generate_batch", "kernels.lstm_cell_forward", "kernels.lstm_cell_backward",
+                 "tensor.backward.d", "tensor.backward.g", "training.optimizer_step.d"):
+        assert spans[name][1] > 0, name
+    assert rec.counts["tensor.matmul"] > 0 and rec.counts["tensor.lstm_cell"] > 0
+    for owner, attrs in zip(OWNERS, before):
+        after = vars(owner)
+        assert all(after[k] is v for k, v in attrs.items()), owner
+    assert rec._on_gc not in gc.callbacks

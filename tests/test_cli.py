@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from arn import cli, corpus, training
+from arn import cli, corpus, networks, training
 from arn.networks import ArnConfig, ArnModel
 
 
@@ -97,6 +97,24 @@ class TestGenerate:
                  "--seed", "7", "--out", str(path)])
             outs.append(path.read_text())
         assert outs[0] == outs[1]
+
+    def test_batch_matches_generate_batch_on_same_draws(self, checkpoint, tmp_path):
+        outs = []
+        for name in ("a.txt", "b.txt"):
+            path = tmp_path / name
+            run(["generate", "--checkpoint", checkpoint, "--mode", "decoded-x1", "--count", "6",
+                 "--seed", "4", "--out", str(path)])
+            outs.append(path.read_text())
+        assert outs[0] == outs[1]
+        # all seed tokens, then all latents, then one batch of samples
+        model = training.load_checkpoint(checkpoint)
+        rng = training.rng_streams(4)["noise"]
+        vocab, dz = model.config.vocab_size, model.config.d_latent
+        seeds = rng.choice(vocab, size=6, p=np.full(vocab, 1.0 / vocab))
+        q = networks.encode_first_token(model, seeds)
+        z = q.mu.data + np.exp(0.5 * q.log_var.data) * rng.standard_normal((6, dz))
+        ids = networks.generate_batch(model, z, rng)
+        assert outs[0] == "".join(" ".join(map(str, row)) + "\n" for row in ids)
 
     def test_tokens_within_vocabulary(self, checkpoint, tmp_path):
         path = tmp_path / "gen.txt"

@@ -13,15 +13,19 @@ from arn.networks import (
     TokenSequence,
     decode_first_token,
     discriminate,
+    discriminator_score_batch,
     encode_first_token,
     generate,
     generate_batch,
     generate_relaxed,
+    generate_relaxed_batch,
     lstm_step,
     one_hot_rows,
     sequence_log_likelihood,
+    sequence_log_likelihood_batch,
 )
-from arn.tensor import Tensor, grad_check
+from arn.distributions import gumbel_softmax
+from arn.tensor import Tensor, gather_rows, grad_check, lstm_cell, pick
 
 TINY = ArnConfig(seq_len=3, vocab_size=4, d_emb=5, d_hidden=6, d_latent=2)
 
@@ -165,7 +169,7 @@ class TestRelaxedAndDiscriminator:
     def test_relaxed_rows_sum_to_one(self, model):
         rng = np.random.default_rng(9)
         rows = generate_relaxed(model, np.zeros(2), GumbelConfig(0.7), rng)
-        assert len(rows) == TINY.seq_len
+        assert rows.shape[0] == TINY.seq_len
         for row in rows:
             assert abs(row.data.sum() - 1.0) < 1e-9
 
@@ -222,3 +226,46 @@ class TestRelaxedAndDiscriminator:
             return discriminator_score_batch(trial, rows).sigmoid().mean()
 
         assert grad_check(f, model.params["gen.wx"]) <= 1e-4
+
+
+class TestPerStepReference:
+    """The batched sequence paths against one autodiff node chain per timestep."""
+
+    @staticmethod
+    def zero_state(bsz):
+        return RnnState(Tensor(np.zeros((bsz, TINY.d_hidden))), Tensor(np.zeros((bsz, TINY.d_hidden))))
+
+    def test_log_likelihood(self, model):
+        rng = np.random.default_rng(14)
+        ids, z = rng.integers(0, 4, size=(5, 3)), rng.standard_normal((5, 2))
+        _, ar = sequence_log_likelihood_batch(model, ids, z)
+        state, ref = self.zero_state(5), Tensor(np.zeros(5))
+        for i in range(1, 3):
+            logits, state = lstm_step(model, gather_rows(model.params["emb"], ids[:, i - 1]), state)
+            ref = ref + pick(logits.log_softmax(), ids[:, i])
+        np.testing.assert_allclose(ar.data, ref.data, rtol=0, atol=1e-12)
+
+    def test_relaxed_rows_and_scores(self, model):
+        z, cfg = np.random.default_rng(15).standard_normal((4, 2)), GumbelConfig(0.6)
+        rows = generate_relaxed_batch(model, z, cfg, np.random.default_rng(16))
+        rng = np.random.default_rng(16)
+        row = gumbel_softmax(decode_first_token(model, Tensor(z)), cfg, rng.random((4, 4)))
+        ref, state = [row], self.zero_state(4)
+        for _ in range(1, 3):
+            logits, state = lstm_step(model, row @ model.params["emb"], state)
+            row = gumbel_softmax(logits, cfg, rng.random((4, 4)))
+            ref.append(row)
+        np.testing.assert_allclose(rows.data, np.stack([r.data for r in ref]), rtol=0, atol=1e-12)
+
+        ids = np.random.default_rng(17).integers(0, 4, size=(3, 3))
+        scores = discriminator_score_batch(model, ids, rows)
+        p, hdim = model.params, TINY.d_hidden
+        embedded = [one_hot_rows(ids, 4).data, rows.data]
+        inputs = np.concatenate(embedded, axis=1) @ p["disc.emb"].data
+        h, c = np.zeros((7, hdim)), np.zeros((7, hdim))
+        for x in inputs:
+            pre = x @ p["disc.wx"].data + h @ p["disc.wh"].data + p["disc.b"].data
+            hc = lstm_cell(Tensor(pre), Tensor(c)).data
+            h, c = hc[:, :hdim], hc[:, hdim:]
+        ref_scores = (h @ p["disc.head_w"].data + p["disc.head_b"].data).reshape(-1)
+        np.testing.assert_allclose(scores.data, ref_scores, rtol=0, atol=1e-12)

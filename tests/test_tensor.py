@@ -2,7 +2,10 @@ import numpy as np
 import pytest
 
 from arn.errors import DomainError, RankError, ShapeError
-from arn.tensor import Tensor, concat, gather_rows, grad_check, lstm_cell, no_grad, pick
+from arn.tensor import (
+    Tensor, concat, gather_rows, grad_check, gumbel_lstm_sequence, lstm_cell, lstm_sequence, no_grad,
+    pick, straight_through_hard,
+)
 
 
 def t(data, grad=True):
@@ -133,6 +136,86 @@ def test_grad_check_closed_op_set(name):
     size = 8 if name == "lstm_cell" else 12
     x = Tensor(rng.standard_normal(size) * 0.7)
     assert grad_check(OPS[name], x) <= 1e-6
+
+
+def _per_step_lstm(x, wx, wh, b):
+    """Reference: one lstm_cell node (and its matmuls) per timestep."""
+    hdim = wh.shape[0]
+    h, c, hs = Tensor(np.zeros((x.shape[1], hdim))), Tensor(np.zeros((x.shape[1], hdim))), []
+    for t in range(x.shape[0]):
+        hc = lstm_cell(x[t] @ wx + h @ wh + b, c)
+        h, c = hc[:, :hdim], hc[:, hdim:]
+        hs.append(h.reshape(1, *h.shape))
+    return concat(hs, axis=0)
+
+
+def _per_step_gumbel_lstm(y0, emb, wx, wh, b, proj_w, proj_b, gumbel, tau, hard=False):
+    """Reference: soft-embed, LSTM step, projection and Gumbel-softmax as separate nodes."""
+    hdim = wh.shape[0]
+    h, c = Tensor(np.zeros((y0.shape[0], hdim))), Tensor(np.zeros((y0.shape[0], hdim)))
+    row, rows = y0, [y0.reshape(1, *y0.shape)]
+    for g in gumbel:
+        hc = lstm_cell((row @ emb) @ wx + h @ wh + b, c)
+        h, c = hc[:, :hdim], hc[:, hdim:]
+        row = ((h @ proj_w + proj_b + Tensor(g)) * (1.0 / tau)).softmax()
+        if hard:
+            row = straight_through_hard(row)
+        rows.append(row.reshape(1, *row.shape))
+    return concat(rows, axis=0)
+
+
+# Whole-sequence ops at T=3, B=2, D=2, H=2, V=3, weighted per output so every
+# step counts: name -> (input shapes, op, per-step reference, trailing constants, weights).
+_GUMBEL = -np.log(-np.log(np.random.default_rng(20).random((2, 2, 3))))
+_OUT_WEIGHTS = np.random.default_rng(21).standard_normal((3, 2, 3))
+SEQUENCE_OPS = {
+    "lstm_sequence": (
+        {"x": (3, 2, 2), "wx": (2, 8), "wh": (2, 8), "b": (8,)},
+        lstm_sequence, _per_step_lstm, (), _OUT_WEIGHTS[:, :, :2],
+    ),
+    "gumbel_lstm_sequence": (
+        {"y0": (2, 3), "emb": (3, 2), "wx": (2, 8), "wh": (2, 8), "b": (8,), "proj_w": (2, 3),
+         "proj_b": (3,)},
+        gumbel_lstm_sequence, _per_step_gumbel_lstm, (_GUMBEL, 0.7), _OUT_WEIGHTS,
+    ),
+}
+
+
+def _sequence_op_inputs(name):
+    rng = np.random.default_rng(len(name))
+    return [Tensor(rng.standard_normal(shape) * 0.7, requires_grad=True)
+            for shape in SEQUENCE_OPS[name][0].values()]
+
+
+@pytest.mark.parametrize("name,arg", [(n, a) for n, spec in SEQUENCE_OPS.items() for a in spec[0]])
+def test_grad_check_sequence_ops(name, arg):
+    shapes, op, _, tail, weights = SEQUENCE_OPS[name]
+    args = _sequence_op_inputs(name)
+    k = list(shapes).index(arg)
+    loss = lambda x: (op(*args[:k], x, *args[k + 1:], *tail) * weights).sum()  # noqa: E731
+    assert grad_check(loss, args[k]) <= 1e-6
+
+
+@pytest.mark.parametrize("name,hard", [("lstm_sequence", None), ("gumbel_lstm_sequence", False),
+                                       ("gumbel_lstm_sequence", True)])
+def test_sequence_op_matches_per_step_composition(name, hard):
+    _, op, reference, tail, weights = SEQUENCE_OPS[name]
+    extra = {} if hard is None else {"hard": hard}
+    results = []
+    for fn in (op, reference):
+        args = _sequence_op_inputs(name)
+        out = fn(*args, *tail, **extra)
+        (out * weights).sum().backward()
+        results.append([out.data] + [a.grad for a in args])
+    for got, want in zip(*results):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+def test_backward_replaces_gradient_of_shared_parameter():
+    w = t([1.0, -2.0])
+    (w * w).sum().backward()
+    (w * 3.0).sum().backward()
+    np.testing.assert_array_equal(w.grad, [3.0, 3.0])
 
 
 def test_grad_check_constant_gradient():

@@ -1,3 +1,4 @@
+import io
 import math
 import os
 
@@ -84,11 +85,11 @@ class TestDiscriminatorLoss:
         m = ArnModel.zeros(TINY)
         real = tiny_corpus(5, n=4)
         fake = networks.one_hot_rows(tiny_corpus(6, n=4), TINY.vocab_size)
-        calls = iter([30.0, -30.0])
         monkeypatch.setattr(
             networks,
             "discriminator_score_batch",
-            lambda model, rows: Tensor(np.full(rows[0].shape[0], next(calls))),
+            lambda model, real, fake: Tensor(np.r_[np.full(len(real), 30.0),
+                                                   np.full(fake.shape[1], -30.0)]),
         )
         loss = training.discriminator_loss(m, real, fake)
         assert 0.0 <= loss.item() < 1e-8
@@ -132,6 +133,19 @@ class TestGeneratorLoss:
         rngs = training.rng_streams(11)
         _, breakdown = training.generator_loss(m, tiny_corpus(12, n=4), cfg, rngs, tau=0.8)
         assert abs(breakdown.adversarial - math.log(0.5)) < 1e-12
+
+    def test_backward_leaves_discriminator_grads_untouched(self):
+        m = tiny_model(31)
+        marks = {}
+        for name, p in m.discriminator_params().items():
+            p.grad = marks[name] = np.full(p.data.shape, 7.0)
+        cfg = TrainConfig(batch_size=4, steps=1, lambda_adv=1.0, seed=31)
+        rngs = training.rng_streams(31)
+        loss, _ = training.generator_loss(m, tiny_corpus(32, n=4), cfg, rngs, tau=0.8)
+        loss.backward()
+        for name, p in m.discriminator_params().items():
+            assert p.grad is marks[name] and np.all(p.grad == 7.0), name
+        assert all(np.any(p.grad) for p in m.generator_params().values())
 
     def test_breakdown_consistency(self):
         m = tiny_model(13)
@@ -212,7 +226,7 @@ class TestTrainLoop:
         with no_grad():
             z = rngs["noise"].standard_normal((4, TINY.d_latent))
             fake = networks.generate_relaxed_batch(m, z, GumbelConfig(1.0), rngs["gumbel"])
-        fake = [Tensor(r.data.copy()) for r in fake]
+        fake = Tensor(fake.data.copy())
         d_loss = training.discriminator_loss(m, corpus_ids[:4], fake)
         d_loss.backward()
         optimizer_step(m.discriminator_params(), AdamState(), cfg)
@@ -262,6 +276,22 @@ class TestCheckpoint:
         raw = path.read_bytes()
         assert raw[:4] == b"ARN1"
         assert int.from_bytes(raw[4:6], "little") == 1
+
+    def test_failed_write_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
+        path = tmp_path / "model.arn"
+        training.save_checkpoint(str(path), tiny_model(28))
+        before = path.read_bytes()
+
+        class HalfWriter(io.FileIO):
+            def write(self, data):
+                super().write(bytes(data)[:len(data) // 2])
+                raise OSError("disk full")
+
+        monkeypatch.setattr(training, "open", HalfWriter, raising=False)
+        with pytest.raises(OSError, match="disk full"):
+            training.save_checkpoint(str(path), tiny_model(29))
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["model.arn"]
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bogus.arn"
