@@ -24,6 +24,10 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 
+# generate samples at most this many sequences per generate_batch call, so
+# its per-step (rows, V) arrays stay small at any --count
+GENERATE_CHUNK = 256
+
 
 def _merge_config(args, parser, argv):
     """Overlay JSON config-file values under explicitly passed flags.
@@ -110,13 +114,14 @@ def cmd_generate(args):
             first_dist = corpus_mod.first_token_distribution(ids)
         else:
             first_dist = np.full(model.config.vocab_size, 1.0 / model.config.vocab_size)
-    # all seed tokens, then all latents, then the whole batch of samples
+    # all seed tokens, then all latents, then the samples in chunks of rows
     seed_tokens = None
     if args.mode == "decoded-x1":
         seed_tokens = rng.choice(len(first_dist), size=args.count, p=first_dist)
     z = networks.draw_latents(model, args.mode, rng, args.count, seed_tokens)
     lines = [" ".join(vocab.decode(row) if vocab else [str(i) for i in row])
-             for row in networks.generate_batch(model, z, rng)]
+             for k in range(0, args.count, GENERATE_CHUNK)
+             for row in networks.generate_batch(model, z[k:k + GENERATE_CHUNK], rng)]
     out = "\n".join(lines) + ("\n" if lines else "")
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

@@ -26,9 +26,10 @@ def lstm_cell_forward(pre, c_prev):
     Returns (hc, saved) where hc = concat(h_new, c_new) along axis 1 and
     saved = (i, f, o, g, tanh_c_new) for the backward pass.
     """
-    hdim = c_prev.shape[1]
-    ifo = sigmoid(pre[:, :3 * hdim])
-    i, f, o = ifo[:, :hdim], ifo[:, hdim:2 * hdim], ifo[:, 2 * hdim:]
+    bsz, hdim = c_prev.shape
+    # one sigmoid over the [i|f|o] block, laid out gate-major so that each
+    # saved gate is a contiguous (B, H) array for the elementwise backward
+    i, f, o = sigmoid(np.ascontiguousarray(pre[:, :3 * hdim].reshape(bsz, 3, hdim).transpose(1, 0, 2)))
     g = np.tanh(pre[:, 3 * hdim:])
     c_new = f * c_prev + i * g
     tc = np.tanh(c_new)

@@ -240,8 +240,11 @@ def generate(model: ArnModel, mode, rng, seed_token=None, deterministic=False) -
 def generate_relaxed_batch(model: ArnModel, z, cfg: GumbelConfig, rng) -> Tensor:
     """Differentiable sampling: a (T, B, V) soft sequence of relaxed one-hot rows.
 
-    Draws one rng.random((B, V)) per step, first token first.
+    Draws one rng.random((B, V)) per step, first token first. Only the soft
+    relaxation is supported.
     """
+    if cfg.hard:
+        raise ConfigError("generate_relaxed_batch has no straight-through hard mode")
     z = z if isinstance(z, Tensor) else Tensor(z)
     bsz, vocab = z.shape[0], model.config.vocab_size
     first = gumbel_softmax(decode_first_token(model, z), cfg, rng.random((bsz, vocab)))
@@ -251,8 +254,7 @@ def generate_relaxed_batch(model: ArnModel, z, cfg: GumbelConfig, rng) -> Tensor
     p = model.params
     return gumbel_lstm_sequence(
         first, p["emb"], p["gen.wx"], p["gen.wh"], p["gen.b"], p["gen.proj_w"], p["gen.proj_b"],
-        noise, cfg.temperature, hard=cfg.hard,
-    )
+        noise, cfg.temperature)
 
 
 def generate_relaxed(model: ArnModel, z, cfg: GumbelConfig, rng) -> Tensor:

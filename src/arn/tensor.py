@@ -429,35 +429,32 @@ def lstm_sequence(x, wx, wh, b):
     return Tensor._make(tape.h[1:], (x, wx, wh, b), backward)
 
 
-def gumbel_lstm_sequence(y0, emb, wx, wh, b, proj_w, proj_b, gumbel, tau, hard=False):
+def gumbel_lstm_sequence(y0, emb, wx, wh, b, proj_w, proj_b, gumbel, tau):
     """Free-running Gumbel-softmax LSTM generator, as one node.
 
     From the (B, V) first row y0, step t embeds row t - 1 by the (V, D)
     table, runs the LSTM and the projection, and emits
-    softmax((logits + gumbel[t - 1]) / tau), or with hard its one-hot argmax
-    with the soft row's gradient. Returns the (len(gumbel) + 1, B, V) rows.
+    softmax((logits + gumbel[t - 1]) / tau). Returns the
+    (len(gumbel) + 1, B, V) rows.
     """
     y0, emb, wx, wh, b, proj_w, proj_b = (Tensor._lift(t) for t in (y0, emb, wx, wh, b, proj_w, proj_b))
     steps, bsz, vocab = gumbel.shape
     _check_lstm_weights(wx, wh, b, emb.data.shape[1])
     rows = np.empty((steps + 1, bsz, vocab))
     rows[0] = y0.data
-    soft = np.empty((steps, bsz, vocab)) if hard else rows[1:]
     x = np.empty((steps, bsz, emb.data.shape[1]))
     tape = _LstmTape(wh.data, b.data, steps, bsz)
     for t in range(steps):
         x[t] = rows[t] @ emb.data
         h = tape.step(t, x[t] @ wx.data)
-        soft[t] = kernels.softmax_rows((h @ proj_w.data + proj_b.data + gumbel[t]) * (1.0 / tau))
-        if hard:
-            rows[t + 1] = _one_hot_argmax(soft[t])
+        rows[t + 1] = kernels.softmax_rows((h @ proj_w.data + proj_b.data + gumbel[t]) * (1.0 / tau))
 
     def backward(g):
-        d_logits, d_x = np.empty_like(soft), np.empty_like(x)
+        d_logits, d_x = np.empty_like(rows[1:]), np.empty_like(x)
         d_pre = np.empty((steps, bsz, 4 * tape.h.shape[2]))
         dy, dh_next, dc = g[steps], 0.0, np.zeros_like(tape.h[0])
         for t in reversed(range(steps)):
-            y = soft[t]
+            y = rows[t + 1]
             d_logits[t] = (y * (dy - (dy * y).sum(axis=-1, keepdims=True))) * (1.0 / tau)
             d_pre[t], dc = tape.backward_step(t, d_logits[t] @ proj_w.data.T + dh_next, dc)
             dh_next = d_pre[t] @ wh.data.T
@@ -476,18 +473,13 @@ def gumbel_lstm_sequence(y0, emb, wx, wh, b, proj_w, proj_b, gumbel, tau, hard=F
     return Tensor._make(rows, (y0, emb, wx, wh, b, proj_w, proj_b), backward)
 
 
-def _one_hot_argmax(y):
-    """One-hot rows marking the argmax of the last axis."""
-    flat = y.reshape(-1, y.shape[-1])
-    hard = np.zeros_like(flat)
-    hard[np.arange(flat.shape[0]), flat.argmax(axis=1)] = 1.0
-    return hard.reshape(y.shape)
-
-
 def straight_through_hard(y):
     """One-hot argmax of the last axis in the value; identity in the gradient."""
     y = Tensor._lift(y)
-    return Tensor._make(_one_hot_argmax(y.data), (y,), lambda g: y._accum(g))
+    flat = y.data.reshape(-1, y.data.shape[-1])
+    hard = np.zeros_like(flat)
+    hard[np.arange(flat.shape[0]), flat.argmax(axis=1)] = 1.0
+    return Tensor._make(hard.reshape(y.data.shape), (y,), lambda g: y._accum(g))
 
 
 def grad_check(f, x, eps=1e-5):

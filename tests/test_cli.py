@@ -98,22 +98,24 @@ class TestGenerate:
             outs.append(path.read_text())
         assert outs[0] == outs[1]
 
-    def test_batch_matches_generate_batch_on_same_draws(self, checkpoint, tmp_path):
+    @pytest.mark.parametrize("count", [6, cli.GENERATE_CHUNK + 6])
+    def test_batch_matches_generate_batch_on_same_draws(self, checkpoint, tmp_path, count):
         outs = []
         for name in ("a.txt", "b.txt"):
             path = tmp_path / name
-            run(["generate", "--checkpoint", checkpoint, "--mode", "decoded-x1", "--count", "6",
+            run(["generate", "--checkpoint", checkpoint, "--mode", "decoded-x1", "--count", str(count),
                  "--seed", "4", "--out", str(path)])
             outs.append(path.read_text())
         assert outs[0] == outs[1]
-        # all seed tokens, then all latents, then one batch of samples
+        # all seed tokens, then all latents, then the samples chunk by chunk
         model = training.load_checkpoint(checkpoint)
         rng = training.rng_streams(4)["noise"]
         vocab, dz = model.config.vocab_size, model.config.d_latent
-        seeds = rng.choice(vocab, size=6, p=np.full(vocab, 1.0 / vocab))
+        seeds = rng.choice(vocab, size=count, p=np.full(vocab, 1.0 / vocab))
         q = networks.encode_first_token(model, seeds)
-        z = q.mu.data + np.exp(0.5 * q.log_var.data) * rng.standard_normal((6, dz))
-        ids = networks.generate_batch(model, z, rng)
+        z = q.mu.data + np.exp(0.5 * q.log_var.data) * rng.standard_normal((count, dz))
+        ids = np.concatenate([networks.generate_batch(model, z[k:k + cli.GENERATE_CHUNK], rng)
+                              for k in range(0, count, cli.GENERATE_CHUNK)])
         assert outs[0] == "".join(" ".join(map(str, row)) + "\n" for row in ids)
 
     def test_tokens_within_vocabulary(self, checkpoint, tmp_path):

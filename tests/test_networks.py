@@ -269,3 +269,7 @@ class TestPerStepReference:
             h, c = hc[:, :hdim], hc[:, hdim:]
         ref_scores = (h @ p["disc.head_w"].data + p["disc.head_b"].data).reshape(-1)
         np.testing.assert_allclose(scores.data, ref_scores, rtol=0, atol=1e-12)
+
+    def test_relaxed_batch_rejects_hard_mode(self, model):
+        with pytest.raises(ConfigError):
+            generate_relaxed_batch(model, np.zeros((2, 2)), GumbelConfig(0.6, hard=True), np.random.default_rng(0))

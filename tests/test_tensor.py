@@ -4,7 +4,7 @@ import pytest
 from arn.errors import DomainError, RankError, ShapeError
 from arn.tensor import (
     Tensor, concat, gather_rows, grad_check, gumbel_lstm_sequence, lstm_cell, lstm_sequence, no_grad,
-    pick, straight_through_hard,
+    pick,
 )
 
 
@@ -149,7 +149,7 @@ def _per_step_lstm(x, wx, wh, b):
     return concat(hs, axis=0)
 
 
-def _per_step_gumbel_lstm(y0, emb, wx, wh, b, proj_w, proj_b, gumbel, tau, hard=False):
+def _per_step_gumbel_lstm(y0, emb, wx, wh, b, proj_w, proj_b, gumbel, tau):
     """Reference: soft-embed, LSTM step, projection and Gumbel-softmax as separate nodes."""
     hdim = wh.shape[0]
     h, c = Tensor(np.zeros((y0.shape[0], hdim))), Tensor(np.zeros((y0.shape[0], hdim)))
@@ -158,8 +158,6 @@ def _per_step_gumbel_lstm(y0, emb, wx, wh, b, proj_w, proj_b, gumbel, tau, hard=
         hc = lstm_cell((row @ emb) @ wx + h @ wh + b, c)
         h, c = hc[:, :hdim], hc[:, hdim:]
         row = ((h @ proj_w + proj_b + Tensor(g)) * (1.0 / tau)).softmax()
-        if hard:
-            row = straight_through_hard(row)
         rows.append(row.reshape(1, *row.shape))
     return concat(rows, axis=0)
 
@@ -196,15 +194,13 @@ def test_grad_check_sequence_ops(name, arg):
     assert grad_check(loss, args[k]) <= 1e-6
 
 
-@pytest.mark.parametrize("name,hard", [("lstm_sequence", None), ("gumbel_lstm_sequence", False),
-                                       ("gumbel_lstm_sequence", True)])
-def test_sequence_op_matches_per_step_composition(name, hard):
+@pytest.mark.parametrize("name", sorted(SEQUENCE_OPS))
+def test_sequence_op_matches_per_step_composition(name):
     _, op, reference, tail, weights = SEQUENCE_OPS[name]
-    extra = {} if hard is None else {"hard": hard}
     results = []
     for fn in (op, reference):
         args = _sequence_op_inputs(name)
-        out = fn(*args, *tail, **extra)
+        out = fn(*args, *tail)
         (out * weights).sum().backward()
         results.append([out.data] + [a.grad for a in args])
     for got, want in zip(*results):
