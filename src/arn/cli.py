@@ -12,7 +12,6 @@ import numpy as np
 
 from . import corpus as corpus_mod
 from . import divlab, metrics, networks, training
-from .distributions import GumbelConfig
 from .errors import (
     ArnError, ConfigError, EmptyInputError, EncodingError, NumericsError, ShapeError,
     TrainingAborted, VocabError,
@@ -132,6 +131,10 @@ def cmd_generate(args):
 
 
 def cmd_evaluate(args):
+    parts = str(args.orders).split(",")
+    if not all(o.strip().isdecimal() and int(o) > 0 for o in parts):
+        raise ConfigError(f"--orders must be comma-separated positive integers, got {args.orders!r}")
+    orders = tuple(int(o) for o in parts)
     generated = _read_token_lines(args.generated)
     test = _read_token_lines(args.test)
     if not generated or not test:
@@ -141,7 +144,6 @@ def cmd_evaluate(args):
     gen_ids = [[alphabet[t] for t in s] for s in generated]
     test_ids = [[alphabet[t] for t in s] for s in test]
     pad_id = alphabet.get(corpus_mod.PAD_TOKEN.lower())
-    orders = tuple(int(o) for o in args.orders.split(","))
     report = metrics.full_report(gen_ids, test_ids, orders=orders, pad_id=pad_id)
     out = report.to_json()
     if args.out:
@@ -176,24 +178,22 @@ def gradcheck_report(preset: str, seed: int) -> dict:
 
     def disc_loss(m):
         with no_grad():
-            fake = networks.generate_relaxed_batch(m, z_adv, GumbelConfig(0.8), _FixedGumbel())
+            fake = networks.generate_relaxed_batch(m, z_adv, 0.8, _FixedGumbel())
         return training.discriminator_loss(m, ids, fake)
 
     def gen_adv_loss(m):
-        rows = networks.generate_relaxed_batch(m, z_adv, GumbelConfig(0.8), _FixedGumbel())
+        rows = networks.generate_relaxed_batch(m, z_adv, 0.8, _FixedGumbel())
         s_fake = networks.discriminator_score_batch(m, rows)
         return elbo_loss(m) + (-s_fake).log_sigmoid().mean()
 
     report = {}
-    for loss_name, fn, param_filter in (
-        ("elbo", elbo_loss, lambda n: not n.startswith("disc.")),
-        ("discriminator", disc_loss, lambda n: n.startswith("disc.")),
-        ("generator", gen_adv_loss, lambda n: not n.startswith("disc.")),
+    for loss_name, fn, params in (
+        ("elbo", elbo_loss, model.generator_params()),
+        ("discriminator", disc_loss, model.discriminator_params()),
+        ("generator", gen_adv_loss, model.generator_params()),
     ):
         worst = 0.0
-        for name, p in model.params.items():
-            if not param_filter(name):
-                continue
+        for name, p in params.items():
 
             def probe(x, _name=name, _fn=fn):
                 trial = ArnModel(model.config, dict(model.params))

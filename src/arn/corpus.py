@@ -168,8 +168,7 @@ def source_ngram_distribution(src: MarkovSource, n: int, t_len: int) -> dict:
 def empirical_ngram_distribution(sequences, n: int) -> dict:
     counts = Counter()
     for seq in sequences:
-        ids = getattr(seq, "ids", seq)
-        ids = [int(t) for t in ids]
+        ids = [int(t) for t in seq]
         counts.update(tuple(ids[i:i + n]) for i in range(len(ids) - n + 1))
     total = sum(counts.values())
     if total == 0:

@@ -50,16 +50,6 @@ class Categorical:
         return self.probs.size
 
 
-@dataclass
-class GumbelConfig:
-    temperature: float = 1.0
-    hard: bool = False
-
-    def __post_init__(self):
-        if self.temperature <= 0:
-            raise DomainError(f"temperature must be positive, got {self.temperature}")
-
-
 def reparam_sample(q: GaussianPosterior, noise) -> Tensor:
     """z = mu + exp(log_var / 2) * noise, differentiable w.r.t. (mu, log_var)."""
     noise = np.asarray(noise, dtype=np.float64)
@@ -87,20 +77,20 @@ def gumbel_noise(uniform_noise) -> np.ndarray:
     return -np.log(-np.log(u))
 
 
-def gumbel_softmax(logits, cfg: GumbelConfig, uniform_noise) -> Tensor:
+def gumbel_softmax(logits, tau: float, uniform_noise, hard=False) -> Tensor:
     """Relaxed one-hot sample: softmax((logits + g) / tau), g = -log(-log(u)).
 
-    With cfg.hard the forward value is the exact one-hot argmax while
+    With hard the forward value is the exact one-hot argmax while
     gradients flow through the soft sample (straight-through).
     """
-    if cfg.temperature <= 0:
-        raise DomainError("temperature must be positive")
+    if not tau > 0:
+        raise DomainError(f"temperature must be positive, got {tau}")
     logits = logits if isinstance(logits, Tensor) else Tensor(logits)
     g = gumbel_noise(uniform_noise)
     if g.shape != logits.shape:
         raise ShapeError(f"noise shape {g.shape} != logits shape {logits.shape}")
-    y = ((logits + Tensor(g)) * (1.0 / cfg.temperature)).softmax()
-    if cfg.hard:
+    y = ((logits + Tensor(g)) * (1.0 / tau)).softmax()
+    if hard:
         return straight_through_hard(y)
     return y
 

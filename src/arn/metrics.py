@@ -16,8 +16,7 @@ from .errors import EmptyInputError
 
 
 def _ids(seq):
-    ids = getattr(seq, "ids", seq)
-    return [int(t) for t in ids]
+    return [int(t) for t in seq]
 
 
 def ngrams(seq, n, pad_id=None):

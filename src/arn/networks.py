@@ -1,40 +1,22 @@
 """Model architecture: shared embedding, LSTM generator, first-token VAE,
 and a sequence discriminator, plus the two generation procedures.
 
-All forward passes are batched: token batches are (B, T) int arrays, soft
-(relaxed) sequences are (T, B, V) tensors of rows on the simplex. The
-public single-sequence operations wrap a batch of one.
+All forward passes are batched: token batches are (B, T) int arrays,
+latents are (B, d_z) arrays, and soft (relaxed) sequences are (T, B, V)
+tensors of rows on the simplex.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distributions import GaussianPosterior, GumbelConfig, gumbel_noise, gumbel_softmax
+from .distributions import GaussianPosterior, gumbel_noise, gumbel_softmax
 from .errors import ConfigError, ShapeError, VocabError
 from .tensor import (
     Tensor, concat, gather_rows, gumbel_lstm_sequence, lstm_cell, lstm_sequence, no_grad, pick,
 )
 
 INIT_SCALE = 0.08
-
-
-@dataclass
-class TokenSequence:
-    """Fixed-length sequence of token ids bound to a vocabulary size."""
-
-    ids: np.ndarray
-    vocab_size: int
-
-    def __post_init__(self):
-        self.ids = np.asarray(self.ids, dtype=np.int64)
-        if self.ids.ndim != 1:
-            raise ShapeError(f"token sequence must be 1-D, got shape {self.ids.shape}")
-        if np.any(self.ids < 0) or np.any(self.ids >= self.vocab_size):
-            raise VocabError(f"token ids out of range [0, {self.vocab_size})")
-
-    def __len__(self):
-        return self.ids.size
 
 
 @dataclass
@@ -132,27 +114,19 @@ def init_state(model: ArnModel, batch: int) -> RnnState:
 
 
 def encode_first_token(model: ArnModel, x1) -> GaussianPosterior:
-    """q(z | x1): embedding + dense layer to (mu, log_var)."""
-    ids = _check_ids(model, np.atleast_1d(x1))
-    e = gather_rows(model.params["emb"], ids)
+    """q(z | x1) for (B,) first tokens: embedding + dense layer to (B, d_z) mu and log_var."""
+    e = gather_rows(model.params["emb"], _check_ids(model, x1))
     out = e @ model.params["enc.w"] + model.params["enc.b"]
     dz = model.config.d_latent
-    mu, log_var = out[:, :dz], out[:, dz:]
-    if np.ndim(x1) == 0:
-        mu, log_var = mu.reshape(dz), log_var.reshape(dz)
-    return GaussianPosterior(mu, log_var)
+    return GaussianPosterior(out[:, :dz], out[:, dz:])
 
 
 def decode_first_token(model: ArnModel, z) -> Tensor:
-    """p(x1 | z): dense layer from latent to vocabulary logits."""
+    """p(x1 | z): dense layer from (B, d_z) latents to (B, V) vocabulary logits."""
     z = z if isinstance(z, Tensor) else Tensor(z)
-    single = z.data.ndim == 1
-    if single:
-        z = z.reshape(1, -1)
-    if z.shape[1] != model.config.d_latent:
-        raise ShapeError(f"latent width {z.shape[1]} != {model.config.d_latent}")
-    logits = z @ model.params["dec.w"] + model.params["dec.b"]
-    return logits.reshape(model.config.vocab_size) if single else logits
+    if z.data.ndim != 2 or z.shape[1] != model.config.d_latent:
+        raise ShapeError(f"latents must be (B, {model.config.d_latent}), got shape {z.shape}")
+    return z @ model.params["dec.w"] + model.params["dec.b"]
 
 
 def lstm_step(model: ArnModel, inp, state: RnnState):
@@ -182,34 +156,25 @@ def sequence_log_likelihood_batch(model: ArnModel, ids, z) -> tuple:
     return lp1, steps.reshape(tlen - 1, bsz).sum(axis=0)
 
 
-def sequence_log_likelihood(model: ArnModel, seq: TokenSequence, z) -> Tensor:
-    """log p(x1|z) + sum_{i>=2} log p(x_i | h_{i-1}) for one sequence."""
-    z = z if isinstance(z, Tensor) else Tensor(z)
-    lp1, ar = sequence_log_likelihood_batch(model, seq.ids.reshape(1, -1), z.reshape(1, -1))
-    return (lp1 + ar).reshape(())
-
-
-def _sample_rows(probs: np.ndarray, rng, deterministic=False) -> np.ndarray:
-    if deterministic:
-        return probs.argmax(axis=1)
+def _sample_rows(probs: np.ndarray, rng) -> np.ndarray:
     cum = probs.cumsum(axis=1)
     cum[:, -1] = 1.0
     u = rng.random(probs.shape[0])
     return (u[:, None] > cum).sum(axis=1)
 
 
-def generate_batch(model: ArnModel, z: np.ndarray, rng, deterministic=False) -> np.ndarray:
+def generate_batch(model: ArnModel, z: np.ndarray, rng) -> np.ndarray:
     """Sample (B, T) hard token ids given latent draws z (B, d_z)."""
     with no_grad():
         bsz = z.shape[0]
         probs = decode_first_token(model, Tensor(z)).softmax().data
         ids = np.empty((bsz, model.config.seq_len), dtype=np.int64)
-        ids[:, 0] = _sample_rows(probs, rng, deterministic)
+        ids[:, 0] = _sample_rows(probs, rng)
         state = init_state(model, bsz)
         for i in range(1, model.config.seq_len):
             inp = gather_rows(model.params["emb"], ids[:, i - 1])
             logits, state = lstm_step(model, inp, state)
-            ids[:, i] = _sample_rows(logits.softmax().data, rng, deterministic)
+            ids[:, i] = _sample_rows(logits.softmax().data, rng)
     return ids
 
 
@@ -230,37 +195,22 @@ def draw_latents(model: ArnModel, mode, rng, count, seed_tokens=None) -> np.ndar
         return q.mu.data + np.exp(0.5 * q.log_var.data) * rng.standard_normal((count, dz))
 
 
-def generate(model: ArnModel, mode, rng, seed_token=None, deterministic=False) -> TokenSequence:
-    """Sample one sequence (see draw_latents for the modes)."""
-    z = draw_latents(model, mode, rng, 1, None if seed_token is None else [seed_token])
-    ids = generate_batch(model, z, rng, deterministic)
-    return TokenSequence(ids[0], model.config.vocab_size)
-
-
-def generate_relaxed_batch(model: ArnModel, z, cfg: GumbelConfig, rng) -> Tensor:
+def generate_relaxed_batch(model: ArnModel, z, tau: float, rng) -> Tensor:
     """Differentiable sampling: a (T, B, V) soft sequence of relaxed one-hot rows.
 
-    Draws one rng.random((B, V)) per step, first token first. Only the soft
-    relaxation is supported.
+    Draws one rng.random((B, V)) per step, first token first; tau is the
+    Gumbel-softmax temperature.
     """
-    if cfg.hard:
-        raise ConfigError("generate_relaxed_batch has no straight-through hard mode")
     z = z if isinstance(z, Tensor) else Tensor(z)
     bsz, vocab = z.shape[0], model.config.vocab_size
-    first = gumbel_softmax(decode_first_token(model, z), cfg, rng.random((bsz, vocab)))
+    first = gumbel_softmax(decode_first_token(model, z), tau, rng.random((bsz, vocab)))
     noise = np.empty((model.config.seq_len - 1, bsz, vocab))
     for row in noise:
         row[...] = gumbel_noise(rng.random((bsz, vocab)))
     p = model.params
     return gumbel_lstm_sequence(
         first, p["emb"], p["gen.wx"], p["gen.wh"], p["gen.b"], p["gen.proj_w"], p["gen.proj_b"],
-        noise, cfg.temperature)
-
-
-def generate_relaxed(model: ArnModel, z, cfg: GumbelConfig, rng) -> Tensor:
-    """Single-sequence relaxed sample: a (T, 1, V) soft sequence."""
-    z = z if isinstance(z, Tensor) else Tensor(z)
-    return generate_relaxed_batch(model, z.reshape(1, -1), cfg, rng)
+        noise, tau)
 
 
 def one_hot_rows(ids: np.ndarray, vocab_size: int) -> Tensor:
@@ -291,11 +241,3 @@ def discriminator_score_batch(model: ArnModel, *batches) -> Tensor:
     hs = lstm_sequence(x, p["disc.wx"], p["disc.wh"], p["disc.b"])
     return (hs[-1] @ p["disc.head_w"] + p["disc.head_b"]).reshape(-1)
 
-
-def discriminate(model: ArnModel, seq) -> Tensor:
-    """D(X) in (0, 1) for a TokenSequence or a soft sequence ((T, V) or (T, 1, V))."""
-    if isinstance(seq, TokenSequence):
-        batch = seq.ids.reshape(1, -1)
-    else:
-        batch = seq if seq.data.ndim == 3 else seq.reshape(seq.shape[0], 1, -1)
-    return discriminator_score_batch(model, batch).sigmoid().reshape(())

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels, networks
-from .distributions import GumbelConfig, kl_gauss_std, reparam_sample
+from .distributions import kl_gauss_std, reparam_sample
 from .errors import ConfigError, NumericsError, TrainingAborted
 from .networks import ArnConfig, ArnModel
 from .tensor import Tensor, no_grad
@@ -87,18 +87,6 @@ def elbo_batch(model: ArnModel, ids: np.ndarray, noise: np.ndarray):
     return ar - kl + recon, recon, kl, ar
 
 
-def elbo(model: ArnModel, seq: networks.TokenSequence, noise) -> LossBreakdown:
-    """Single-sequence lower bound, reported as a LossBreakdown."""
-    total, recon, kl, ar = elbo_batch(model, seq.ids.reshape(1, -1), np.reshape(noise, (1, -1)))
-    out = LossBreakdown(
-        reconstruction=float(recon.data[0]),
-        kl_term=float(kl.data[0]),
-        ar_loglik=float(ar.data[0]),
-    )
-    out.total_generator = -float(total.data[0])
-    return out
-
-
 def discriminator_loss(model: ArnModel, real_ids: np.ndarray, fake: Tensor) -> Tensor:
     """Mean of -log D(real) - log(1 - D(fake)); the (T, B, V) fake rows must carry no graph.
 
@@ -132,12 +120,11 @@ def generator_loss(model: ArnModel, real_ids: np.ndarray, cfg: TrainConfig, rngs
         ar_loglik=float(ar.data.mean()),
     )
     if cfg.lambda_adv > 0:
-        gcfg = GumbelConfig(temperature=cfg.tau_start if tau is None else tau)
         z = rngs["noise"].standard_normal((bsz, dz))
-        rows = networks.generate_relaxed_batch(model, z, gcfg, rngs["gumbel"])
-        frozen = ArnModel(model.config, {
-            name: Tensor(p.data) if name.startswith("disc.") else p for name, p in model.params.items()
-        })
+        rows = networks.generate_relaxed_batch(
+            model, z, cfg.tau_start if tau is None else tau, rngs["gumbel"])
+        constants = {name: Tensor(p.data) for name, p in model.discriminator_params().items()}
+        frozen = ArnModel(model.config, {**model.params, **constants})
         s_fake = networks.discriminator_score_batch(frozen, rows)
         adv = (-s_fake).log_sigmoid()
         breakdown.adversarial = float(adv.data.mean())
@@ -212,9 +199,7 @@ def train(model: ArnModel, corpus_ids: np.ndarray, cfg: TrainConfig,
                     batch = sample_batch(corpus_ids, cfg.batch_size, rngs["data"])
                     with no_grad():
                         z = rngs["noise"].standard_normal((cfg.batch_size, model.config.d_latent))
-                        fake = networks.generate_relaxed_batch(
-                            model, z, GumbelConfig(temperature=tau), rngs["gumbel"]
-                        )
+                        fake = networks.generate_relaxed_batch(model, z, tau, rngs["gumbel"])
                     d_loss = discriminator_loss(model, batch, fake)
                     d_loss.backward()
                     optimizer_step(model.discriminator_params(), d_state, cfg, lr=lr)
@@ -336,12 +321,28 @@ def load_checkpoint(path) -> ArnModel:
     tensors = {}
     for name, shape, dtype in manifest:
         nbytes = math.prod(shape) * dtype.itemsize
-        tensors[name] = np.frombuffer(_read_exact(view, nbytes, path), dtype=dtype).reshape(shape)
+        try:
+            tensors[name] = np.frombuffer(_read_exact(view, nbytes, path), dtype=dtype).reshape(shape)
+        except (OverflowError, ValueError) as exc:
+            raise ConfigError(f"{path}: impossible shape {shape} for {name!r}") from exc
+    if view.read(1):
+        raise ConfigError(f"{path}: trailing bytes after the last tensor")
     missing = [f for f in _META_FIELDS if _META_PREFIX + f not in tensors]
     if missing:
         raise ConfigError(f"{path}: missing model sizes {missing}")
-    meta = {f: int(tensors.pop(_META_PREFIX + f).reshape(())) for f in _META_FIELDS}
+    meta = {}
+    for f in _META_FIELDS:
+        value = tensors.pop(_META_PREFIX + f)
+        if value.shape != () or not np.isfinite(value) or value != np.floor(value) or value < 1:
+            raise ConfigError(f"{path}: model size {f} must be an integer >= 1, got {value}")
+        meta[f] = int(value)
     model = ArnModel(ArnConfig(**meta))
+    shapes = model.param_shapes()
+    if tensors.keys() != shapes.keys():
+        raise ConfigError(f"{path}: missing tensors {sorted(shapes.keys() - tensors.keys())}, "
+                          f"unexpected tensors {sorted(tensors.keys() - shapes.keys())}")
     for name, data in tensors.items():
+        if data.shape != shapes[name]:
+            raise ConfigError(f"{path}: {name} has shape {data.shape}, expected {shapes[name]}")
         model.params[name] = Tensor(data.copy(), requires_grad=True)
     return model

@@ -13,7 +13,7 @@ from scipy import stats
 
 from arn import cli, corpus, metrics, training
 from arn.cli import gradcheck_report
-from arn.distributions import GaussianPosterior, GumbelConfig, gumbel_softmax, kl_gauss_std
+from arn.distributions import GaussianPosterior, gumbel_softmax, kl_gauss_std
 from arn.divlab import (
     grid_search_discriminator,
     optimal_discriminator,
@@ -72,7 +72,7 @@ def test_03_gumbel_max_law():
         logits = rng.standard_normal(k)
         target = np.exp(logits - logits.max())
         target /= target.sum()
-        y = gumbel_softmax(Tensor(np.tile(logits, (n, 1))), GumbelConfig(0.5), rng.random((n, k)))
+        y = gumbel_softmax(Tensor(np.tile(logits, (n, 1))), 0.5, rng.random((n, k)))
         counts = np.bincount(y.data.argmax(axis=1), minlength=k)
         freqs = counts / n
         assert np.all(np.abs(freqs - target) <= 0.01), (k, freqs, target)

@@ -89,6 +89,13 @@ class TestGenerate:
             path.write_bytes(fh.read()[:-3])
         assert run(["generate", "--checkpoint", str(path)]) == 2
 
+    def test_checkpoint_missing_a_tensor(self, checkpoint, tmp_path):
+        model = training.load_checkpoint(checkpoint)
+        del model.params["gen.wh"]
+        path = tmp_path / "partial.arn"
+        training.save_checkpoint(str(path), model)
+        assert run(["generate", "--checkpoint", str(path)]) == 2
+
     def test_fixed_seed_identical(self, checkpoint, tmp_path):
         outs = []
         for name in ("a.txt", "b.txt"):
@@ -173,6 +180,12 @@ class TestEvaluate:
         gen.write_text("")
         test.write_text("a b\n")
         assert run(["evaluate", "--generated", str(gen), "--test", str(test)]) == 2
+
+    @pytest.mark.parametrize("orders", ["x", "2,,3", "0", "-1"])
+    def test_bad_orders(self, tmp_path, orders):
+        gen = tmp_path / "gen.txt"
+        gen.write_text("a b c\n")
+        assert run(["evaluate", "--generated", str(gen), "--test", str(gen), "--orders", orders]) == 2
 
 
 class TestDivlab:

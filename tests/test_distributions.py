@@ -6,7 +6,6 @@ import pytest
 from arn.distributions import (
     Categorical,
     GaussianPosterior,
-    GumbelConfig,
     gumbel_softmax,
     js_categorical,
     kl_categorical,
@@ -81,17 +80,18 @@ class TestGaussKL:
 class TestGumbel:
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(3)
-        y = gumbel_softmax(Tensor(rng.standard_normal(6)), GumbelConfig(0.7), rng.random(6))
+        y = gumbel_softmax(Tensor(rng.standard_normal(6)), 0.7, rng.random(6))
         assert abs(y.data.sum() - 1.0) < 1e-12
 
     def test_invalid_temperature(self):
-        with pytest.raises(DomainError):
-            GumbelConfig(temperature=0.0)
+        for tau in (0.0, -1.0):
+            with pytest.raises(DomainError):
+                gumbel_softmax(Tensor(np.zeros(3)), tau, np.full(3, 0.5))
 
     def test_uniform_symmetry(self):
         rng = np.random.default_rng(4)
         n = 100_000
-        y = gumbel_softmax(Tensor(np.zeros((n, 4))), GumbelConfig(0.01), rng.random((n, 4)))
+        y = gumbel_softmax(Tensor(np.zeros((n, 4))), 0.01, rng.random((n, 4)))
         freqs = np.bincount(y.data.argmax(axis=1), minlength=4) / n
         np.testing.assert_allclose(freqs, 0.25, atol=0.01)
 
@@ -99,7 +99,7 @@ class TestGumbel:
         rng = np.random.default_rng(5)
         n = 100_000
         logits = np.log([0.7, 0.2, 0.1])
-        y = gumbel_softmax(Tensor(np.tile(logits, (n, 1))), GumbelConfig(0.5), rng.random((n, 3)))
+        y = gumbel_softmax(Tensor(np.tile(logits, (n, 1))), 0.5, rng.random((n, 3)))
         freqs = np.bincount(y.data.argmax(axis=1), minlength=3) / n
         np.testing.assert_allclose(freqs, [0.7, 0.2, 0.1], atol=0.01)
 
@@ -107,7 +107,7 @@ class TestGumbel:
         rng = np.random.default_rng(6)
         noise = rng.random(5)
         logits = Tensor(rng.standard_normal(5), requires_grad=True)
-        y = gumbel_softmax(logits, GumbelConfig(0.5, hard=True), noise)
+        y = gumbel_softmax(logits, 0.5, noise, hard=True)
         assert set(np.unique(y.data)) <= {0.0, 1.0} and y.data.sum() == 1.0
         (y * Tensor(np.arange(5.0))).sum().backward()
         assert logits.grad is not None and np.any(logits.grad != 0)
@@ -117,7 +117,7 @@ class TestGumbel:
         noise = rng.random(6)
 
         def f(x):
-            y = gumbel_softmax(x, GumbelConfig(0.7), noise)
+            y = gumbel_softmax(x, 0.7, noise)
             return (y * Tensor(np.linspace(-1, 1, 6))).sum()
 
         assert grad_check(f, Tensor(rng.standard_normal(6))) <= 1e-5

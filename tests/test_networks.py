@@ -3,28 +3,22 @@ import itertools
 import numpy as np
 import pytest
 
-from arn import training
-from arn.distributions import GumbelConfig
-from arn.errors import ConfigError, VocabError
+from arn.distributions import gumbel_softmax, kl_gauss_std
+from arn.errors import ConfigError, ShapeError, VocabError
 from arn.networks import (
     ArnConfig,
     ArnModel,
     RnnState,
-    TokenSequence,
     decode_first_token,
-    discriminate,
     discriminator_score_batch,
+    draw_latents,
     encode_first_token,
-    generate,
     generate_batch,
-    generate_relaxed,
     generate_relaxed_batch,
     lstm_step,
     one_hot_rows,
-    sequence_log_likelihood,
     sequence_log_likelihood_batch,
 )
-from arn.distributions import gumbel_softmax
 from arn.tensor import Tensor, gather_rows, grad_check, lstm_cell, pick
 
 TINY = ArnConfig(seq_len=3, vocab_size=4, d_emb=5, d_hidden=6, d_latent=2)
@@ -40,29 +34,41 @@ def zero_model():
     return ArnModel.zeros(TINY)
 
 
+def log_likelihood(model, ids, z):
+    """log p(x1|z) + sum_{i>=2} log p(x_i | h_{i-1}) per row of a (B, T) batch."""
+    lp1, ar = sequence_log_likelihood_batch(model, ids, z)
+    return (lp1 + ar).data
+
+
+def sample_noise_mode(model, rng, count=1):
+    return generate_batch(model, draw_latents(model, "noise", rng, count), rng)
+
+
 class TestEncoderDecoder:
     def test_zero_encoder_gives_prior(self, zero_model):
-        for token in range(TINY.vocab_size):
-            q = encode_first_token(zero_model, token)
-            assert np.all(q.mu.data == 0) and np.all(q.log_var.data == 0)
+        q = encode_first_token(zero_model, np.arange(TINY.vocab_size))
+        assert np.all(q.mu.data == 0) and np.all(q.log_var.data == 0)
 
     def test_distinct_tokens_distinct_posteriors(self, model):
-        posteriors = [encode_first_token(model, t).mu.data.tobytes() for t in range(4)]
+        posteriors = [row.tobytes() for row in encode_first_token(model, np.arange(4)).mu.data]
         assert len(set(posteriors)) == 4
 
     def test_out_of_range_token(self, model):
         with pytest.raises(VocabError):
-            encode_first_token(model, 7)
+            encode_first_token(model, np.array([7]))
 
     def test_zero_decoder_uniform(self, zero_model):
-        logits = decode_first_token(zero_model, np.zeros(2))
+        logits = decode_first_token(zero_model, np.zeros((1, 2)))
         probs = logits.softmax().data
         np.testing.assert_allclose(probs, 0.25)
         np.testing.assert_allclose(logits.log_softmax().data, -np.log(4))
 
-    def test_encoder_grad(self, model):
-        from arn.distributions import kl_gauss_std
+    @pytest.mark.parametrize("shape", [(2,), (1, 3), (1, 1, 2)])
+    def test_decoder_takes_batched_latents_only(self, model, shape):
+        with pytest.raises(ShapeError):
+            decode_first_token(model, np.zeros(shape))
 
+    def test_encoder_grad(self, model):
         def f(w):
             trial = ArnModel(model.config, dict(model.params))
             trial.params["enc.w"] = w
@@ -92,8 +98,6 @@ class TestLstmStep:
             trial = ArnModel(model.config, dict(model.params))
             trial.params["gen.wh"] = w
             state = RnnState(Tensor(np.zeros((1, 6))), Tensor(np.zeros((1, 6))))
-            out = Tensor(np.zeros(()))
-            logits = None
             for _ in range(3):
                 logits, state = lstm_step(trial, inp, state)
             return (logits.log_softmax() * 0.1).sum()
@@ -105,47 +109,41 @@ class TestSequenceLikelihood:
     def test_uniform_factors(self):
         cfg = ArnConfig(seq_len=3, vocab_size=4, d_emb=5, d_hidden=6, d_latent=2)
         m = ArnModel.zeros(cfg)
-        seq = TokenSequence([1, 2, 3], 4)
-        ll = sequence_log_likelihood(m, seq, np.zeros(2))
+        ll = log_likelihood(m, [[1, 2, 3]], np.zeros((1, 2)))
         assert abs(ll.item() - (-3 * np.log(4))) < 1e-12
 
     def test_always_nonpositive(self, model):
         rng = np.random.default_rng(2)
         for _ in range(10):
-            seq = TokenSequence(rng.integers(0, 4, size=3), 4)
-            assert sequence_log_likelihood(model, seq, rng.standard_normal(2)).item() <= 0
+            ids = rng.integers(0, 4, size=(1, 3))
+            assert log_likelihood(model, ids, rng.standard_normal((1, 2))).item() <= 0
 
     def test_exhaustive_normalization(self):
         cfg = ArnConfig(seq_len=2, vocab_size=2, d_emb=3, d_hidden=4, d_latent=2)
         m = ArnModel.initialized(cfg, np.random.default_rng(3))
-        z = np.random.default_rng(4).standard_normal(2)
+        z = np.random.default_rng(4).standard_normal((1, 2))
         total = sum(
-            np.exp(sequence_log_likelihood(m, TokenSequence(list(ids), 2), z).item())
+            np.exp(log_likelihood(m, [ids], z).item())
             for ids in itertools.product(range(2), repeat=2)
         )
         assert abs(total - 1.0) < 1e-9
 
     def test_step_distributions_normalized(self, model):
-        seq = TokenSequence([0, 1, 2], 4)
         logits = decode_first_token(model, Tensor(np.zeros((1, 2))))
         assert abs(np.exp(logits.log_softmax().data).sum() - 1.0) < 1e-9
 
 
 class TestGenerate:
-    def test_zero_weights_argmax_all_token_zero(self, zero_model):
-        seq = generate(zero_model, "noise", np.random.default_rng(5), deterministic=True)
-        assert np.all(seq.ids == 0)
-
     def test_output_shape_and_range(self, model):
         rng = np.random.default_rng(6)
-        for mode, seed_token in (("noise", None), ("decoded-x1", 2)):
-            seq = generate(model, mode, rng, seed_token=seed_token)
-            assert len(seq) == TINY.seq_len
-            assert np.all((seq.ids >= 0) & (seq.ids < TINY.vocab_size))
+        for mode, seed_tokens in (("noise", None), ("decoded-x1", [2])):
+            ids = generate_batch(model, draw_latents(model, mode, rng, 1, seed_tokens), rng)
+            assert ids.shape == (1, TINY.seq_len)
+            assert np.all((ids >= 0) & (ids < TINY.vocab_size))
 
     def test_decoded_mode_needs_seed(self, model):
         with pytest.raises(ConfigError):
-            generate(model, "decoded-x1", np.random.default_rng(7))
+            draw_latents(model, "decoded-x1", np.random.default_rng(7), 1)
 
     def test_mode_equivalence_at_degenerate_encoder(self, model):
         # zero encoder => q(z|x1) = p(z), so the two modes share one law
@@ -168,40 +166,40 @@ class TestGenerate:
 class TestRelaxedAndDiscriminator:
     def test_relaxed_rows_sum_to_one(self, model):
         rng = np.random.default_rng(9)
-        rows = generate_relaxed(model, np.zeros(2), GumbelConfig(0.7), rng)
+        rows = generate_relaxed_batch(model, np.zeros((1, 2)), 0.7, rng)
         assert rows.shape[0] == TINY.seq_len
         for row in rows:
             assert abs(row.data.sum() - 1.0) < 1e-9
 
     def test_low_temperature_near_one_hot(self, model):
         rng = np.random.default_rng(10)
-        rows = generate_relaxed(model, np.zeros(2), GumbelConfig(0.01), rng)
+        rows = generate_relaxed_batch(model, np.zeros((1, 2)), 0.01, rng)
         assert all(row.data.max() > 0.99 for row in rows)
 
     def test_zero_discriminator_outputs_half(self, zero_model, model):
-        seq = generate(model, "noise", np.random.default_rng(11))
-        assert discriminate(zero_model, seq).item() == 0.5
+        ids = sample_noise_mode(model, np.random.default_rng(11))
+        assert discriminator_score_batch(zero_model, ids).sigmoid().item() == 0.5
 
     def test_output_in_open_interval(self, model):
         rng = np.random.default_rng(12)
         for _ in range(5):
-            seq = generate(model, "noise", rng)
-            val = discriminate(model, seq).item()
+            ids = sample_noise_mode(model, rng)
+            val = discriminator_score_batch(model, ids).sigmoid().item()
             assert 0.0 < val < 1.0
 
     def test_one_hot_equivalence_bitwise(self, model):
-        seq = TokenSequence([2, 0, 3], 4)
-        hard = discriminate(model, seq)
-        soft = discriminate(model, one_hot_rows(seq.ids.reshape(1, -1), 4))
+        ids = np.array([[2, 0, 3]])
+        hard = discriminator_score_batch(model, ids).sigmoid()
+        soft = discriminator_score_batch(model, one_hot_rows(ids, 4)).sigmoid()
         assert hard.data.tobytes() == soft.data.tobytes()
 
     def test_discriminator_grad(self, model):
-        seq = TokenSequence([1, 2, 0], 4)
+        ids = np.array([[1, 2, 0]])
 
         def f(w):
             trial = ArnModel(model.config, dict(model.params))
             trial.params["disc.wh"] = w
-            return -discriminate(trial, seq).log()
+            return -discriminator_score_batch(trial, ids).sigmoid().log().sum()
 
         assert grad_check(f, model.params["disc.wh"]) <= 1e-4
 
@@ -220,9 +218,7 @@ class TestRelaxedAndDiscriminator:
         def f(w):
             trial = ArnModel(model.config, dict(model.params))
             trial.params["gen.wx"] = w
-            rows = generate_relaxed(trial, np.r_[0.2, -0.1], GumbelConfig(0.8), FixedRng())
-            from arn.networks import discriminator_score_batch
-
+            rows = generate_relaxed_batch(trial, np.array([[0.2, -0.1]]), 0.8, FixedRng())
             return discriminator_score_batch(trial, rows).sigmoid().mean()
 
         assert grad_check(f, model.params["gen.wx"]) <= 1e-4
@@ -246,14 +242,14 @@ class TestPerStepReference:
         np.testing.assert_allclose(ar.data, ref.data, rtol=0, atol=1e-12)
 
     def test_relaxed_rows_and_scores(self, model):
-        z, cfg = np.random.default_rng(15).standard_normal((4, 2)), GumbelConfig(0.6)
-        rows = generate_relaxed_batch(model, z, cfg, np.random.default_rng(16))
+        z, tau = np.random.default_rng(15).standard_normal((4, 2)), 0.6
+        rows = generate_relaxed_batch(model, z, tau, np.random.default_rng(16))
         rng = np.random.default_rng(16)
-        row = gumbel_softmax(decode_first_token(model, Tensor(z)), cfg, rng.random((4, 4)))
+        row = gumbel_softmax(decode_first_token(model, Tensor(z)), tau, rng.random((4, 4)))
         ref, state = [row], self.zero_state(4)
         for _ in range(1, 3):
             logits, state = lstm_step(model, row @ model.params["emb"], state)
-            row = gumbel_softmax(logits, cfg, rng.random((4, 4)))
+            row = gumbel_softmax(logits, tau, rng.random((4, 4)))
             ref.append(row)
         np.testing.assert_allclose(rows.data, np.stack([r.data for r in ref]), rtol=0, atol=1e-12)
 
@@ -269,7 +265,3 @@ class TestPerStepReference:
             h, c = hc[:, :hdim], hc[:, hdim:]
         ref_scores = (h @ p["disc.head_w"].data + p["disc.head_b"].data).reshape(-1)
         np.testing.assert_allclose(scores.data, ref_scores, rtol=0, atol=1e-12)
-
-    def test_relaxed_batch_rejects_hard_mode(self, model):
-        with pytest.raises(ConfigError):
-            generate_relaxed_batch(model, np.zeros((2, 2)), GumbelConfig(0.6, hard=True), np.random.default_rng(0))

@@ -1,14 +1,17 @@
+import dataclasses
 import io
 import math
 import os
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from arn import networks, training
 from arn.errors import ConfigError, NumericsError
-from arn.networks import ArnConfig, ArnModel, TokenSequence
-from arn.tensor import Tensor, grad_check
+from arn.networks import ArnConfig, ArnModel
+from arn.tensor import Tensor, grad_check, no_grad
 from arn.training import AdamState, TrainConfig, optimizer_step
 
 TINY = ArnConfig(seq_len=3, vocab_size=4, d_emb=5, d_hidden=6, d_latent=2)
@@ -26,20 +29,20 @@ class TestElbo:
     def test_zero_model_uniform(self):
         cfg = ArnConfig(seq_len=3, vocab_size=4, d_emb=5, d_hidden=6, d_latent=2)
         m = ArnModel.zeros(cfg)
-        out = training.elbo(m, TokenSequence([0, 1, 2], 4), np.zeros(2))
-        assert abs(out.kl_term) < 1e-15
-        assert abs(-out.total_generator - (-3 * np.log(4))) < 1e-12
+        total, _, kl, _ = training.elbo_batch(m, np.array([[0, 1, 2]]), np.zeros((1, 2)))
+        assert abs(kl.item()) < 1e-15
+        assert abs(total.item() - (-3 * np.log(4))) < 1e-12
 
     def test_tight_when_decoder_ignores_latent(self):
         # zero encoder => KL = 0; zero decoder weight => p(x1|z) constant in z
         m = tiny_model(2)
         for name in ("enc.w", "enc.b", "dec.w"):
             m.params[name] = Tensor(np.zeros_like(m.params[name].data), requires_grad=True)
-        seq = TokenSequence([2, 1, 3], 4)
-        noise = np.random.default_rng(3).standard_normal(2)
-        out = training.elbo(m, seq, noise)
-        exact = networks.sequence_log_likelihood(m, seq, np.zeros(2)).item()
-        assert abs(-out.total_generator - exact) < 1e-12
+        ids = np.array([[2, 1, 3]])
+        noise = np.random.default_rng(3).standard_normal((1, 2))
+        total, _, _, _ = training.elbo_batch(m, ids, noise)
+        lp1, ar = networks.sequence_log_likelihood_batch(m, ids, np.zeros((1, 2)))
+        assert abs(total.item() - (lp1 + ar).item()) < 1e-12
 
     def test_bound_direction_against_quadrature(self):
         # 1-d latent: enumerate log p(x1) on a grid; the AR part is exact and
@@ -102,12 +105,9 @@ class TestDiscriminatorLoss:
     def test_detachment_of_fake_batch(self):
         m = tiny_model(7)
         rngs = training.rng_streams(7)
-        from arn.distributions import GumbelConfig
-        from arn.tensor import no_grad
-
         with no_grad():
             z = rngs["noise"].standard_normal((4, TINY.d_latent))
-            fake = networks.generate_relaxed_batch(m, z, GumbelConfig(0.8), rngs["gumbel"])
+            fake = networks.generate_relaxed_batch(m, z, 0.8, rngs["gumbel"])
         loss = training.discriminator_loss(m, tiny_corpus(8, n=4), fake)
         loss.backward()
         for name, p in m.generator_params().items():
@@ -220,12 +220,9 @@ class TestTrainLoop:
         gen_before = {k: v.data.copy() for k, v in m.generator_params().items()}
         rngs = training.rng_streams(19)
         cfg = TrainConfig(batch_size=4, steps=1, seed=19)
-        from arn.distributions import GumbelConfig
-        from arn.tensor import no_grad
-
         with no_grad():
             z = rngs["noise"].standard_normal((4, TINY.d_latent))
-            fake = networks.generate_relaxed_batch(m, z, GumbelConfig(1.0), rngs["gumbel"])
+            fake = networks.generate_relaxed_batch(m, z, 1.0, rngs["gumbel"])
         fake = Tensor(fake.data.copy())
         d_loss = training.discriminator_loss(m, corpus_ids[:4], fake)
         d_loss.backward()
@@ -322,12 +319,72 @@ class TestCheckpoint:
         with pytest.raises(ConfigError, match="dtype tag 7"):
             training.load_checkpoint(str(path))
 
+    def test_trailing_bytes(self, tmp_path):
+        path = tmp_path / "model.arn"
+        training.save_checkpoint(str(path), tiny_model(33))
+        path.write_bytes(path.read_bytes() + b"\x00")
+        with pytest.raises(ConfigError, match="trailing"):
+            training.load_checkpoint(str(path))
+
     def test_missing_model_size(self, tmp_path):
         path = tmp_path / "model.arn"
         training.save_checkpoint(str(path), tiny_model(27))
         path.write_bytes(path.read_bytes().replace(b"meta.seq_len", b"meta.seq_lem"))
         with pytest.raises(ConfigError, match="seq_len"):
             training.load_checkpoint(str(path))
+
+    @pytest.mark.parametrize("edit", ["drop", "extra", "reshape"])
+    def test_tensors_must_match_model_sizes(self, tmp_path, edit):
+        m = tiny_model(30)
+        if edit == "drop":
+            del m.params["gen.wh"]
+        elif edit == "extra":
+            m.params["gen.extra"] = Tensor(np.zeros(3))
+        else:
+            m.params["gen.wh"] = Tensor(np.zeros((TINY.d_hidden, 3)))
+        path = tmp_path / "model.arn"
+        training.save_checkpoint(str(path), m)
+        with pytest.raises(ConfigError, match="gen"):
+            training.load_checkpoint(str(path))
+
+    @pytest.mark.parametrize("field, value", [
+        ("seq_len", math.nan), ("vocab_size", math.inf), ("d_emb", 2.5),
+        ("d_hidden", 0), ("d_latent", -1), ("seq_len", np.array([3.0, 3.0])),
+    ])
+    def test_model_sizes_must_be_positive_integers(self, tmp_path, field, value):
+        m = tiny_model(31)
+        path = tmp_path / "model.arn"
+        training.save_checkpoint(str(path), ArnModel(dataclasses.replace(TINY, **{field: value}), m.params))
+        with pytest.raises(ConfigError, match=field):
+            training.load_checkpoint(str(path))
+
+
+def _desk_checkpoint_bytes(path):
+    model = ArnModel.initialized(ArnConfig.preset("desk"), np.random.default_rng(32))
+    training.save_checkpoint(str(path), model)
+    raw = path.read_bytes()
+    # the manifest and the five meta.* payloads precede the parameter payloads
+    payload = sum(p.data.nbytes for p in model.params.values())
+    return raw, len(raw) - payload
+
+
+@settings(max_examples=200, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_corrupted_checkpoint_is_rejected_or_consistent(tmp_path, data):
+    """Every truncated or byte-flipped checkpoint raises ConfigError or loads a consistent model."""
+    path = tmp_path / "model.arn"
+    raw, head = _desk_checkpoint_bytes(path)
+    corrupt = bytearray(raw)
+    position = st.one_of(st.integers(0, head - 1), st.integers(0, len(raw) - 1))
+    for at, mask in data.draw(st.lists(st.tuples(position, st.integers(1, 255)), max_size=4)):
+        corrupt[at] ^= mask
+    path.write_bytes(bytes(corrupt[:data.draw(st.one_of(st.just(len(raw)), st.integers(0, len(raw))))]))
+    try:
+        model = training.load_checkpoint(str(path))
+    except ConfigError:
+        return
+    assert {name: p.shape for name, p in model.params.items()} == model.param_shapes()
 
 
 class TestLossGradients:
