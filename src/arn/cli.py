@@ -32,7 +32,8 @@ def _merge_config(args, parser, argv):
     """Overlay JSON config-file values under explicitly passed flags.
 
     The file's keys become the subcommand's defaults and argv is parsed
-    again, so argparse itself decides which flags were given.
+    again, so argparse itself decides which flags were given; values go in
+    as strings, so each is converted and rejected by its flag's type.
     """
     if not getattr(args, "config", None):
         return args
@@ -43,7 +44,8 @@ def _merge_config(args, parser, argv):
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     sub_parser = sub.choices[args.command]
     dests = {action.dest for action in sub_parser._actions}
-    sub_parser.set_defaults(**{k: v for k, v in file_cfg.items() if k in dests})
+    sub_parser.set_defaults(**{k: v if isinstance(v, str) else json.dumps(v)
+                               for k, v in file_cfg.items() if k in dests})
     return parser.parse_args(argv)
 
 
@@ -72,17 +74,21 @@ def _read_raw_ids(path, vocab_size):
     return ids
 
 
+def _read_ids(path, vocab, cfg: ArnConfig):
+    """(N, T) ids of a word corpus under vocab, or of a raw-id corpus when vocab is None."""
+    if vocab is not None:
+        return corpus_mod.load_corpus(path, vocab, cfg.seq_len)
+    return _read_raw_ids(path, cfg.vocab_size)
+
+
 def cmd_train(args):
     model_cfg = ArnConfig.preset(args.preset)
     vocab = None
     if args.vocab:
         vocab = corpus_mod.Vocabulary.load(args.vocab)
         model_cfg.vocab_size = len(vocab)
-    if vocab is not None:
-        ids = corpus_mod.load_corpus(args.corpus, vocab, model_cfg.seq_len)
-    else:
-        ids = _read_raw_ids(args.corpus, model_cfg.vocab_size)
-        model_cfg.seq_len = ids.shape[1]
+    ids = _read_ids(args.corpus, vocab, model_cfg)
+    model_cfg.seq_len = ids.shape[1]
     train_cfg = training.TrainConfig(
         batch_size=args.batch_size,
         steps=args.steps,
@@ -102,20 +108,18 @@ def cmd_generate(args):
         raise ConfigError(f"--count must be >= 0, got {args.count}")
     model = training.load_checkpoint(args.checkpoint)
     vocab = corpus_mod.Vocabulary.load(args.vocab) if args.vocab else None
+    if vocab is not None and len(vocab) != model.config.vocab_size:
+        raise VocabError(f"{args.vocab}: {len(vocab)} tokens, but the checkpoint was "
+                         f"trained on {model.config.vocab_size}")
     rng = training.rng_streams(args.seed)["noise"]
-    first_dist = None
-    if args.mode == "decoded-x1":
-        if args.seed_corpus:
-            if vocab is not None:
-                ids = corpus_mod.load_corpus(args.seed_corpus, vocab, model.config.seq_len)
-            else:
-                ids = _read_raw_ids(args.seed_corpus, model.config.vocab_size)
-            first_dist = corpus_mod.first_token_distribution(ids)
-        else:
-            first_dist = np.full(model.config.vocab_size, 1.0 / model.config.vocab_size)
     # all seed tokens, then all latents, then the samples in chunks of rows
     seed_tokens = None
     if args.mode == "decoded-x1":
+        if args.seed_corpus:
+            ids = _read_ids(args.seed_corpus, vocab, model.config)
+            first_dist = corpus_mod.first_token_distribution(ids)
+        else:
+            first_dist = np.full(model.config.vocab_size, 1.0 / model.config.vocab_size)
         seed_tokens = rng.choice(len(first_dist), size=args.count, p=first_dist)
     z = networks.draw_latents(model, args.mode, rng, args.count, seed_tokens)
     lines = [" ".join(vocab.decode(row) if vocab else [str(i) for i in row])
@@ -143,7 +147,7 @@ def cmd_evaluate(args):
     alphabet = {tok: i for i, tok in enumerate(sorted({t for s in generated + test for t in s}))}
     gen_ids = [[alphabet[t] for t in s] for s in generated]
     test_ids = [[alphabet[t] for t in s] for s in test]
-    pad_id = alphabet.get(corpus_mod.PAD_TOKEN.lower())
+    pad_id = alphabet.get(corpus_mod.PAD_TOKEN)
     report = metrics.full_report(gen_ids, test_ids, orders=orders, pad_id=pad_id)
     out = report.to_json()
     if args.out:

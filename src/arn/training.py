@@ -7,7 +7,6 @@ is the standard binary cross-entropy -log D(real) - log(1 - D(fake)).
 """
 
 import contextlib
-import io
 import json
 import math
 import os
@@ -246,39 +245,30 @@ def train(model: ArnModel, corpus_ids: np.ndarray, cfg: TrainConfig,
 # (0 = f32, 1 = f64); raw little-endian payloads follow in manifest order.
 # ---------------------------------------------------------------------------
 
-_DTYPE_TAGS = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
-_TAG_DTYPES = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
+_DTYPE_TAGS = {np.dtype("<f4"): 0, np.dtype("<f8"): 1}
+_TAG_DTYPES = {tag: dtype for dtype, tag in _DTYPE_TAGS.items()}
 
 _META_PREFIX = "meta."
 _META_FIELDS = ("seq_len", "vocab_size", "d_emb", "d_hidden", "d_latent")
 
 
 def save_checkpoint(path, model: ArnModel):
-    entries = [(f"{_META_PREFIX}{f}", np.float64(getattr(model.config, f))) for f in _META_FIELDS]
-    entries += sorted(model.params.items())
-    buf = io.BytesIO()
-    buf.write(CHECKPOINT_MAGIC)
-    buf.write(struct.pack("<H", CHECKPOINT_VERSION))
-    buf.write(struct.pack("<I", len(entries)))
-    arrays = []
-    for name, value in entries:
-        arr = value.data if isinstance(value, Tensor) else np.asarray(value)
-        raw = name.encode("utf-8")
-        buf.write(struct.pack("<H", len(raw)))
-        buf.write(raw)
-        buf.write(struct.pack("<B", arr.ndim))
-        for extent in arr.shape:
-            buf.write(struct.pack("<Q", extent))
-        buf.write(struct.pack("<B", _DTYPE_TAGS[arr.dtype]))
-        arrays.append(arr)
-    for arr in arrays:
-        buf.write(np.ascontiguousarray(arr).astype(arr.dtype.newbyteorder("<")).tobytes())
+    named = [(f"{_META_PREFIX}{f}", np.float64(getattr(model.config, f))) for f in _META_FIELDS]
+    named += [(name, p.data) for name, p in sorted(model.params.items())]
+    # a native little-endian C-contiguous array is written as it is, without a copy
+    entries = [(name, np.asarray(a, a.dtype.newbyteorder("<"), order="C")) for name, a in named]
     # write beside the target, then rename over it: a reader sees the old
     # file or the new one, and a failed write leaves the old one in place
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "wb") as fh:
-            fh.write(buf.getvalue())
+            fh.write(struct.pack("<4sHI", CHECKPOINT_MAGIC, CHECKPOINT_VERSION, len(entries)))
+            for name, arr in entries:
+                raw = name.encode("utf-8")
+                fh.write(struct.pack(f"<H{len(raw)}sB{arr.ndim}QB", len(raw), raw, arr.ndim,
+                                     *arr.shape, _DTYPE_TAGS[arr.dtype]))
+            for _, arr in entries:
+                fh.write(arr)
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):
@@ -286,47 +276,52 @@ def save_checkpoint(path, model: ArnModel):
         raise
 
 
-def _read_exact(view, nbytes, path) -> bytes:
-    chunk = view.read(nbytes)
-    if len(chunk) != nbytes:
-        raise ConfigError(f"{path}: truncated checkpoint")
-    return chunk
-
-
-def _unpack(view, fmt, path):
-    return struct.unpack(fmt, _read_exact(view, struct.calcsize(fmt), path))[0]
-
-
 def load_checkpoint(path) -> ArnModel:
-    """Rebuild a model from a checkpoint; ConfigError if the file is malformed."""
+    """Rebuild a model from a checkpoint; ConfigError if the file is malformed.
+
+    Before any payload is allocated, the header and the payload sizes it
+    declares must add up to the file size; each payload is then read once,
+    straight into its parameter array.
+    """
     with open(path, "rb") as fh:
-        raw = fh.read()
-    view = io.BytesIO(raw)
-    if view.read(4) != CHECKPOINT_MAGIC:
-        raise ConfigError(f"{path}: not an ARN checkpoint")
-    version = _unpack(view, "<H", path)
-    if version != CHECKPOINT_VERSION:
-        raise ConfigError(f"unsupported checkpoint version {version}")
-    manifest = []
-    for _ in range(_unpack(view, "<I", path)):
+        if fh.read(4) != CHECKPOINT_MAGIC:
+            raise ConfigError(f"{path}: not an ARN checkpoint")
+
+        def unpack(fmt):
+            return struct.unpack(fmt, fh.read(struct.calcsize(fmt)))
+
+        manifest = []
         try:
-            name = _read_exact(view, _unpack(view, "<H", path), path).decode("utf-8")
+            version, count = unpack("<HI")
+            if version != CHECKPOINT_VERSION:
+                raise ConfigError(f"unsupported checkpoint version {version}")
+            for _ in range(count):
+                (name_len,) = unpack("<H")
+                name = unpack(f"{name_len}s")[0].decode("utf-8")
+                (rank,) = unpack("<B")
+                shape = unpack(f"<{rank}Q")
+                (tag,) = unpack("<B")
+                if tag not in _TAG_DTYPES:
+                    raise ConfigError(f"{path}: unknown dtype tag {tag} for {name!r}")
+                # the size check below bounds the extents of non-empty tensors only
+                if math.prod(shape) == 0:
+                    raise ConfigError(f"{path}: {name!r} has empty shape {shape}")
+                manifest.append((name, shape, _TAG_DTYPES[tag]))
         except UnicodeDecodeError as exc:
             raise ConfigError(f"{path}: tensor name is not UTF-8") from exc
-        shape = tuple(_unpack(view, "<Q", path) for _ in range(_unpack(view, "<B", path)))
-        tag = _unpack(view, "<B", path)
-        if tag not in _TAG_DTYPES:
-            raise ConfigError(f"{path}: unknown dtype tag {tag} for {name!r}")
-        manifest.append((name, shape, _TAG_DTYPES[tag]))
-    tensors = {}
-    for name, shape, dtype in manifest:
-        nbytes = math.prod(shape) * dtype.itemsize
-        try:
-            tensors[name] = np.frombuffer(_read_exact(view, nbytes, path), dtype=dtype).reshape(shape)
-        except (OverflowError, ValueError) as exc:
-            raise ConfigError(f"{path}: impossible shape {shape} for {name!r}") from exc
-    if view.read(1):
-        raise ConfigError(f"{path}: trailing bytes after the last tensor")
+        except struct.error as exc:
+            raise ConfigError(f"{path}: truncated checkpoint") from exc
+        size = fh.tell() + sum(math.prod(shape) * dtype.itemsize for _, shape, dtype in manifest)
+        file_size = os.fstat(fh.fileno()).st_size
+        if size > file_size:
+            raise ConfigError(f"{path}: truncated checkpoint")
+        if size < file_size:
+            raise ConfigError(f"{path}: trailing bytes after the last tensor")
+        tensors = {}
+        for name, shape, dtype in manifest:
+            tensors[name] = np.empty(shape, dtype)
+            if fh.readinto(tensors[name]) != tensors[name].nbytes:
+                raise ConfigError(f"{path}: truncated checkpoint")
     missing = [f for f in _META_FIELDS if _META_PREFIX + f not in tensors]
     if missing:
         raise ConfigError(f"{path}: missing model sizes {missing}")
@@ -344,5 +339,5 @@ def load_checkpoint(path) -> ArnModel:
     for name, data in tensors.items():
         if data.shape != shapes[name]:
             raise ConfigError(f"{path}: {name} has shape {data.shape}, expected {shapes[name]}")
-        model.params[name] = Tensor(data.copy(), requires_grad=True)
+        model.params[name] = Tensor(data, requires_grad=True)
     return model

@@ -53,6 +53,18 @@ class TestTrain:
         assert run(["divlab", "--trials", "7", "--seed", "1", "--config", str(cfg)]) == 0
         assert json.loads(capsys.readouterr().out)["trials"] == 7
 
+    @pytest.mark.parametrize("argv, file_cfg", [
+        (["train", "--corpus", "unused.txt", "--out", "unused.arn"], {"steps": 1.5}),
+        (["train", "--corpus", "unused.txt", "--out", "unused.arn"], {"steps": None}),
+        (["generate", "--checkpoint", "unused.arn"], {"count": 2.5}),
+    ])
+    def test_config_values_go_through_flag_types(self, tmp_path, argv, file_cfg):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(file_cfg))
+        with pytest.raises(SystemExit) as exc:
+            run(argv + ["--config", str(cfg)])
+        assert exc.value.code == 2
+
     @pytest.mark.parametrize("content", [None, "{not json", "[1, 2]"])
     def test_bad_config_file(self, tmp_path, content):
         cfg = tmp_path / "run.json"
@@ -139,6 +151,11 @@ class TestGenerate:
                     "--count", "3", "--seed-corpus", markov_corpus_file, "--out", str(path)])
         assert code == 0 and len(path.read_text().splitlines()) == 3
 
+    def test_vocabulary_must_match_checkpoint(self, checkpoint, tmp_path):
+        vocab = tmp_path / "vocab.txt"
+        vocab.write_text("<PAD>\n<UNK>\nx\n")
+        assert run(["generate", "--checkpoint", checkpoint, "--vocab", str(vocab)]) == 2
+
     def test_unknown_mode(self, checkpoint):
         with pytest.raises(SystemExit):
             run(["generate", "--checkpoint", checkpoint, "--mode", "banana"])
@@ -166,6 +183,18 @@ class TestEvaluate:
         report = json.loads(capsys.readouterr().out)
         assert report["diversity"]["2"] == 75.0
         assert report["fc"]["2"] == 25.0
+
+    def test_pad_ngrams_are_excluded(self, tmp_path, capsys):
+        gen = tmp_path / "gen.txt"
+        test = tmp_path / "test.txt"
+        gen.write_text(f"a {corpus.PAD_TOKEN} {corpus.PAD_TOKEN}\nb a {corpus.PAD_TOKEN}\n")
+        test.write_text("a b a\nb a b\n")
+        assert run(["evaluate", "--generated", str(gen), "--test", str(test),
+                    "--orders", "2"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["diversity"]["2"] == 100.0
+        assert report["fc"]["2"] == 100.0
+        assert report["bleu"]["2"] == 50.0
 
     def test_non_utf8_input(self, tmp_path):
         gen = tmp_path / "gen.txt"

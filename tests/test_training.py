@@ -2,6 +2,8 @@ import dataclasses
 import io
 import math
 import os
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -273,6 +275,69 @@ class TestCheckpoint:
         raw = path.read_bytes()
         assert raw[:4] == b"ARN1"
         assert int.from_bytes(raw[4:6], "little") == 1
+
+    def test_layout_matches_documented_format(self, tmp_path):
+        m = tiny_model(35)
+        m.params["gen.b"] = Tensor(m.params["gen.b"].data.astype(np.float32))
+        path = tmp_path / "model.arn"
+        training.save_checkpoint(str(path), m)
+        # meta.* sizes as f64 scalars, then the parameters in name order
+        entries = [(f"meta.{f}", np.array(float(getattr(TINY, f))))
+                   for f in ("seq_len", "vocab_size", "d_emb", "d_hidden", "d_latent")]
+        entries += [(name, m.params[name].data) for name in sorted(m.params)]
+        expected = b"ARN1" + struct.pack("<H", 1) + struct.pack("<I", len(entries))
+        for name, arr in entries:
+            expected += struct.pack("<H", len(name)) + name.encode("utf-8")
+            expected += struct.pack("<B", arr.ndim) + b"".join(struct.pack("<Q", e) for e in arr.shape)
+            expected += struct.pack("<B", {np.float32: 0, np.float64: 1}[arr.dtype.type])
+        expected += b"".join(arr.astype(arr.dtype.newbyteorder("<")).tobytes() for _, arr in entries)
+        assert path.read_bytes() == expected
+
+    def test_loaded_params_are_updated_in_place(self, tmp_path):
+        path = tmp_path / "model.arn"
+        training.save_checkpoint(str(path), tiny_model(36))
+        loaded = training.load_checkpoint(str(path))
+        arrays = {name: p.data for name, p in loaded.params.items()}
+        before = {name: a.copy() for name, a in arrays.items()}
+        for a in arrays.values():
+            assert a.flags.writeable and a.flags.c_contiguous and a.flags.aligned
+        for p in loaded.params.values():
+            p.grad = np.ones_like(p.data)
+        optimizer_step(loaded.params, AdamState(), TrainConfig())
+        for name, p in loaded.params.items():
+            assert p.data is arrays[name]
+            assert not np.array_equal(p.data, before[name])
+
+    def test_codec_memory_is_one_copy_of_the_payload(self, tmp_path):
+        m = ArnModel.initialized(ArnConfig(vocab_size=2000, d_emb=64, d_hidden=64, d_latent=64),
+                                 np.random.default_rng(37))
+        payload = sum(p.data.nbytes for p in m.params.values())
+        path = tmp_path / "model.arn"
+        tracemalloc.start()
+        try:
+            training.save_checkpoint(str(path), m)
+            save_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            held = tracemalloc.get_traced_memory()[0]
+            loaded = training.load_checkpoint(str(path))
+            load_peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        assert save_peak <= 0.1 * payload
+        assert load_peak <= 1.1 * payload
+        assert loaded.config == m.config
+
+    def test_empty_tensor_with_impossible_extent(self, tmp_path):
+        m = tiny_model(38)
+        m.params["gen.extra"] = Tensor(np.zeros((0, 3)))
+        path = tmp_path / "model.arn"
+        training.save_checkpoint(str(path), m)
+        raw = path.read_bytes()
+        # after the name: u8 rank, the u64 extent 0, then the second extent
+        at = raw.index(b"gen.extra") + len(b"gen.extra") + 1 + 8
+        path.write_bytes(raw[:at] + struct.pack("<Q", 2**63) + raw[at + 8:])
+        with pytest.raises(ConfigError, match="gen.extra"):
+            training.load_checkpoint(str(path))
 
     def test_failed_write_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
         path = tmp_path / "model.arn"
