@@ -37,8 +37,11 @@ def _merge_config(args, parser, argv):
     """
     if not getattr(args, "config", None):
         return args
-    with open(args.config, encoding="utf-8") as fh:
-        file_cfg = json.load(fh)
+    try:
+        with open(args.config, encoding="utf-8") as fh:
+            file_cfg = json.load(fh)
+    except UnicodeDecodeError as exc:
+        raise EncodingError(f"{args.config}: {exc}") from exc
     if not isinstance(file_cfg, dict):
         raise ConfigError(f"{args.config}: config must be a JSON object")
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
@@ -167,28 +170,17 @@ def gradcheck_report(preset: str, seed: int) -> dict:
     z_adv = rngs["noise"].standard_normal((2, cfg.d_latent))
     gumbel = rngs["gumbel"].random((cfg.seq_len, 2, cfg.vocab_size))
 
-    class _FixedGumbel:
-        def __init__(self):
-            self.i = 0
-
-        def random(self, shape):
-            row = gumbel[self.i]
-            self.i += 1
-            return row
-
     def elbo_loss(m):
-        total, _, _, _ = training.elbo_batch(m, ids, noise)
-        return -total.mean()
+        return training.generator_loss(m, ids, noise, None, 1.0)[0]
 
     def disc_loss(m):
         with no_grad():
-            fake = networks.generate_relaxed_batch(m, z_adv, 0.8, _FixedGumbel())
+            fake = networks.generate_relaxed_batch(m, z_adv, 0.8, gumbel)
         return training.discriminator_loss(m, ids, fake)
 
     def gen_adv_loss(m):
-        rows = networks.generate_relaxed_batch(m, z_adv, 0.8, _FixedGumbel())
-        s_fake = networks.discriminator_score_batch(m, rows)
-        return elbo_loss(m) + (-s_fake).log_sigmoid().mean()
+        fake = networks.generate_relaxed_batch(m, z_adv, 0.8, gumbel)
+        return training.generator_loss(m, ids, noise, fake, 1.0)[0]
 
     report = {}
     for loss_name, fn, params in (

@@ -49,8 +49,14 @@ class Vocabulary:
 
     @staticmethod
     def load(path) -> "Vocabulary":
-        with open(path, encoding="utf-8") as fh:
-            return Vocabulary([line.rstrip("\n") for line in fh if line != "\n"])
+        try:
+            with open(path, encoding="utf-8") as fh:
+                tokens = [line.rstrip("\n") for line in fh if line != "\n"]
+        except UnicodeDecodeError as exc:
+            raise EncodingError(f"{path}: {exc}") from exc
+        if not tokens:
+            raise EmptyInputError(f"{path}: empty vocabulary")
+        return Vocabulary(tokens)
 
 
 def build_vocab(lines, cap: int) -> Vocabulary:

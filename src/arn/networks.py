@@ -195,22 +195,21 @@ def draw_latents(model: ArnModel, mode, rng, count, seed_tokens=None) -> np.ndar
         return q.mu.data + np.exp(0.5 * q.log_var.data) * rng.standard_normal((count, dz))
 
 
-def generate_relaxed_batch(model: ArnModel, z, tau: float, rng) -> Tensor:
+def generate_relaxed_batch(model: ArnModel, z, tau: float, uniforms) -> Tensor:
     """Differentiable sampling: a (T, B, V) soft sequence of relaxed one-hot rows.
 
-    Draws one rng.random((B, V)) per step, first token first; tau is the
-    Gumbel-softmax temperature.
+    uniforms is the (T, B, V) array of U(0, 1) draws behind each step's
+    Gumbel noise, first token first; tau is the Gumbel-softmax temperature.
     """
     z = z if isinstance(z, Tensor) else Tensor(z)
-    bsz, vocab = z.shape[0], model.config.vocab_size
-    first = gumbel_softmax(decode_first_token(model, z), tau, rng.random((bsz, vocab)))
-    noise = np.empty((model.config.seq_len - 1, bsz, vocab))
-    for row in noise:
-        row[...] = gumbel_noise(rng.random((bsz, vocab)))
+    shape = (model.config.seq_len, z.shape[0], model.config.vocab_size)
+    if np.shape(uniforms) != shape:
+        raise ShapeError(f"uniforms must have shape {shape}, got {np.shape(uniforms)}")
+    first = gumbel_softmax(decode_first_token(model, z), tau, uniforms[0])
     p = model.params
     return gumbel_lstm_sequence(
         first, p["emb"], p["gen.wx"], p["gen.wh"], p["gen.b"], p["gen.proj_w"], p["gen.proj_b"],
-        noise, tau)
+        gumbel_noise(uniforms[1:]), tau)
 
 
 def one_hot_rows(ids: np.ndarray, vocab_size: int) -> Tensor:

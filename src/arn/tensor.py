@@ -87,9 +87,6 @@ class Tensor:
     def detach(self):
         return Tensor(self.data.copy())
 
-    def zero_grad(self):
-        self.grad = None
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 

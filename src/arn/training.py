@@ -35,14 +35,9 @@ def rng_streams(seed: int) -> dict:
     }
 
 
-@dataclass
-class LossBreakdown:
-    reconstruction: float = 0.0
-    kl_term: float = 0.0
-    ar_loglik: float = 0.0
-    adversarial: float = 0.0
-    total_generator: float = 0.0
-    total_discriminator: float = 0.0
+# Adam constants and the Gumbel-softmax temperature anneal endpoints
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+TAU_START, TAU_END = 1.0, 0.2
 
 
 @dataclass
@@ -50,12 +45,7 @@ class TrainConfig:
     batch_size: int = 32
     steps: int = 1000
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     lambda_adv: float = 1.0
-    tau_start: float = 1.0
-    tau_end: float = 0.2
     seed: int = 0
 
     def __post_init__(self):
@@ -65,11 +55,11 @@ class TrainConfig:
             raise ConfigError("lambda_adv must be >= 0")
 
     def tau_at(self, step: int) -> float:
-        """Exponential anneal from tau_start to tau_end over the run."""
+        """Exponential anneal from TAU_START to TAU_END over the run."""
         if self.steps <= 1:
-            return self.tau_end
+            return TAU_END
         frac = min(step, self.steps - 1) / (self.steps - 1)
-        return float(self.tau_start * (self.tau_end / self.tau_start) ** frac)
+        return float(TAU_START * (TAU_END / TAU_START) ** frac)
 
 
 def elbo_batch(model: ArnModel, ids: np.ndarray, noise: np.ndarray):
@@ -99,37 +89,27 @@ def discriminator_loss(model: ArnModel, real_ids: np.ndarray, fake: Tensor) -> T
     return (-s_real.log_sigmoid() - (-s_fake).log_sigmoid()).mean()
 
 
-def generator_loss(model: ArnModel, real_ids: np.ndarray, cfg: TrainConfig, rngs, tau=None):
-    """Total generator objective on a real batch.
+def generator_loss(model: ArnModel, real_ids: np.ndarray, noise: np.ndarray, fake, lambda_adv: float):
+    """-ELBO + lambda_adv * mean log(1 - D(fake)) on a real batch, and its trace fields.
 
-    Returns (loss Tensor, LossBreakdown). The fakes are scored through a
-    view of the model whose discriminator parameters are constants, so the
-    backward pass computes no discriminator gradient.
+    noise is elbo_batch's (B, d_z) draw; fake is a relaxed (T, B', V) sample,
+    or None for pure maximum likelihood. Returns (loss, {g_loss, recon, kl,
+    ar_loglik, adv}). D scores the fakes with its parameters as constants, so
+    the backward pass computes no discriminator gradient.
     """
     if len(real_ids) == 0:
         raise ConfigError("empty batch")
-    bsz = real_ids.shape[0]
-    dz = model.config.d_latent
-    noise = rngs["noise"].standard_normal((bsz, dz))
     total, recon, kl, ar = elbo_batch(model, real_ids, noise)
     loss = -total.mean()
-    breakdown = LossBreakdown(
-        reconstruction=float(recon.data.mean()),
-        kl_term=float(kl.data.mean()),
-        ar_loglik=float(ar.data.mean()),
-    )
-    if cfg.lambda_adv > 0:
-        z = rngs["noise"].standard_normal((bsz, dz))
-        rows = networks.generate_relaxed_batch(
-            model, z, cfg.tau_start if tau is None else tau, rngs["gumbel"])
+    adv_mean = 0.0
+    if fake is not None:
         constants = {name: Tensor(p.data) for name, p in model.discriminator_params().items()}
         frozen = ArnModel(model.config, {**model.params, **constants})
-        s_fake = networks.discriminator_score_batch(frozen, rows)
-        adv = (-s_fake).log_sigmoid()
-        breakdown.adversarial = float(adv.data.mean())
-        loss = loss + cfg.lambda_adv * adv.mean()
-    breakdown.total_generator = float(loss.data)
-    return loss, breakdown
+        adv = (-networks.discriminator_score_batch(frozen, fake)).log_sigmoid()
+        adv_mean = float(adv.data.mean())
+        loss = loss + lambda_adv * adv.mean()
+    return loss, {"g_loss": float(loss.data), "recon": float(recon.data.mean()),
+                  "kl": float(kl.data.mean()), "ar_loglik": float(ar.data.mean()), "adv": adv_mean}
 
 
 @dataclass
@@ -139,13 +119,12 @@ class AdamState:
     v: dict = field(default_factory=dict)
 
 
-def optimizer_step(params: dict, state: AdamState, cfg: TrainConfig, lr=None):
-    """Bias-corrected Adam on every param with a populated grad.
+def optimizer_step(params: dict, state: AdamState, lr: float):
+    """Bias-corrected Adam at learning rate lr on every param with a populated grad.
 
     Raises NumericsError (without touching any parameter) when a gradient is
     non-finite, so callers can reject the step.
     """
-    lr = cfg.lr if lr is None else lr
     grads = {}
     for name, p in params.items():
         if p.grad is None:
@@ -159,11 +138,8 @@ def optimizer_step(params: dict, state: AdamState, cfg: TrainConfig, lr=None):
         if name not in state.m:
             state.m[name] = np.zeros(p.data.size)
             state.v[name] = np.zeros(p.data.size)
-        flat = p.data.reshape(-1)
-        kernels.adam_update(
-            flat, g.reshape(-1).astype(np.float64, copy=False), state.m[name], state.v[name],
-            state.t, lr, cfg.beta1, cfg.beta2, cfg.eps,
-        )
+        kernels.adam_update(p.data.reshape(-1), g.reshape(-1).astype(np.float64, copy=False),
+                            state.m[name], state.v[name], state.t, lr, ADAM_BETA1, ADAM_BETA2, ADAM_EPS)
 
 
 def sample_batch(corpus_ids: np.ndarray, batch_size: int, rng) -> np.ndarray:
@@ -176,7 +152,7 @@ def train(model: ArnModel, corpus_ids: np.ndarray, cfg: TrainConfig,
     """Alternating adversarial training.
 
     corpus_ids is an (N, T) int array. Returns (model, trace) where trace is
-    one dict per step with the breakdown fields. With lambda_adv == 0 the
+    one dict per step: d_loss, generator_loss's fields and tau. With lambda_adv == 0 the
     adversarial machinery (discriminator updates, relaxed sampling) is
     skipped entirely and training is pure VAE+AR maximum likelihood.
     """
@@ -188,6 +164,12 @@ def train(model: ArnModel, corpus_ids: np.ndarray, cfg: TrainConfig,
     trace = []
     lr = cfg.lr
     halved = False
+
+    def relaxed_fake(tau):  # z, then the uniforms: a seeded run depends on this order
+        shape = (model.config.seq_len, cfg.batch_size, model.config.vocab_size)
+        z = rngs["noise"].standard_normal((cfg.batch_size, model.config.d_latent))
+        return networks.generate_relaxed_batch(model, z, tau, rngs["gumbel"].random(shape))
+
     trace_file = open(trace_path, "w", encoding="utf-8") if trace_path else None
     try:
         for step in range(cfg.steps):
@@ -197,18 +179,21 @@ def train(model: ArnModel, corpus_ids: np.ndarray, cfg: TrainConfig,
                 if cfg.lambda_adv > 0:
                     batch = sample_batch(corpus_ids, cfg.batch_size, rngs["data"])
                     with no_grad():
-                        z = rngs["noise"].standard_normal((cfg.batch_size, model.config.d_latent))
-                        fake = networks.generate_relaxed_batch(model, z, tau, rngs["gumbel"])
+                        fake = relaxed_fake(tau)
                     d_loss = discriminator_loss(model, batch, fake)
+                    if not np.isfinite(d_loss.data):
+                        raise NumericsError("non-finite discriminator loss")
                     d_loss.backward()
-                    optimizer_step(model.discriminator_params(), d_state, cfg, lr=lr)
+                    optimizer_step(model.discriminator_params(), d_state, lr)
                     d_loss_val = float(d_loss.data)
                 batch = sample_batch(corpus_ids, cfg.batch_size, rngs["data"])
-                g_loss, breakdown = generator_loss(model, batch, cfg, rngs, tau=tau)
+                noise = rngs["noise"].standard_normal((cfg.batch_size, model.config.d_latent))
+                fake = relaxed_fake(tau) if cfg.lambda_adv > 0 else None
+                g_loss, fields = generator_loss(model, batch, noise, fake, cfg.lambda_adv)
                 if not np.isfinite(g_loss.data):
                     raise NumericsError("non-finite generator loss")
                 g_loss.backward()
-                optimizer_step(model.generator_params(), g_state, cfg, lr=lr)
+                optimizer_step(model.generator_params(), g_state, lr)
             except NumericsError as exc:
                 if halved:
                     if checkpoint_path:
@@ -217,17 +202,7 @@ def train(model: ArnModel, corpus_ids: np.ndarray, cfg: TrainConfig,
                 halved = True
                 lr *= 0.5
                 continue
-            breakdown.total_discriminator = d_loss_val
-            record = {
-                "step": step,
-                "d_loss": d_loss_val,
-                "g_loss": breakdown.total_generator,
-                "recon": breakdown.reconstruction,
-                "kl": breakdown.kl_term,
-                "ar_loglik": breakdown.ar_loglik,
-                "adv": breakdown.adversarial,
-                "tau": tau,
-            }
+            record = {"step": step, "d_loss": d_loss_val, **fields, "tau": tau}
             trace.append(record)
             if trace_file:
                 trace_file.write(json.dumps(record) + "\n")

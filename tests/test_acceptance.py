@@ -225,7 +225,7 @@ def test_09_lambda_zero_matches_elbo_only_reference():
         total, _, _, _ = training.elbo_batch(ref, batch, noise)
         loss = -total.mean()
         loss.backward()
-        training.optimizer_step(ref.generator_params(), state, cfg)
+        training.optimizer_step(ref.generator_params(), state, cfg.lr)
         ref_losses.append(loss.item())
     for got, want in zip((r["g_loss"] for r in trace), ref_losses):
         assert abs(got - want) <= 1e-12

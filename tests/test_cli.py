@@ -2,8 +2,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from arn import cli, corpus, networks, training
+from arn.errors import ArnError
 from arn.networks import ArnConfig, ArnModel
 
 
@@ -71,6 +74,18 @@ class TestTrain:
         if content is not None:
             cfg.write_text(content)
         assert run(["divlab", "--trials", "2", "--config", str(cfg)]) == 2
+
+    def test_non_utf8_config_file(self, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_bytes(b'{"trials": 2, "note": "\xff"}')
+        assert run(["divlab", "--config", str(cfg)]) == 2
+
+    @pytest.mark.parametrize("content", [b"<PAD>\n<UNK>\n\xff\n", b""])
+    def test_bad_vocabulary_file(self, tmp_path, markov_corpus_file, content):
+        vocab = tmp_path / "vocab.txt"
+        vocab.write_bytes(content)
+        assert run(["train", "--corpus", markov_corpus_file, "--vocab", str(vocab),
+                    "--steps", "1", "--out", str(tmp_path / "m.arn")]) == 2
 
     @pytest.mark.parametrize("text", ["0 1 2\n3 4\n", "0 1 a\n", "0 1 8\n", "0 -1 2\n",
                                       "99999999999999999999 1\n", "\n\n"])
@@ -156,6 +171,11 @@ class TestGenerate:
         vocab.write_text("<PAD>\n<UNK>\nx\n")
         assert run(["generate", "--checkpoint", checkpoint, "--vocab", str(vocab)]) == 2
 
+    def test_non_utf8_vocabulary(self, checkpoint, tmp_path):
+        vocab = tmp_path / "vocab.txt"
+        vocab.write_bytes(b"<PAD>\n<UNK>\n\xff\n")
+        assert run(["generate", "--checkpoint", checkpoint, "--vocab", str(vocab)]) == 2
+
     def test_unknown_mode(self, checkpoint):
         with pytest.raises(SystemExit):
             run(["generate", "--checkpoint", checkpoint, "--mode", "banana"])
@@ -231,3 +251,25 @@ class TestDivlab:
 
     def test_bad_outcomes(self):
         assert run(["divlab", "--trials", "5", "--outcomes", "99"]) == 2
+
+
+# byte pieces that make raw-id corpora of every kind: ids in and out of range,
+# words, non-ASCII digits and whitespace, bad UTF-8 and ids past int64
+RAW_ID_PIECES = [b"0", b"1", b"7", b"8", b"-1", b"x", b" ", b"\n", b"\r", b"\t", b"\xff",
+                 "\u0663".encode(), "\u00a0".encode(), b"99999999999999999999"]
+
+
+@settings(max_examples=200, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(raw=st.one_of(st.binary(max_size=64),
+                     st.lists(st.sampled_from(RAW_ID_PIECES), max_size=30).map(b"".join)))
+def test_raw_id_reader_loads_or_raises_arn_error(tmp_path, raw):
+    """Arbitrary bytes are a valid raw-id corpus or raise an ArnError subclass."""
+    path = tmp_path / "corpus.txt"
+    path.write_bytes(raw)
+    try:
+        ids = cli._read_raw_ids(str(path), 8)
+    except ArnError:
+        return
+    assert ids.dtype == np.int64 and ids.ndim == 2 and ids.size > 0
+    assert ids.min() >= 0 and ids.max() < 8

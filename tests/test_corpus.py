@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from arn.corpus import (
     MarkovSource,
@@ -9,12 +11,13 @@ from arn.corpus import (
     build_vocab,
     empirical_ngram_distribution,
     encode_fixed,
+    load_corpus,
     sample_markov,
     source_ngram_distribution,
     tokenize,
     tv_distance,
 )
-from arn.errors import ConfigError, EmptyInputError
+from arn.errors import ArnError, ConfigError, EmptyInputError
 
 
 class TestTokenize:
@@ -143,3 +146,41 @@ class TestMarkov:
         np.testing.assert_array_equal(loaded.pi, src.pi)
         np.testing.assert_array_equal(loaded.transition, src.transition)
         assert loaded.states == src.states
+
+
+# byte pieces of word files: words with case and punctuation, every newline
+# and whitespace kind, multi-byte UTF-8 and bytes that are not UTF-8
+TEXT_PIECES = [b"a", b"B", b"cat.", b"<PAD>", b" ", b"\n", b"\r", b"\r\n", b"\t", b"\x00",
+               "\u00e9".encode(), "\u2028".encode(), b"\xff", b"\xc3", b"\x80"]
+TEXT_BYTES = st.one_of(st.binary(max_size=64),
+                       st.lists(st.sampled_from(TEXT_PIECES), max_size=30).map(b"".join))
+FUZZ = settings(max_examples=200, deadline=None, database=None,
+                suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@FUZZ
+@given(raw=TEXT_BYTES)
+def test_vocabulary_load_loads_or_raises_arn_error(tmp_path, raw):
+    """Arbitrary bytes are a valid vocabulary file or raise an ArnError subclass."""
+    path = tmp_path / "vocab.txt"
+    path.write_bytes(raw)
+    try:
+        vocab = Vocabulary.load(str(path))
+    except ArnError:
+        return
+    assert len(vocab) > 0 and all("\n" not in tok for tok in vocab.tokens)
+
+
+@FUZZ
+@given(raw=TEXT_BYTES)
+def test_load_corpus_loads_or_raises_arn_error(tmp_path, raw):
+    """Arbitrary bytes are a valid word corpus or raise an ArnError subclass."""
+    path = tmp_path / "corpus.txt"
+    path.write_bytes(raw)
+    vocab = build_vocab(["a b cat."], 5)
+    try:
+        ids = load_corpus(str(path), vocab, 4)
+    except ArnError:
+        return
+    assert ids.dtype == np.int64 and ids.shape[1] == 4 and ids.shape[0] > 0
+    assert ids.min() >= 0 and ids.max() < len(vocab)

@@ -165,16 +165,21 @@ class TestGenerate:
 
 class TestRelaxedAndDiscriminator:
     def test_relaxed_rows_sum_to_one(self, model):
-        rng = np.random.default_rng(9)
-        rows = generate_relaxed_batch(model, np.zeros((1, 2)), 0.7, rng)
+        uniforms = np.random.default_rng(9).random((TINY.seq_len, 1, 4))
+        rows = generate_relaxed_batch(model, np.zeros((1, 2)), 0.7, uniforms)
         assert rows.shape[0] == TINY.seq_len
         for row in rows:
             assert abs(row.data.sum() - 1.0) < 1e-9
 
     def test_low_temperature_near_one_hot(self, model):
-        rng = np.random.default_rng(10)
-        rows = generate_relaxed_batch(model, np.zeros((1, 2)), 0.01, rng)
+        uniforms = np.random.default_rng(10).random((TINY.seq_len, 1, 4))
+        rows = generate_relaxed_batch(model, np.zeros((1, 2)), 0.01, uniforms)
         assert all(row.data.max() > 0.99 for row in rows)
+
+    @pytest.mark.parametrize("shape", [(2, 1, 4), (4, 1, 4), (3, 2, 4), (3, 1, 5)])
+    def test_uniforms_must_match_sequence_shape(self, model, shape):
+        with pytest.raises(ShapeError):
+            generate_relaxed_batch(model, np.zeros((1, 2)), 0.7, np.full(shape, 0.5))
 
     def test_zero_discriminator_outputs_half(self, zero_model, model):
         ids = sample_noise_mode(model, np.random.default_rng(11))
@@ -206,19 +211,10 @@ class TestRelaxedAndDiscriminator:
     def test_relaxed_path_grad_to_generator(self, model):
         noise = np.random.default_rng(13).random((TINY.seq_len, 1, 4))
 
-        class FixedRng:
-            def __init__(self):
-                self.i = 0
-
-            def random(self, shape):
-                out = noise[self.i]
-                self.i += 1
-                return out
-
         def f(w):
             trial = ArnModel(model.config, dict(model.params))
             trial.params["gen.wx"] = w
-            rows = generate_relaxed_batch(trial, np.array([[0.2, -0.1]]), 0.8, FixedRng())
+            rows = generate_relaxed_batch(trial, np.array([[0.2, -0.1]]), 0.8, noise)
             return discriminator_score_batch(trial, rows).sigmoid().mean()
 
         assert grad_check(f, model.params["gen.wx"]) <= 1e-4
@@ -243,7 +239,7 @@ class TestPerStepReference:
 
     def test_relaxed_rows_and_scores(self, model):
         z, tau = np.random.default_rng(15).standard_normal((4, 2)), 0.6
-        rows = generate_relaxed_batch(model, z, tau, np.random.default_rng(16))
+        rows = generate_relaxed_batch(model, z, tau, np.random.default_rng(16).random((3, 4, 4)))
         rng = np.random.default_rng(16)
         row = gumbel_softmax(decode_first_token(model, Tensor(z)), tau, rng.random((4, 4)))
         ref, state = [row], self.zero_state(4)

@@ -1,5 +1,6 @@
 import dataclasses
 import io
+import json
 import math
 import os
 import struct
@@ -25,6 +26,17 @@ def tiny_model(seed=0):
 
 def tiny_corpus(seed=1, n=40):
     return np.random.default_rng(seed).integers(0, TINY.vocab_size, size=(n, TINY.seq_len))
+
+
+def uniforms(rngs, bsz):
+    return rngs["gumbel"].random((TINY.seq_len, bsz, TINY.vocab_size))
+
+
+def g_phase_draws(m, rngs, bsz, tau):
+    """The draws of train's G phase: ELBO noise, then z, then the Gumbel uniforms of the fake."""
+    noise = rngs["noise"].standard_normal((bsz, TINY.d_latent))
+    z = rngs["noise"].standard_normal((bsz, TINY.d_latent))
+    return noise, networks.generate_relaxed_batch(m, z, tau, uniforms(rngs, bsz))
 
 
 class TestElbo:
@@ -109,7 +121,7 @@ class TestDiscriminatorLoss:
         rngs = training.rng_streams(7)
         with no_grad():
             z = rngs["noise"].standard_normal((4, TINY.d_latent))
-            fake = networks.generate_relaxed_batch(m, z, 0.8, rngs["gumbel"])
+            fake = networks.generate_relaxed_batch(m, z, 0.8, uniforms(rngs, 4))
         loss = training.discriminator_loss(m, tiny_corpus(8, n=4), fake)
         loss.backward()
         for name, p in m.generator_params().items():
@@ -119,31 +131,29 @@ class TestDiscriminatorLoss:
 class TestGeneratorLoss:
     def test_lambda_zero_is_negative_elbo(self):
         m = tiny_model(9)
-        cfg = TrainConfig(batch_size=4, steps=1, lambda_adv=0.0, seed=9)
         rngs = training.rng_streams(9)
         batch = tiny_corpus(10, n=4)
-        loss, breakdown = training.generator_loss(m, batch, cfg, rngs)
-        manual = -(breakdown.ar_loglik - breakdown.kl_term + breakdown.reconstruction)
+        noise = rngs["noise"].standard_normal((4, TINY.d_latent))
+        loss, fields = training.generator_loss(m, batch, noise, None, 0.0)
+        manual = -(fields["ar_loglik"] - fields["kl"] + fields["recon"])
         assert abs(loss.item() - manual) < 1e-12
-        assert breakdown.adversarial == 0.0
+        assert fields["adv"] == 0.0
 
     def test_zero_discriminator_adversarial_term(self):
         m = tiny_model(11)
         for name in m.discriminator_params():
             m.params[name] = Tensor(np.zeros_like(m.params[name].data), requires_grad=True)
-        cfg = TrainConfig(batch_size=4, steps=1, lambda_adv=1.0, seed=11)
-        rngs = training.rng_streams(11)
-        _, breakdown = training.generator_loss(m, tiny_corpus(12, n=4), cfg, rngs, tau=0.8)
-        assert abs(breakdown.adversarial - math.log(0.5)) < 1e-12
+        noise, fake = g_phase_draws(m, training.rng_streams(11), 4, 0.8)
+        _, fields = training.generator_loss(m, tiny_corpus(12, n=4), noise, fake, 1.0)
+        assert abs(fields["adv"] - math.log(0.5)) < 1e-12
 
     def test_backward_leaves_discriminator_grads_untouched(self):
         m = tiny_model(31)
         marks = {}
         for name, p in m.discriminator_params().items():
             p.grad = marks[name] = np.full(p.data.shape, 7.0)
-        cfg = TrainConfig(batch_size=4, steps=1, lambda_adv=1.0, seed=31)
-        rngs = training.rng_streams(31)
-        loss, _ = training.generator_loss(m, tiny_corpus(32, n=4), cfg, rngs, tau=0.8)
+        noise, fake = g_phase_draws(m, training.rng_streams(31), 4, 0.8)
+        loss, _ = training.generator_loss(m, tiny_corpus(32, n=4), noise, fake, 1.0)
         loss.backward()
         for name, p in m.discriminator_params().items():
             assert p.grad is marks[name] and np.all(p.grad == 7.0), name
@@ -151,12 +161,11 @@ class TestGeneratorLoss:
 
     def test_breakdown_consistency(self):
         m = tiny_model(13)
-        cfg = TrainConfig(batch_size=3, steps=1, lambda_adv=0.7, seed=13)
-        rngs = training.rng_streams(13)
-        loss, b = training.generator_loss(m, tiny_corpus(14, n=3), cfg, rngs, tau=0.9)
-        manual = -(b.ar_loglik - b.kl_term + b.reconstruction) + 0.7 * b.adversarial
-        assert abs(b.total_generator - manual) < 1e-12
-        assert b.kl_term >= 0
+        noise, fake = g_phase_draws(m, training.rng_streams(13), 3, 0.9)
+        loss, f = training.generator_loss(m, tiny_corpus(14, n=3), noise, fake, 0.7)
+        manual = -(f["ar_loglik"] - f["kl"] + f["recon"]) + 0.7 * f["adv"]
+        assert abs(f["g_loss"] - manual) < 1e-12
+        assert f["kl"] >= 0
 
 
 class TestAdam:
@@ -164,7 +173,7 @@ class TestAdam:
         p = Tensor(np.array([1.0, -2.0]), requires_grad=True)
         p.grad = np.zeros(2)
         before = p.data.copy()
-        optimizer_step({"p": p}, AdamState(), TrainConfig(steps=1))
+        optimizer_step({"p": p}, AdamState(), 1e-3)
         np.testing.assert_array_equal(p.data, before)
 
     def test_first_step_is_signed_lr(self):
@@ -172,18 +181,17 @@ class TestAdam:
         g = rng.standard_normal(6)
         p = Tensor(np.zeros(6), requires_grad=True)
         p.grad = g.copy()
-        cfg = TrainConfig(steps=1, lr=1e-3)
-        optimizer_step({"p": p}, AdamState(), cfg)
-        np.testing.assert_allclose(p.data, -cfg.lr * np.sign(g), rtol=1e-5)
-        assert np.all(np.abs(p.data) <= cfg.lr * (1 + 1e-6))
+        lr = 1e-3
+        optimizer_step({"p": p}, AdamState(), lr)
+        np.testing.assert_allclose(p.data, -lr * np.sign(g), rtol=1e-5)
+        assert np.all(np.abs(p.data) <= lr * (1 + 1e-6))
 
     def test_descent_on_quadratic(self):
         p = Tensor(np.array([2.0]), requires_grad=True)
         state = AdamState()
-        cfg = TrainConfig(steps=1, lr=0.1)
         for _ in range(2):
             p.grad = 2.0 * p.data
-            optimizer_step({"p": p}, state, cfg)
+            optimizer_step({"p": p}, state, 0.1)
         assert abs(p.data[0]) < 2.0
 
     def test_nonfinite_gradient_rejected(self):
@@ -191,7 +199,7 @@ class TestAdam:
         p.grad = np.array([np.nan])
         before = p.data.copy()
         with pytest.raises(NumericsError):
-            optimizer_step({"p": p}, AdamState(), TrainConfig(steps=1))
+            optimizer_step({"p": p}, AdamState(), 1e-3)
         np.testing.assert_array_equal(p.data, before)
 
 
@@ -224,20 +232,42 @@ class TestTrainLoop:
         cfg = TrainConfig(batch_size=4, steps=1, seed=19)
         with no_grad():
             z = rngs["noise"].standard_normal((4, TINY.d_latent))
-            fake = networks.generate_relaxed_batch(m, z, 1.0, rngs["gumbel"])
+            fake = networks.generate_relaxed_batch(m, z, 1.0, uniforms(rngs, 4))
         fake = Tensor(fake.data.copy())
         d_loss = training.discriminator_loss(m, corpus_ids[:4], fake)
         d_loss.backward()
-        optimizer_step(m.discriminator_params(), AdamState(), cfg)
+        optimizer_step(m.discriminator_params(), AdamState(), cfg.lr)
         for k, v in m.generator_params().items():
             assert v.data.tobytes() == gen_before[k].tobytes()
 
-        g_loss, _ = training.generator_loss(m, corpus_ids[:4], cfg, rngs, tau=1.0)
+        noise, fake = g_phase_draws(m, rngs, 4, 1.0)
+        g_loss, _ = training.generator_loss(m, corpus_ids[:4], noise, fake, cfg.lambda_adv)
         g_loss.backward()
         disc_mid = {k: v.data.copy() for k, v in m.discriminator_params().items()}
-        optimizer_step(m.generator_params(), AdamState(), cfg)
+        optimizer_step(m.generator_params(), AdamState(), cfg.lr)
         for k, v in m.discriminator_params().items():
             assert v.data.tobytes() == disc_mid[k].tobytes()
+
+    def test_nonfinite_discriminator_loss_rejects_the_step(self, tmp_path, monkeypatch):
+        scored = training.discriminator_loss
+        calls = []
+
+        def nan_at_second_call(model, real_ids, fake):
+            calls.append(None)
+            loss = scored(model, real_ids, fake)
+            return loss + Tensor(np.nan) if len(calls) == 2 else loss
+
+        monkeypatch.setattr(training, "discriminator_loss", nan_at_second_call)
+        path = tmp_path / "trace.jsonl"
+        _, trace = training.train(tiny_model(38), tiny_corpus(39),
+                                  TrainConfig(batch_size=4, steps=4, seed=38), trace_path=str(path))
+        assert [r["step"] for r in trace] == [0, 2, 3]
+
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        lines = path.read_text().splitlines()
+        assert [json.loads(line, parse_constant=reject)["step"] for line in lines] == [0, 2, 3]
 
     def test_mle_only_elbo_trend(self):
         # deterministic cyclic source: ELBO should improve under lambda_adv=0
@@ -303,7 +333,7 @@ class TestCheckpoint:
             assert a.flags.writeable and a.flags.c_contiguous and a.flags.aligned
         for p in loaded.params.values():
             p.grad = np.ones_like(p.data)
-        optimizer_step(loaded.params, AdamState(), TrainConfig())
+        optimizer_step(loaded.params, AdamState(), TrainConfig().lr)
         for name, p in loaded.params.items():
             assert p.data is arrays[name]
             assert not np.array_equal(p.data, before[name])
