@@ -42,6 +42,8 @@ def _merge_config(args, parser, argv):
             file_cfg = json.load(fh)
     except UnicodeDecodeError as exc:
         raise EncodingError(f"{args.config}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{args.config}: {exc}") from exc
     if not isinstance(file_cfg, dict):
         raise ConfigError(f"{args.config}: config must be a JSON object")
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
@@ -146,12 +148,7 @@ def cmd_evaluate(args):
     test = _read_token_lines(args.test)
     if not generated or not test:
         raise EmptyInputError("empty generated or test corpus")
-    # score over token strings; map to dense ids for the metric functions
-    alphabet = {tok: i for i, tok in enumerate(sorted({t for s in generated + test for t in s}))}
-    gen_ids = [[alphabet[t] for t in s] for s in generated]
-    test_ids = [[alphabet[t] for t in s] for s in test]
-    pad_id = alphabet.get(corpus_mod.PAD_TOKEN)
-    report = metrics.full_report(gen_ids, test_ids, orders=orders, pad_id=pad_id)
+    report = metrics.full_report(generated, test, orders=orders, pad_id=corpus_mod.PAD_TOKEN)
     out = report.to_json()
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -169,13 +166,14 @@ def gradcheck_report(preset: str, seed: int) -> dict:
     noise = rngs["noise"].standard_normal((2, cfg.d_latent))
     z_adv = rngs["noise"].standard_normal((2, cfg.d_latent))
     gumbel = rngs["gumbel"].random((cfg.seq_len, 2, cfg.vocab_size))
+    # the discriminator probes perturb no generator parameter, so one fake serves them all
+    with no_grad():
+        fake = networks.generate_relaxed_batch(model, z_adv, 0.8, gumbel)
 
     def elbo_loss(m):
         return training.generator_loss(m, ids, noise, None, 1.0)[0]
 
     def disc_loss(m):
-        with no_grad():
-            fake = networks.generate_relaxed_batch(m, z_adv, 0.8, gumbel)
         return training.discriminator_loss(m, ids, fake)
 
     def gen_adv_loss(m):
@@ -283,7 +281,7 @@ def main(argv=None):
     try:
         args = _merge_config(args, parser, argv)
         return args.func(args)
-    except (OSError, EmptyInputError, json.JSONDecodeError) as exc:
+    except (OSError, EmptyInputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (NumericsError, TrainingAborted) as exc:

@@ -8,7 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, EmptyInputError, EncodingError
+from .errors import ConfigError, EmptyInputError, EncodingError, VocabError
+from .metrics import ngrams
 
 PAD_TOKEN = "<PAD>"
 UNK_TOKEN = "<UNK>"
@@ -56,6 +57,10 @@ class Vocabulary:
             raise EncodingError(f"{path}: {exc}") from exc
         if not tokens:
             raise EmptyInputError(f"{path}: empty vocabulary")
+        if tokens[:2] != [PAD_TOKEN, UNK_TOKEN]:
+            raise VocabError(f"{path}: the first two tokens must be {PAD_TOKEN} and {UNK_TOKEN}")
+        if len(set(tokens)) != len(tokens):
+            raise VocabError(f"{path}: duplicate tokens")
         return Vocabulary(tokens)
 
 
@@ -172,10 +177,7 @@ def source_ngram_distribution(src: MarkovSource, n: int, t_len: int) -> dict:
 
 
 def empirical_ngram_distribution(sequences, n: int) -> dict:
-    counts = Counter()
-    for seq in sequences:
-        ids = [int(t) for t in seq]
-        counts.update(tuple(ids[i:i + n]) for i in range(len(ids) - n + 1))
+    counts = Counter(g for seq in sequences for g in ngrams(seq, n))
     total = sum(counts.values())
     if total == 0:
         raise EmptyInputError(f"no {n}-grams")

@@ -15,23 +15,16 @@ from dataclasses import dataclass, field
 from .errors import EmptyInputError
 
 
-def _ids(seq):
-    return [int(t) for t in seq]
-
-
 def ngrams(seq, n, pad_id=None):
-    toks = _ids(seq)
-    grams = [tuple(toks[i:i + n]) for i in range(len(toks) - n + 1)]
+    """Tuples of n >= 1 consecutive hashable tokens of seq, minus any holding pad_id."""
+    grams = list(zip(*(seq[k:] for k in range(n))))
     if pad_id is not None:
         grams = [g for g in grams if pad_id not in g]
     return grams
 
 
 def _all_ngrams(sequences, n, pad_id):
-    out = []
-    for seq in sequences:
-        out.extend(ngrams(seq, n, pad_id))
-    return out
+    return [g for seq in sequences for g in ngrams(seq, n, pad_id)]
 
 
 def diversity_n(generated, n, pad_id=None) -> float:
@@ -53,13 +46,13 @@ def fc_n(generated, test, n, pad_id=None) -> float:
 
 
 class _ReferenceIndex:
-    """Per-order max n-gram counts and sorted lengths over the test corpus."""
+    """Per-order max n-gram counts and distinct sorted lengths over the test corpus."""
 
     def __init__(self, references, max_order, pad_id=None):
         if not references:
             raise EmptyInputError("empty reference corpus")
         self.max_counts = [dict() for _ in range(max_order + 1)]
-        self.lengths = sorted(len(_ids(r)) for r in references)
+        self.lengths = sorted({len(r) for r in references})
         for ref in references:
             for k in range(1, max_order + 1):
                 for gram, cnt in Counter(ngrams(ref, k, pad_id)).items():
@@ -73,10 +66,9 @@ class _ReferenceIndex:
 
 
 def _bleu_indexed(candidate, index: _ReferenceIndex, n, pad_id=None) -> float:
-    toks = _ids(candidate)
     log_precisions = []
     for k in range(1, n + 1):
-        counts = Counter(ngrams(toks, k, pad_id))
+        counts = Counter(ngrams(candidate, k, pad_id))
         total = sum(counts.values())
         if total == 0:
             return 0.0
@@ -84,7 +76,7 @@ def _bleu_indexed(candidate, index: _ReferenceIndex, n, pad_id=None) -> float:
         if clipped == 0:
             return 0.0
         log_precisions.append(math.log(clipped / total))
-    c = len(toks)
+    c = len(candidate)
     r = index.closest_length(c)
     bp = 1.0 if c > r else math.exp(1.0 - r / c)
     return 100.0 * bp * math.exp(sum(log_precisions) / n)

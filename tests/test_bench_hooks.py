@@ -39,6 +39,8 @@ def test_span_recorder_install_run_uninstall(tmp_path):
                              "--out", str(tmp_path / "m.arn")]) == 0
         assert arn.cli.main(["generate", "--checkpoint", str(tmp_path / "m.arn"), "--count", "2",
                              "--out", str(tmp_path / "gen.txt")]) == 0
+        assert arn.cli.main(["evaluate", "--generated", str(tmp_path / "gen.txt"), "--test", str(corpus),
+                             "--orders", "2,3"]) == 0
     finally:
         rec.uninstall()
 
@@ -49,6 +51,8 @@ def test_span_recorder_install_run_uninstall(tmp_path):
                  "networks.generate_batch", "kernels.lstm_cell_forward", "kernels.lstm_cell_backward",
                  "tensor.backward.d", "tensor.backward.g", "training.optimizer_step.d"):
         assert spans[name][1] > 0, name
+    for name in ("metrics.corpus_bleu_n", "metrics.diversity_n", "metrics.fc_n"):
+        assert spans[name][1] == 2, name  # once per order
     assert rec.counts["tensor.matmul"] > 0 and rec.counts["tensor.lstm_cell"] > 0
     for owner, attrs in zip(OWNERS, before):
         after = vars(owner)

@@ -69,23 +69,26 @@ class TestTrain:
         assert exc.value.code == 2
 
     @pytest.mark.parametrize("content", [None, "{not json", "[1, 2]"])
-    def test_bad_config_file(self, tmp_path, content):
+    def test_bad_config_file(self, tmp_path, capsys, content):
         cfg = tmp_path / "run.json"
         if content is not None:
             cfg.write_text(content)
         assert run(["divlab", "--trials", "2", "--config", str(cfg)]) == 2
+        assert str(cfg) in capsys.readouterr().err
 
     def test_non_utf8_config_file(self, tmp_path):
         cfg = tmp_path / "run.json"
         cfg.write_bytes(b'{"trials": 2, "note": "\xff"}')
         assert run(["divlab", "--config", str(cfg)]) == 2
 
-    @pytest.mark.parametrize("content", [b"<PAD>\n<UNK>\n\xff\n", b""])
-    def test_bad_vocabulary_file(self, tmp_path, markov_corpus_file, content):
+    @pytest.mark.parametrize("content", [b"<PAD>\n<UNK>\n\xff\n", b"", b"a\nb\nc\n", b"<PAD>\n",
+                                         b"<PAD>\n<UNK>\na\na\n"])
+    def test_bad_vocabulary_file(self, tmp_path, markov_corpus_file, capsys, content):
         vocab = tmp_path / "vocab.txt"
         vocab.write_bytes(content)
         assert run(["train", "--corpus", markov_corpus_file, "--vocab", str(vocab),
                     "--steps", "1", "--out", str(tmp_path / "m.arn")]) == 2
+        assert str(vocab) in capsys.readouterr().err
 
     @pytest.mark.parametrize("text", ["0 1 2\n3 4\n", "0 1 a\n", "0 1 8\n", "0 -1 2\n",
                                       "99999999999999999999 1\n", "\n\n"])

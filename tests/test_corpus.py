@@ -17,7 +17,7 @@ from arn.corpus import (
     tokenize,
     tv_distance,
 )
-from arn.errors import ArnError, ConfigError, EmptyInputError
+from arn.errors import ArnError, ConfigError, EmptyInputError, VocabError
 
 
 class TestTokenize:
@@ -61,6 +61,16 @@ class TestVocabulary:
         path = tmp_path / "vocab.txt"
         vocab.save(str(path))
         assert Vocabulary.load(str(path)).tokens == vocab.tokens
+
+    @pytest.mark.parametrize("text", ["a\nb\nc\n", "<UNK>\n<PAD>\na\n", "<PAD>\n",
+                                      "<PAD>\na\n<UNK>\n", "<PAD>\n<UNK>\na\nb\na\n"])
+    def test_load_checks_layout(self, tmp_path, text):
+        # load_corpus encodes padding as id 0 and unknown words as id 1,
+        # and encode_token needs one id per token
+        path = tmp_path / "vocab.txt"
+        path.write_text(text)
+        with pytest.raises(VocabError, match="vocab.txt"):
+            Vocabulary.load(str(path))
 
 
 class TestEncodeFixed:

@@ -101,6 +101,64 @@ class TestCorpusBleu:
         assert diversity_n(gen[::-1], 2) == diversity_n(gen, 2)
 
 
+def oracle_bleu(cand, refs, n):
+    """Sentence BLEU-n by brute force: clip by the max count in any one
+    reference, and take the closest reference length, the shorter on a tie."""
+    def grams(seq, k):
+        return [tuple(seq[i:i + k]) for i in range(len(seq) - k + 1)]
+
+    logs = []
+    for k in range(1, n + 1):
+        cand_grams = grams(cand, k)
+        if not cand_grams:
+            return 0.0
+        clipped = sum(min(cand_grams.count(g), max(grams(r, k).count(g) for r in refs))
+                      for g in set(cand_grams))
+        if clipped == 0:
+            return 0.0
+        logs.append(math.log(clipped / len(cand_grams)))
+    c = len(cand)
+    r = None
+    for length in (len(ref) for ref in refs):
+        if r is None or abs(length - c) < abs(r - c) or (abs(length - c) == abs(r - c) and length < r):
+            r = length
+    bp = 1.0 if c > r else math.exp(1.0 - r / c)
+    return 100.0 * bp * math.exp(sum(logs) / n)
+
+
+class TestRaggedReferenceLengths:
+    def test_tie_breaks_toward_shorter_reference(self):
+        # c = 3 lies between reference lengths 2 and 4: r = 2, so no penalty
+        assert bleu_n([A, B, C], [[A, B, C, D], [A, B]], 1) == 100.0
+        # c = 2 lies between 1 and 3: r = 1, again no penalty
+        assert bleu_n([A, B], [[A], [A, B, C], [B]], 1) == 100.0
+
+    def test_matches_oracle_on_ragged_micro_corpora(self):
+        rng = np.random.default_rng(17)
+
+        def sentence(v, length):
+            return list(rng.integers(0, v, size=length))
+
+        ties = 0
+        for trial in range(200):
+            v = int(rng.integers(2, 5))
+            gen = [sentence(v, int(rng.integers(1, 8))) for _ in range(int(rng.integers(1, 6)))]
+            if trial % 4:
+                test = [sentence(v, int(rng.integers(1, 8))) for _ in range(int(rng.integers(2, 6)))]
+            else:
+                # the first candidate lies exactly between the two reference lengths
+                gen[0] = sentence(v, 4)
+                test = [sentence(v, length) for length in (2, 6, *rng.choice([2, 6], size=3))]
+            lengths = {len(t) for t in test}
+            ties += sum(len(g) - d in lengths and len(g) + d in lengths
+                        for g in gen for d in range(1, 8))
+            n = int(rng.integers(1, 4))
+            want = [oracle_bleu(g, test, n) for g in gen]
+            assert [bleu_n(g, test, n) for g in gen] == want, trial
+            assert corpus_bleu_n(gen, test, n) == sum(want) / len(want), trial
+        assert ties >= 50
+
+
 class TestFullReport:
     def test_self_report(self):
         corpus = [[A, B, C, D], [B, C, D, X]]
@@ -126,3 +184,21 @@ class TestFullReport:
         # sentence 2: p1 = 2/3, p2 = 1/2, BP=1
         expected = 100.0 * math.sqrt((2 / 3) * (1 / 2))
         assert abs(report.bleu[2] - expected) < 1e-10
+
+    def test_token_type_does_not_matter(self):
+        # word strings, the ints they map to, and NumPy rows of those ints score alike
+        rng = np.random.default_rng(23)
+        words = ["<PAD>", "the", "cat", "sat", "on", "mat"]
+        for _ in range(50):
+            gen, test = ([[words[i] for i in rng.integers(0, len(words), size=int(rng.integers(1, 9)))]
+                          for _ in range(int(rng.integers(1, 8)))]
+                         for _ in range(2))
+            as_ints = [[[words.index(w) for w in s] for s in corpus] for corpus in (gen, test)]
+            as_rows = [[np.asarray(s, dtype=np.int64) for s in corpus] for corpus in as_ints]
+            orders = (1, 2)
+            try:
+                want = full_report(gen, test, orders=orders, pad_id="<PAD>")
+            except EmptyInputError:
+                continue
+            assert full_report(*as_ints, orders=orders, pad_id=0) == want
+            assert full_report(*as_rows, orders=orders, pad_id=0) == want
