@@ -35,7 +35,7 @@ def diversity_n(generated, n, pad_id=None) -> float:
 
 
 def fc_n(generated, test, n, pad_id=None) -> float:
-    if not test:
+    if len(test) == 0:
         raise EmptyInputError("empty test corpus")
     grams = _all_ngrams(generated, n, pad_id)
     if not grams:
@@ -49,7 +49,7 @@ class _ReferenceIndex:
     """Per-order max n-gram counts and distinct sorted lengths over the test corpus."""
 
     def __init__(self, references, max_order, pad_id=None):
-        if not references:
+        if len(references) == 0:
             raise EmptyInputError("empty reference corpus")
         self.max_counts = [dict() for _ in range(max_order + 1)]
         self.lengths = sorted({len(r) for r in references})
@@ -89,7 +89,7 @@ def bleu_n(candidate, references, n, pad_id=None) -> float:
 
 def corpus_bleu_n(generated, test, n, pad_id=None) -> float:
     """Mean sentence BLEU-n, every test sentence serving as a reference."""
-    if not generated:
+    if len(generated) == 0:
         raise EmptyInputError("empty generated corpus")
     index = _ReferenceIndex(test, n, pad_id)
     return sum(_bleu_indexed(g, index, n, pad_id) for g in generated) / len(generated)

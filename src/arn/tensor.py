@@ -117,11 +117,18 @@ class Tensor:
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
 
-    def _accum(self, grad):
+    def _accum(self, grad, owned=False):
+        """Add one chain-rule contribution to self.grad.
+
+        owned=True says the backward closure has just made grad and holds
+        it nowhere else, so a first contribution is stored without a copy.
+        Anything that is or may be shared (an upstream g, a view, a slice)
+        is copied, since a later contribution adds into self.grad in place.
+        """
         if self.requires_grad:
             grad = _unbroadcast(grad, self.data.shape)
             if self.grad is None:
-                self.grad = np.array(grad, dtype=self.data.dtype)
+                self.grad = np.asarray(grad, self.data.dtype) if owned else np.array(grad, self.data.dtype)
             else:
                 self.grad += grad
 
@@ -183,9 +190,9 @@ class Tensor:
 
         def backward(g):
             if a.requires_grad:
-                a._accum(g @ b.data.T)
+                a._accum(g @ b.data.T, owned=True)
             if b.requires_grad:
-                b._accum(a.data.T @ g)
+                b._accum(a.data.T @ g, owned=True)
 
         return Tensor._make(data, (a, b), backward)
 
@@ -306,9 +313,9 @@ def gather_rows(table, ids):
 
     def backward(g):
         if table.requires_grad:
-            buf = np.zeros_like(table.data)
+            buf = np.zeros(table.data.shape, table.data.dtype)  # calloc: no second zero-fill pass
             np.add.at(buf, ids, g)
-            table._accum(buf)
+            table._accum(buf, owned=True)
 
     return Tensor._make(table.data[ids], (table,), backward)
 
@@ -385,7 +392,7 @@ class _LstmTape:
         """Weight gradients from the (T*B, 4H) d_pre rows, one GEMM per matrix."""
         for w, inp in ((wx, x), (wh, self.h[:-1])):
             if w.requires_grad:
-                w._accum(inp.reshape(len(d_pre), inp.shape[-1]).T @ d_pre)
+                w._accum(inp.reshape(len(d_pre), inp.shape[-1]).T @ d_pre, owned=True)
         b._accum(d_pre.sum(axis=0))
 
 
@@ -462,9 +469,9 @@ def gumbel_lstm_sequence(y0, emb, wx, wh, b, proj_w, proj_b, gumbel, tau):
         tape.accum_weights(x, d_pre.reshape(rows_in, d_pre.shape[2]), wx, wh, b)
         d_logits = d_logits.reshape(rows_in, vocab)
         if emb.requires_grad:
-            emb._accum(rows[:-1].reshape(rows_in, vocab).T @ d_x.reshape(rows_in, x.shape[2]))
+            emb._accum(rows[:-1].reshape(rows_in, vocab).T @ d_x.reshape(rows_in, x.shape[2]), owned=True)
         if proj_w.requires_grad:
-            proj_w._accum(tape.h[1:].reshape(rows_in, tape.h.shape[2]).T @ d_logits)
+            proj_w._accum(tape.h[1:].reshape(rows_in, tape.h.shape[2]).T @ d_logits, owned=True)
         proj_b._accum(d_logits.sum(axis=0))
 
     return Tensor._make(rows, (y0, emb, wx, wh, b, proj_w, proj_b), backward)

@@ -169,7 +169,7 @@ FUZZ = settings(max_examples=200, deadline=None, database=None,
 
 
 @FUZZ
-@given(raw=TEXT_BYTES)
+@given(raw=st.one_of(TEXT_BYTES, TEXT_BYTES.map(lambda tail: b"<PAD>\n<UNK>\n" + tail)))
 def test_vocabulary_load_loads_or_raises_arn_error(tmp_path, raw):
     """Arbitrary bytes are a valid vocabulary file or raise an ArnError subclass."""
     path = tmp_path / "vocab.txt"
@@ -179,6 +179,8 @@ def test_vocabulary_load_loads_or_raises_arn_error(tmp_path, raw):
     except ArnError:
         return
     assert len(vocab) > 0 and all("\n" not in tok for tok in vocab.tokens)
+    assert vocab.tokens[:2] == ["<PAD>", "<UNK>"]
+    assert len(set(vocab.tokens)) == len(vocab.tokens)
 
 
 @FUZZ

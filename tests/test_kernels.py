@@ -1,6 +1,7 @@
 """NumPy kernels against naive reference formulas."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -95,6 +96,48 @@ def test_adam_update_matches_written_out_rule(rng):
         np.testing.assert_allclose(m, ref_m, rtol=1e-15)
         np.testing.assert_allclose(v, ref_v, rtol=1e-15)
         np.testing.assert_allclose(param, ref_p, rtol=1e-15)
+
+
+def whole_array_adam(param, grad, m, v, t, lr, beta1, beta2, eps):
+    """The unblocked update, one temporary per ufunc: the blocked kernel's reference."""
+    m *= beta1
+    m += (1.0 - beta1) * grad
+    v *= beta2
+    v += (1.0 - beta2) * grad * grad
+    mhat = m / (1.0 - beta1 ** t)
+    vhat = v / (1.0 - beta2 ** t)
+    param -= lr * mhat / (np.sqrt(vhat) + eps)
+
+
+BLOCK = kernels.ADAM_BLOCK
+
+
+@pytest.mark.parametrize("size", [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 17])
+def test_blocked_adam_equals_whole_array_update_bit_for_bit(rng, size):
+    lr, beta1, beta2, eps = 1e-3, 0.9, 0.999, 1e-8
+    param = rng.standard_normal(size)
+    m, v = np.zeros(size), np.zeros(size)
+    ref_p, ref_m, ref_v = param.copy(), m.copy(), v.copy()
+    for t in range(1, 5):
+        grad = rng.standard_normal(size) * 10.0 ** rng.integers(-6, 3, size)
+        kernels.adam_update(param, grad, m, v, t, lr, beta1, beta2, eps)
+        whole_array_adam(ref_p, grad, ref_m, ref_v, t, lr, beta1, beta2, eps)
+        np.testing.assert_array_equal(m, ref_m)
+        np.testing.assert_array_equal(v, ref_v)
+        np.testing.assert_array_equal(param, ref_p)
+
+
+def test_adam_update_makes_no_parameter_size_temporary(rng):
+    size = 1 << 20  # 8 MB per float64 array
+    param, grad = rng.standard_normal(size), rng.standard_normal(size)
+    m, v = np.zeros(size), np.zeros(size)
+    tracemalloc.start()
+    try:
+        kernels.adam_update(param, grad, m, v, 1, 1e-3, 0.9, 0.999, 1e-8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_sigmoid_extremes_and_symmetry(rng):

@@ -202,3 +202,32 @@ class TestFullReport:
                 continue
             assert full_report(*as_ints, orders=orders, pad_id=0) == want
             assert full_report(*as_rows, orders=orders, pad_id=0) == want
+
+
+class TestIdArrays:
+    """(N, T) id arrays, as load_corpus, sample_markov and generate_batch return them."""
+
+    GEN = np.random.default_rng(0).integers(0, 5, size=(4, 6))
+    TEST = np.random.default_rng(1).integers(0, 5, size=(7, 6))
+
+    @pytest.mark.parametrize("score", [
+        lambda gen, test: fc_n(gen, test, 2),
+        lambda gen, test: corpus_bleu_n(gen, test, 3),
+        lambda gen, test: bleu_n(gen[1], test, 2),
+        lambda gen, test: full_report(gen, test, orders=(1, 2, 3), pad_id=0).to_json(),
+    ], ids=["fc_n", "corpus_bleu_n", "reference_index", "full_report"])
+    def test_array_scores_as_its_rows(self, score):
+        assert score(self.GEN, self.TEST) == score(list(self.GEN), list(self.TEST))
+
+    @pytest.mark.parametrize("score", [
+        lambda empty, full: fc_n(full, empty, 2),
+        lambda empty, full: corpus_bleu_n(empty, full, 2),
+        lambda empty, full: corpus_bleu_n(full, empty, 2),
+        lambda empty, full: bleu_n(full[0], empty, 2),
+        lambda empty, full: full_report(empty, full),
+        lambda empty, full: full_report(full, empty),
+    ], ids=["fc_n_test", "corpus_bleu_n_generated", "corpus_bleu_n_test", "reference_index",
+            "full_report_generated", "full_report_test"])
+    def test_empty_array_raises(self, score):
+        with pytest.raises(EmptyInputError):
+            score(np.zeros((0, 6), dtype=np.int64), self.GEN)

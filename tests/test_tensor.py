@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from arn import networks, training
 from arn.errors import DomainError, RankError, ShapeError
+from arn.networks import ArnConfig, ArnModel
 from arn.tensor import (
     Tensor, concat, gather_rows, grad_check, gumbel_lstm_sequence, lstm_cell, lstm_sequence, no_grad,
     pick,
@@ -224,3 +226,63 @@ def test_no_grad_blocks_recording():
     with no_grad():
         y = (x * x).sum()
     assert not y.requires_grad and y._backward is None
+
+
+class TestFirstGradientOwnership:
+    """The first gradient of a tensor may be stored without a copy; shared arrays may not."""
+
+    def test_table_gathered_twice_and_multiplied(self):
+        rng = np.random.default_rng(41)
+        table, w = t(rng.standard_normal((5, 3))), t(rng.standard_normal((3, 4)))
+        x, c = rng.standard_normal((2, 5)), rng.standard_normal((2, 4))
+        ids_a, ids_b = np.array([0, 3, 3]), np.array([1, 3])
+        wa, wb = rng.standard_normal((3, 3)), rng.standard_normal((2, 3))
+        loss = ((gather_rows(table, ids_a) * wa).sum() + (gather_rows(table, ids_b) * wb).sum()
+                + ((Tensor(x) @ table @ w) * c).sum())
+        loss.backward()
+        want = np.zeros((5, 3))
+        np.add.at(want, ids_a, wa)
+        np.add.at(want, ids_b, wb)
+        want += x.T @ (c @ w.data.T)
+        np.testing.assert_allclose(table.grad, want, rtol=1e-14, atol=1e-14)
+        np.testing.assert_allclose(w.grad, (x @ table.data).T @ c, rtol=1e-14, atol=1e-14)
+
+    def test_weight_feeds_two_matmuls(self):
+        rng = np.random.default_rng(42)
+        w = t(rng.standard_normal((3, 2)))
+        x1, x2 = t(rng.standard_normal((4, 3))), t(rng.standard_normal((5, 3)))
+        c1, c2 = rng.standard_normal((4, 2)), rng.standard_normal((5, 2))
+        (((x1 @ w) * c1).sum() + ((x2 @ w) * c2).sum()).backward()
+        np.testing.assert_allclose(w.grad, x1.data.T @ c1 + x2.data.T @ c2, rtol=1e-14, atol=1e-14)
+        np.testing.assert_allclose(x1.grad, c1 @ w.data.T, rtol=1e-14, atol=1e-14)
+        np.testing.assert_allclose(x2.grad, c2 @ w.data.T, rtol=1e-14, atol=1e-14)
+
+    def test_tensor_added_to_itself(self):
+        rng = np.random.default_rng(43)
+        a, w = t(rng.standard_normal((3, 2))), t(rng.standard_normal((2, 2)))
+        h = a @ w
+        c = rng.standard_normal((3, 2))
+        s = h + h  # __add__ hands s.grad to h twice: h must not keep it as its own
+        (s * c).sum().backward()
+        np.testing.assert_array_equal(s.grad, c)
+        np.testing.assert_array_equal(h.grad, 2 * c)
+        np.testing.assert_allclose(a.grad, 2 * c @ w.data.T, rtol=1e-14, atol=1e-14)
+        np.testing.assert_allclose(w.grad, a.data.T @ (2 * c), rtol=1e-14, atol=1e-14)
+
+    def test_desk_generator_loss_grads_share_no_memory(self):
+        cfg = ArnConfig.preset("desk")
+        m = ArnModel.initialized(cfg, np.random.default_rng(44))
+        rng = np.random.default_rng(45)
+        bsz = 4
+        batch = rng.integers(0, cfg.vocab_size, size=(bsz, cfg.seq_len))
+        noise = rng.standard_normal((bsz, cfg.d_latent))
+        z = rng.standard_normal((bsz, cfg.d_latent))
+        fake = networks.generate_relaxed_batch(m, z, 0.8, rng.random((cfg.seq_len, bsz, cfg.vocab_size)))
+        loss, _ = training.generator_loss(m, batch, noise, fake, 1.0)
+        loss.backward()
+        grads = [(name, p.grad) for name, p in m.params.items() if p.grad is not None]
+        assert {name for name, _ in grads} == set(m.generator_params())
+        for i, (name_a, ga) in enumerate(grads):
+            assert not np.shares_memory(ga, m.params[name_a].data), name_a
+            for name_b, gb in grads[i + 1:]:
+                assert not np.shares_memory(ga, gb), (name_a, name_b)
