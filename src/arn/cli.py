@@ -160,6 +160,7 @@ def cmd_evaluate(args):
 def gradcheck_report(preset: str, seed: int) -> dict:
     """Finite-difference check of every loss at random small parameters."""
     cfg = ArnConfig.preset(preset)
+    cfg.dtype = "float64"  # central differences at eps 1e-5 need it, whatever the preset
     rngs = training.rng_streams(seed)
     model = ArnModel.initialized(cfg, rngs["init"])
     ids = rngs["data"].integers(0, cfg.vocab_size, size=(2, cfg.seq_len))

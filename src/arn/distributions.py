@@ -51,8 +51,8 @@ class Categorical:
 
 
 def reparam_sample(q: GaussianPosterior, noise) -> Tensor:
-    """z = mu + exp(log_var / 2) * noise, differentiable w.r.t. (mu, log_var)."""
-    noise = np.asarray(noise, dtype=np.float64)
+    """z = mu + exp(log_var / 2) * noise in the dtype of mu, differentiable w.r.t. (mu, log_var)."""
+    noise = np.asarray(noise, dtype=q.mu.data.dtype)
     if noise.shape != q.mu.shape:
         raise ShapeError(f"noise shape {noise.shape} != posterior shape {q.mu.shape}")
     return q.mu + (q.log_var * 0.5).exp() * Tensor(noise)
@@ -72,7 +72,11 @@ def kl_gauss_std(q: GaussianPosterior) -> Tensor:
 
 
 def gumbel_noise(uniform_noise) -> np.ndarray:
-    """Standard Gumbel draws -log(-log(u)) from uniforms, clamped away from 0 and 1."""
+    """Standard Gumbel draws -log(-log(u)) from uniforms, clamped away from 0 and 1.
+
+    Always float64: in float32 the clamp 1 - 1e-12 rounds to 1 and the draw
+    to infinity, so a float32 caller casts the result, not the uniforms.
+    """
     u = np.clip(np.asarray(uniform_noise, dtype=np.float64), _NOISE_CLAMP, 1.0 - _NOISE_CLAMP)
     return -np.log(-np.log(u))
 
@@ -80,8 +84,9 @@ def gumbel_noise(uniform_noise) -> np.ndarray:
 def gumbel_softmax(logits, tau: float, uniform_noise, hard=False) -> Tensor:
     """Relaxed one-hot sample: softmax((logits + g) / tau), g = -log(-log(u)).
 
-    With hard the forward value is the exact one-hot argmax while
-    gradients flow through the soft sample (straight-through).
+    g is cast to the dtype of logits. With hard the forward value is the
+    exact one-hot argmax while gradients flow through the soft sample
+    (straight-through).
     """
     if not tau > 0:
         raise DomainError(f"temperature must be positive, got {tau}")
@@ -89,7 +94,7 @@ def gumbel_softmax(logits, tau: float, uniform_noise, hard=False) -> Tensor:
     g = gumbel_noise(uniform_noise)
     if g.shape != logits.shape:
         raise ShapeError(f"noise shape {g.shape} != logits shape {logits.shape}")
-    y = ((logits + Tensor(g)) * (1.0 / tau)).softmax()
+    y = ((logits + Tensor(g.astype(logits.data.dtype, copy=False))) * (1.0 / tau)).softmax()
     if hard:
         return straight_through_hard(y)
     return y

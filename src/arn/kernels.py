@@ -73,11 +73,11 @@ def log_softmax_rows(x):
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
-ADAM_BLOCK = 1 << 15  # 256 KB per float64 array: a block's six arrays stay in cache
+ADAM_BLOCK = 1 << 15  # 256 KB per float64 array, 128 KB per float32: a block's six arrays stay in cache
 
 
 def adam_update(param, grad, m, v, t, lr, beta1, beta2, eps):
-    """In-place bias-corrected Adam step on flat float64 arrays.
+    """In-place bias-corrected Adam step on flat arrays of one float dtype.
 
     The step is bound by memory bandwidth at paper size (22.9M parameters),
     so it walks the arrays in blocks of ADAM_BLOCK elements with two scratch
@@ -90,7 +90,7 @@ def adam_update(param, grad, m, v, t, lr, beta1, beta2, eps):
     """
     c1 = 1.0 - beta1 ** t
     c2 = 1.0 - beta2 ** t
-    x = np.empty(min(param.size, ADAM_BLOCK))
+    x = np.empty(min(param.size, ADAM_BLOCK), param.dtype)
     y = np.empty_like(x)
     for lo in range(0, param.size, ADAM_BLOCK):
         hi = min(lo + ADAM_BLOCK, param.size)

@@ -27,18 +27,22 @@ class RnnState:
 
 @dataclass
 class ArnConfig:
+    """Model sizes, and the float dtype of every array the model computes with."""
+
     seq_len: int = 8
     vocab_size: int = 8
     d_emb: int = 16
     d_hidden: int = 32
     d_latent: int = 8
+    dtype: str = "float64"
 
     @staticmethod
     def preset(name: str) -> "ArnConfig":
         if name == "desk":
             return ArnConfig()
         if name == "paper":
-            return ArnConfig(seq_len=20, vocab_size=10000, d_emb=500, d_hidden=500, d_latent=350)
+            return ArnConfig(seq_len=20, vocab_size=10000, d_emb=500, d_hidden=500, d_latent=350,
+                             dtype="float32")
         raise ConfigError(f"unknown preset {name!r}")
 
 
@@ -51,19 +55,21 @@ class ArnModel:
 
     @staticmethod
     def initialized(config: ArnConfig, rng: np.random.Generator) -> "ArnModel":
-        """Uniform [-0.08, 0.08] initialization of every parameter tensor."""
+        """Uniform [-0.08, 0.08] initialization of every parameter tensor.
+
+        The draws are float64 in any dtype, then cast to config.dtype.
+        """
         model = ArnModel(config)
         for name, shape in model.param_shapes().items():
-            model.params[name] = Tensor(
-                rng.uniform(-INIT_SCALE, INIT_SCALE, size=shape), requires_grad=True
-            )
+            draw = rng.uniform(-INIT_SCALE, INIT_SCALE, size=shape)
+            model.params[name] = Tensor(draw.astype(config.dtype, copy=False), requires_grad=True)
         return model
 
     @staticmethod
     def zeros(config: ArnConfig) -> "ArnModel":
         model = ArnModel(config)
         for name, shape in model.param_shapes().items():
-            model.params[name] = Tensor(np.zeros(shape), requires_grad=True)
+            model.params[name] = Tensor(np.zeros(shape, config.dtype), requires_grad=True)
         return model
 
     def param_shapes(self):
@@ -109,8 +115,8 @@ def _check_ids(model, ids):
 
 
 def init_state(model: ArnModel, batch: int) -> RnnState:
-    hdim = model.config.d_hidden
-    return RnnState(Tensor(np.zeros((batch, hdim))), Tensor(np.zeros((batch, hdim))))
+    shape, dtype = (batch, model.config.d_hidden), model.config.dtype
+    return RnnState(Tensor(np.zeros(shape, dtype)), Tensor(np.zeros(shape, dtype)))
 
 
 def encode_first_token(model: ArnModel, x1) -> GaussianPosterior:
@@ -122,8 +128,11 @@ def encode_first_token(model: ArnModel, x1) -> GaussianPosterior:
 
 
 def decode_first_token(model: ArnModel, z) -> Tensor:
-    """p(x1 | z): dense layer from (B, d_z) latents to (B, V) vocabulary logits."""
-    z = z if isinstance(z, Tensor) else Tensor(z)
+    """p(x1 | z): dense layer from (B, d_z) latents to (B, V) vocabulary logits.
+
+    An array z is cast to the model's dtype.
+    """
+    z = z if isinstance(z, Tensor) else Tensor(np.asarray(z, model.config.dtype))
     if z.data.ndim != 2 or z.shape[1] != model.config.d_latent:
         raise ShapeError(f"latents must be (B, {model.config.d_latent}), got shape {z.shape}")
     return z @ model.params["dec.w"] + model.params["dec.b"]
@@ -157,7 +166,8 @@ def sequence_log_likelihood_batch(model: ArnModel, ids, z) -> tuple:
 
 
 def _sample_rows(probs: np.ndarray, rng) -> np.ndarray:
-    cum = probs.cumsum(axis=1)
+    # a float32 running sum over 10^4 tokens drifts by up to 1e-5
+    cum = probs.cumsum(axis=1, dtype=np.float64)
     cum[:, -1] = 1.0
     u = rng.random(probs.shape[0])
     return (u[:, None] > cum).sum(axis=1)
@@ -167,7 +177,7 @@ def generate_batch(model: ArnModel, z: np.ndarray, rng) -> np.ndarray:
     """Sample (B, T) hard token ids given latent draws z (B, d_z)."""
     with no_grad():
         bsz = z.shape[0]
-        probs = decode_first_token(model, Tensor(z)).softmax().data
+        probs = decode_first_token(model, z).softmax().data
         ids = np.empty((bsz, model.config.seq_len), dtype=np.int64)
         ids[:, 0] = _sample_rows(probs, rng)
         state = init_state(model, bsz)
@@ -201,8 +211,7 @@ def generate_relaxed_batch(model: ArnModel, z, tau: float, uniforms) -> Tensor:
     uniforms is the (T, B, V) array of U(0, 1) draws behind each step's
     Gumbel noise, first token first; tau is the Gumbel-softmax temperature.
     """
-    z = z if isinstance(z, Tensor) else Tensor(z)
-    shape = (model.config.seq_len, z.shape[0], model.config.vocab_size)
+    shape = (model.config.seq_len, np.shape(z)[0], model.config.vocab_size)
     if np.shape(uniforms) != shape:
         raise ShapeError(f"uniforms must have shape {shape}, got {np.shape(uniforms)}")
     first = gumbel_softmax(decode_first_token(model, z), tau, uniforms[0])

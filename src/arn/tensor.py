@@ -3,8 +3,9 @@
 Define-by-run: each operation closes over its inputs and appends itself to
 an implicit graph through parent links; ``backward`` on a scalar root does a
 topological sweep and accumulates chain-rule contributions (summing over
-multiple uses). Double precision throughout unless a float32 array is passed
-in explicitly.
+multiple uses). An op computes in the dtype of its array operands, so a
+graph built from float32 parameters stays float32: a Python or 0-d scalar
+operand takes the dtype of the tensor it meets.
 """
 
 import contextlib
@@ -31,7 +32,11 @@ def no_grad():
 
 
 def _as_array(data):
-    """Float arrays are wrapped as they are (no copy); anything else becomes float64."""
+    """Float arrays are wrapped as they are (no copy); anything else becomes float64.
+
+    A scalar meeting a tensor in an op is cast by Tensor._lift instead, since
+    a float64 0-d array would promote a float32 operand.
+    """
     arr = np.asarray(data)
     if arr.dtype in (np.float32, np.float64):
         return arr
@@ -61,8 +66,14 @@ class Tensor:
     # -- construction helpers -------------------------------------------------
 
     @staticmethod
-    def _lift(x):
-        return x if isinstance(x, Tensor) else Tensor(x)
+    def _lift(x, like=None):
+        """x as a Tensor; a Python or 0-d scalar takes the dtype of the tensor like."""
+        if isinstance(x, Tensor):
+            return x
+        # isinstance first: np.ndim of a Python number costs about 2 us
+        if like is not None and (isinstance(x, (int, float)) or np.ndim(x) == 0):
+            return Tensor(np.asarray(x, like.data.dtype))
+        return Tensor(x)
 
     @staticmethod
     def _make(data, parents, backward):
@@ -135,7 +146,7 @@ class Tensor:
     # -- arithmetic -----------------------------------------------------------
 
     def __add__(self, other):
-        other = Tensor._lift(other)
+        other = Tensor._lift(other, self)
         a, b = self, other
         try:
             data = a.data + b.data
@@ -155,13 +166,13 @@ class Tensor:
         return Tensor._make(-a.data, (a,), lambda g: a._accum(-g))
 
     def __sub__(self, other):
-        return self + (-Tensor._lift(other))
+        return self + (-Tensor._lift(other, self))
 
     def __rsub__(self, other):
-        return Tensor._lift(other) + (-self)
+        return Tensor._lift(other, self) + (-self)
 
     def __mul__(self, other):
-        other = Tensor._lift(other)
+        other = Tensor._lift(other, self)
         a, b = self, other
         try:
             data = a.data * b.data
@@ -257,9 +268,9 @@ class Tensor:
         return Tensor._make(data, (a,), lambda g: a._accum(g * data * (1.0 - data)))
 
     def log_sigmoid(self):
-        """log(sigmoid(x)) computed as -softplus(-x); safe for large |x|."""
+        """log(sigmoid(x)) as min(x, 0) - log1p(exp(-|x|)): exp never overflows, in any dtype."""
         a = self
-        data = np.where(a.data >= 0, -np.log1p(np.exp(-a.data)), a.data - np.log1p(np.exp(a.data)))
+        data = np.minimum(a.data, 0.0) - np.log1p(np.exp(-np.abs(a.data)))
         sig = kernels.sigmoid(a.data)
         return Tensor._make(data, (a,), lambda g: a._accum(g * (1.0 - sig)))
 
@@ -373,7 +384,7 @@ class _LstmTape:
 
     def __init__(self, wh, b, tlen, bsz):
         self.wh, self.b = wh, b
-        self.h = np.zeros((tlen + 1, bsz, wh.shape[0]))
+        self.h = np.zeros((tlen + 1, bsz, wh.shape[0]), wh.dtype)
         self.c = np.zeros_like(self.h)
         self.saved = []
 
@@ -439,14 +450,17 @@ def gumbel_lstm_sequence(y0, emb, wx, wh, b, proj_w, proj_b, gumbel, tau):
     From the (B, V) first row y0, step t embeds row t - 1 by the (V, D)
     table, runs the LSTM and the projection, and emits
     softmax((logits + gumbel[t - 1]) / tau). Returns the
-    (len(gumbel) + 1, B, V) rows.
+    (len(gumbel) + 1, B, V) rows, in the dtype of emb; the gumbel array is
+    cast to it.
     """
     y0, emb, wx, wh, b, proj_w, proj_b = (Tensor._lift(t) for t in (y0, emb, wx, wh, b, proj_w, proj_b))
+    dtype = emb.data.dtype
+    gumbel = np.asarray(gumbel, dtype)
     steps, bsz, vocab = gumbel.shape
     _check_lstm_weights(wx, wh, b, emb.data.shape[1])
-    rows = np.empty((steps + 1, bsz, vocab))
+    rows = np.empty((steps + 1, bsz, vocab), dtype)
     rows[0] = y0.data
-    x = np.empty((steps, bsz, emb.data.shape[1]))
+    x = np.empty((steps, bsz, emb.data.shape[1]), dtype)
     tape = _LstmTape(wh.data, b.data, steps, bsz)
     for t in range(steps):
         x[t] = rows[t] @ emb.data
@@ -455,7 +469,7 @@ def gumbel_lstm_sequence(y0, emb, wx, wh, b, proj_w, proj_b, gumbel, tau):
 
     def backward(g):
         d_logits, d_x = np.empty_like(rows[1:]), np.empty_like(x)
-        d_pre = np.empty((steps, bsz, 4 * tape.h.shape[2]))
+        d_pre = np.empty((steps, bsz, 4 * tape.h.shape[2]), dtype)
         dy, dh_next, dc = g[steps], 0.0, np.zeros_like(tape.h[0])
         for t in reversed(range(steps)):
             y = rows[t + 1]

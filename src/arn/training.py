@@ -136,10 +136,10 @@ def optimizer_step(params: dict, state: AdamState, lr: float):
     for name, g in grads.items():
         p = params[name]
         if name not in state.m:
-            state.m[name] = np.zeros(p.data.size)
-            state.v[name] = np.zeros(p.data.size)
-        kernels.adam_update(p.data.reshape(-1), g.reshape(-1).astype(np.float64, copy=False),
-                            state.m[name], state.v[name], state.t, lr, ADAM_BETA1, ADAM_BETA2, ADAM_EPS)
+            state.m[name] = np.zeros(p.data.size, p.data.dtype)
+            state.v[name] = np.zeros(p.data.size, p.data.dtype)
+        kernels.adam_update(p.data.reshape(-1), g.reshape(-1), state.m[name], state.v[name],
+                            state.t, lr, ADAM_BETA1, ADAM_BETA2, ADAM_EPS)
 
 
 def sample_batch(corpus_ids: np.ndarray, batch_size: int, rng) -> np.ndarray:
@@ -256,7 +256,8 @@ def load_checkpoint(path) -> ArnModel:
 
     Before any payload is allocated, the header and the payload sizes it
     declares must add up to the file size; each payload is then read once,
-    straight into its parameter array.
+    straight into its parameter array. The model takes the dtype its
+    parameter tensors share.
     """
     with open(path, "rb") as fh:
         if fh.read(4) != CHECKPOINT_MAGIC:
@@ -311,6 +312,10 @@ def load_checkpoint(path) -> ArnModel:
     if tensors.keys() != shapes.keys():
         raise ConfigError(f"{path}: missing tensors {sorted(shapes.keys() - tensors.keys())}, "
                           f"unexpected tensors {sorted(tensors.keys() - shapes.keys())}")
+    dtypes = {data.dtype.name for data in tensors.values()}
+    if len(dtypes) > 1:
+        raise ConfigError(f"{path}: parameters mix dtypes {sorted(dtypes)}")
+    (model.config.dtype,) = dtypes
     for name, data in tensors.items():
         if data.shape != shapes[name]:
             raise ConfigError(f"{path}: {name} has shape {data.shape}, expected {shapes[name]}")

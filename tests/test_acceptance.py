@@ -175,7 +175,8 @@ def test_07_metric_oracles():
     _report("7 metric oracles", "200 micro-corpora exact; worked examples reproduce")
 
 
-def test_08_desk_scale_training_smoke():
+def _desk_training_smoke(dtype):
+    """Train the desk preset in dtype on a known Markov source, then check its samples."""
     t0 = time.time()
     src_rng = np.random.default_rng(7)
     src = corpus.MarkovSource(
@@ -184,10 +185,12 @@ def test_08_desk_scale_training_smoke():
     )
     ids = corpus.sample_markov(src, 8, 2000, np.random.default_rng(8))
     cfg = ArnConfig.preset("desk")
+    cfg.dtype = dtype
     rngs = training.rng_streams(3)
     model = ArnModel.initialized(cfg, rngs["init"])
     model, trace = training.train(model, ids, TrainConfig(batch_size=32, steps=5000, seed=3))
     assert len(trace) == 5000  # no NaN abort
+    assert all(p.data.dtype == np.dtype(dtype) for p in model.params.values())
     gen_rng = np.random.default_rng(99)
     gen = generate_batch(model, gen_rng.standard_normal((3000, cfg.d_latent)), gen_rng)
     tv = corpus.tv_distance(
@@ -199,10 +202,16 @@ def test_08_desk_scale_training_smoke():
     assert abs(div_gen - div_src) <= 15.0
     elapsed = time.time() - t0
     assert elapsed < 900
-    _report(
-        "8 training smoke",
-        f"bigram TV {tv:.3f} <= 0.2, Diversity-2 gap {abs(div_gen - div_src):.2f} <= 15, {elapsed:.0f}s",
-    )
+    return f"bigram TV {tv:.3f} <= 0.2, Diversity-2 gap {abs(div_gen - div_src):.2f} <= 15, {elapsed:.0f}s"
+
+
+def test_08_desk_scale_training_smoke():
+    _report("8 training smoke", _desk_training_smoke("float64"))
+
+
+def test_08_float32_twin():
+    """ACCEPTANCE 8 with a float32 desk model, at the same bounds."""
+    _report("8 training smoke, float32", _desk_training_smoke("float32"))
 
 
 def test_09_lambda_zero_matches_elbo_only_reference():

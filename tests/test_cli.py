@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from arn import cli, corpus, networks, training
 from arn.errors import ArnError
 from arn.networks import ArnConfig, ArnModel
+from arn.tensor import Tensor
 
 
 @pytest.fixture
@@ -126,6 +128,26 @@ class TestGenerate:
         training.save_checkpoint(str(path), model)
         assert run(["generate", "--checkpoint", str(path)]) == 2
 
+    def test_mixed_dtype_checkpoint(self, checkpoint, tmp_path, capsys):
+        model = training.load_checkpoint(checkpoint)
+        model.params["gen.b"] = Tensor(model.params["gen.b"].data.astype(np.float32))
+        path = tmp_path / "mixed.arn"
+        training.save_checkpoint(str(path), model)
+        assert run(["generate", "--checkpoint", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and "mix dtypes" in err
+
+    def test_float32_checkpoint(self, tmp_path, markov_corpus_file):
+        model = ArnModel.initialized(dataclasses.replace(ArnConfig.preset("desk"), dtype="float32"),
+                                     training.rng_streams(2)["init"])
+        path = tmp_path / "f32.arn"
+        training.save_checkpoint(str(path), model)
+        out = tmp_path / "gen.txt"
+        assert run(["generate", "--checkpoint", str(path), "--mode", "decoded-x1", "--count", "4",
+                    "--seed-corpus", markov_corpus_file, "--out", str(out)]) == 0
+        rows = [line.split() for line in out.read_text().splitlines()]
+        assert len(rows) == 4 and all(len(r) == 8 and all(0 <= int(t) < 8 for t in r) for r in rows)
+
     def test_fixed_seed_identical(self, checkpoint, tmp_path):
         outs = []
         for name in ("a.txt", "b.txt"):
@@ -238,6 +260,23 @@ class TestEvaluate:
         gen = tmp_path / "gen.txt"
         gen.write_text("a b c\n")
         assert run(["evaluate", "--generated", str(gen), "--test", str(gen), "--orders", orders]) == 2
+
+
+class TestGradcheck:
+    def test_paper_preset_audits_a_float64_model(self, monkeypatch):
+        class Stop(Exception):
+            pass
+
+        dtypes = []
+
+        def first_probe(f, x, eps=1e-5):
+            dtypes.append(x.data.dtype)
+            raise Stop  # the paper-size audit itself would take hours
+
+        monkeypatch.setattr(cli, "grad_check", first_probe)
+        with pytest.raises(Stop):
+            run(["gradcheck", "--preset", "paper"])
+        assert dtypes == [np.float64]
 
 
 class TestDivlab:

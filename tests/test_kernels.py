@@ -112,19 +112,32 @@ def whole_array_adam(param, grad, m, v, t, lr, beta1, beta2, eps):
 BLOCK = kernels.ADAM_BLOCK
 
 
-@pytest.mark.parametrize("size", [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 17])
-def test_blocked_adam_equals_whole_array_update_bit_for_bit(rng, size):
+ADAM_SIZES = [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 17]
+
+
+def assert_blocked_adam_is_whole_array_adam(rng, size, dtype):
     lr, beta1, beta2, eps = 1e-3, 0.9, 0.999, 1e-8
-    param = rng.standard_normal(size)
-    m, v = np.zeros(size), np.zeros(size)
+    param = rng.standard_normal(size).astype(dtype)
+    m, v = np.zeros(size, dtype), np.zeros(size, dtype)
     ref_p, ref_m, ref_v = param.copy(), m.copy(), v.copy()
     for t in range(1, 5):
-        grad = rng.standard_normal(size) * 10.0 ** rng.integers(-6, 3, size)
+        grad = (rng.standard_normal(size) * 10.0 ** rng.integers(-6, 3, size)).astype(dtype)
         kernels.adam_update(param, grad, m, v, t, lr, beta1, beta2, eps)
         whole_array_adam(ref_p, grad, ref_m, ref_v, t, lr, beta1, beta2, eps)
         np.testing.assert_array_equal(m, ref_m)
         np.testing.assert_array_equal(v, ref_v)
         np.testing.assert_array_equal(param, ref_p)
+    assert param.dtype == m.dtype == v.dtype == dtype
+
+
+@pytest.mark.parametrize("size", ADAM_SIZES)
+def test_blocked_adam_equals_whole_array_update_bit_for_bit(rng, size):
+    assert_blocked_adam_is_whole_array_adam(rng, size, np.float64)
+
+
+@pytest.mark.parametrize("size", ADAM_SIZES)
+def test_blocked_float32_adam_equals_whole_array_update_bit_for_bit(rng, size):
+    assert_blocked_adam_is_whole_array_adam(rng, size, np.float32)
 
 
 def test_adam_update_makes_no_parameter_size_temporary(rng):

@@ -42,6 +42,19 @@ class TestForward:
             Tensor(x).log_softmax().data, np.log(Tensor(x).softmax().data), atol=1e-12
         )
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_log_sigmoid_extremes(self, dtype):
+        # exp(|x|) overflows past 88 in float32 and past 709 in float64
+        x = np.array([-800.0, -100.0, -3.0, 0.0, 3.0, 100.0, 800.0], dtype)
+        out = Tensor(x).log_sigmoid().data
+        assert out.dtype == dtype
+        np.testing.assert_allclose(out, -np.logaddexp(0.0, -x.astype(np.float64)), rtol=1e-6, atol=1e-40)
+
+    def test_scalar_operands_keep_float32(self):
+        x = Tensor(np.ones(3, np.float32))
+        for out in (x * 0.5, x + 1, 2 - x, x - np.float64(1.0), x * np.asarray(2.0), x / 4, x.mean()):
+            assert out.data.dtype == np.float32
+
 
 class TestBackward:
     def test_identity_root(self):

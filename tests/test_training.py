@@ -298,6 +298,24 @@ class TestCheckpoint:
         for k, v in m.params.items():
             assert loaded.params[k].data.tobytes() == v.data.tobytes()
 
+    def test_float32_roundtrip(self, tmp_path):
+        m = ArnModel.initialized(dataclasses.replace(TINY, dtype="float32"), np.random.default_rng(23))
+        path = tmp_path / "model.arn"
+        training.save_checkpoint(str(path), m)
+        loaded = training.load_checkpoint(str(path))
+        assert loaded.config == m.config and loaded.config.dtype == "float32"
+        for k, v in m.params.items():
+            assert loaded.params[k].data.dtype == np.float32
+            assert loaded.params[k].data.tobytes() == v.data.tobytes()
+
+    def test_mixed_dtypes_are_a_config_error(self, tmp_path):
+        m = tiny_model(23)
+        m.params["gen.b"] = Tensor(m.params["gen.b"].data.astype(np.float32))
+        path = tmp_path / "model.arn"
+        training.save_checkpoint(str(path), m)
+        with pytest.raises(ConfigError, match="mix dtypes"):
+            training.load_checkpoint(str(path))
+
     def test_magic_and_layout(self, tmp_path):
         m = tiny_model(24)
         path = tmp_path / "model.arn"
