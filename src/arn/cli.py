@@ -169,7 +169,7 @@ def gradcheck_report(preset: str, seed: int) -> dict:
     gumbel = rngs["gumbel"].random((cfg.seq_len, 2, cfg.vocab_size))
     # the discriminator probes perturb no generator parameter, so one fake serves them all
     with no_grad():
-        fake = networks.generate_relaxed_batch(model, z_adv, 0.8, gumbel)
+        (fake,) = networks.generate_relaxed_batch(model, 0.8, (z_adv, gumbel))
 
     def elbo_loss(m):
         return training.generator_loss(m, ids, noise, None, 1.0)[0]
@@ -178,7 +178,7 @@ def gradcheck_report(preset: str, seed: int) -> dict:
         return training.discriminator_loss(m, ids, fake)
 
     def gen_adv_loss(m):
-        fake = networks.generate_relaxed_batch(m, z_adv, 0.8, gumbel)
+        (fake,) = networks.generate_relaxed_batch(m, 0.8, (z_adv, gumbel))
         return training.generator_loss(m, ids, noise, fake, 1.0)[0]
 
     report = {}

@@ -76,9 +76,15 @@ def gumbel_noise(uniform_noise) -> np.ndarray:
 
     Always float64: in float32 the clamp 1 - 1e-12 rounds to 1 and the draw
     to infinity, so a float32 caller casts the result, not the uniforms.
+    The draws are computed in place in one new buffer; the uniforms are not
+    written.
     """
-    u = np.clip(np.asarray(uniform_noise, dtype=np.float64), _NOISE_CLAMP, 1.0 - _NOISE_CLAMP)
-    return -np.log(-np.log(u))
+    g = np.maximum(uniform_noise, _NOISE_CLAMP, dtype=np.float64)
+    np.minimum(g, 1.0 - _NOISE_CLAMP, out=g)
+    np.log(g, out=g)
+    np.negative(g, out=g)
+    np.log(g, out=g)
+    return np.negative(g, out=g)
 
 
 def gumbel_softmax(logits, tau: float, uniform_noise, hard=False) -> Tensor:

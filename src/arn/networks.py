@@ -205,20 +205,28 @@ def draw_latents(model: ArnModel, mode, rng, count, seed_tokens=None) -> np.ndar
         return q.mu.data + np.exp(0.5 * q.log_var.data) * rng.standard_normal((count, dz))
 
 
-def generate_relaxed_batch(model: ArnModel, z, tau: float, uniforms) -> Tensor:
-    """Differentiable sampling: a (T, B, V) soft sequence of relaxed one-hot rows.
+def generate_relaxed_batch(model: ArnModel, tau: float, *draws) -> list:
+    """Differentiable sampling of one or more batches, run as one generator batch.
 
-    uniforms is the (T, B, V) array of U(0, 1) draws behind each step's
-    Gumbel noise, first token first; tau is the Gumbel-softmax temperature.
+    Each draw is a (z, uniforms) pair: (B_i, d_z) latents and the (T, B_i,
+    V) array of U(0, 1) draws behind each step's Gumbel noise, first token
+    first; tau is the Gumbel-softmax temperature. Returns one (T, B_i, V)
+    soft sequence of relaxed one-hot rows per pair, in order. Each pair
+    decodes its own first token, and each sequence's backward covers only
+    its own rows, so its values and gradients are those of a call with that
+    pair alone.
     """
-    shape = (model.config.seq_len, np.shape(z)[0], model.config.vocab_size)
-    if np.shape(uniforms) != shape:
-        raise ShapeError(f"uniforms must have shape {shape}, got {np.shape(uniforms)}")
-    first = gumbel_softmax(decode_first_token(model, z), tau, uniforms[0])
+    firsts, noise = [], []
+    for z, uniforms in draws:
+        shape = (model.config.seq_len, np.shape(z)[0], model.config.vocab_size)
+        if np.shape(uniforms) != shape:
+            raise ShapeError(f"uniforms must have shape {shape}, got {np.shape(uniforms)}")
+        firsts.append(gumbel_softmax(decode_first_token(model, z), tau, uniforms[0]))
+        noise.append(gumbel_noise(uniforms[1:]))
     p = model.params
     return gumbel_lstm_sequence(
-        first, p["emb"], p["gen.wx"], p["gen.wh"], p["gen.b"], p["gen.proj_w"], p["gen.proj_b"],
-        gumbel_noise(uniforms[1:]), tau)
+        firsts, p["emb"], p["gen.wx"], p["gen.wh"], p["gen.b"], p["gen.proj_w"], p["gen.proj_b"],
+        np.concatenate(noise, axis=1, dtype=model.config.dtype), tau)
 
 
 def one_hot_rows(ids: np.ndarray, vocab_size: int) -> Tensor:

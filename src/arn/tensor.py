@@ -43,6 +43,11 @@ def _as_array(data):
     return arr.astype(np.float64)
 
 
+def _matmul_t(x, w):
+    """x @ w.T as a C-contiguous (w @ x.T).T: BLAS reads a C-ordered table w as it is stored."""
+    return np.ascontiguousarray((w @ x.T).T)
+
+
 def _unbroadcast(grad, shape):
     """Sum a broadcast gradient back down to ``shape``."""
     while grad.ndim > len(shape):
@@ -201,7 +206,7 @@ class Tensor:
 
         def backward(g):
             if a.requires_grad:
-                a._accum(g @ b.data.T, owned=True)
+                a._accum(_matmul_t(g, b.data), owned=True)
             if b.requires_grad:
                 b._accum(a.data.T @ g, owned=True)
 
@@ -379,7 +384,8 @@ class _LstmTape:
     """An LSTM run from the zero state, kept for its reverse loop.
 
     h[t] and c[t] are the states entering step t; the caller supplies each
-    step's input projection x_t @ wx.
+    step's input projection x_t @ wx. The backward methods take the batch
+    rows they cover, so one run can serve several independent batches.
     """
 
     def __init__(self, wh, b, tlen, bsz):
@@ -395,13 +401,14 @@ class _LstmTape:
         self.saved.append(saved)
         return self.h[t + 1]
 
-    def backward_step(self, t, dh, dc):
+    def backward_step(self, t, dh, dc, rows=slice(None)):
         """(d_pre, dL/dc[t]) of step t from dL/dh[t + 1] and dL/dc[t + 1]."""
-        return kernels.lstm_cell_backward(np.concatenate([dh, dc], axis=1), self.c[t], *self.saved[t])
+        saved = (a[rows] for a in self.saved[t])
+        return kernels.lstm_cell_backward(np.concatenate([dh, dc], axis=1), self.c[t, rows], *saved)
 
-    def accum_weights(self, x, d_pre, wx, wh, b):
+    def accum_weights(self, x, d_pre, wx, wh, b, rows=slice(None)):
         """Weight gradients from the (T*B, 4H) d_pre rows, one GEMM per matrix."""
-        for w, inp in ((wx, x), (wh, self.h[:-1])):
+        for w, inp in ((wx, x), (wh, self.h[:-1, rows])):
             if w.requires_grad:
                 w._accum(inp.reshape(len(d_pre), inp.shape[-1]).T @ d_pre, owned=True)
         b._accum(d_pre.sum(axis=0))
@@ -435,7 +442,7 @@ def lstm_sequence(x, wx, wh, b):
         dh_next, dc = 0.0, np.zeros_like(tape.h[0])
         for t in reversed(range(tlen)):
             d_pre[t], dc = tape.backward_step(t, g[t] + dh_next, dc)
-            dh_next = d_pre[t] @ wh.data.T
+            dh_next = _matmul_t(d_pre[t], wh.data)
         d_pre = d_pre.reshape(tlen * bsz, xw.shape[2])
         if x.requires_grad:
             x._accum((d_pre @ wx.data.T).reshape(x.data.shape))
@@ -444,22 +451,32 @@ def lstm_sequence(x, wx, wh, b):
     return Tensor._make(tape.h[1:], (x, wx, wh, b), backward)
 
 
-def gumbel_lstm_sequence(y0, emb, wx, wh, b, proj_w, proj_b, gumbel, tau):
-    """Free-running Gumbel-softmax LSTM generator, as one node.
+def gumbel_lstm_sequence(y0s, emb, wx, wh, b, proj_w, proj_b, gumbel, tau):
+    """Free-running Gumbel-softmax LSTM generator over one or more batches, run as one batch.
 
-    From the (B, V) first row y0, step t embeds row t - 1 by the (V, D)
+    From the (B_i, V) first rows y0s, step t embeds row t - 1 by the (V, D)
     table, runs the LSTM and the projection, and emits
-    softmax((logits + gumbel[t - 1]) / tau). Returns the
-    (len(gumbel) + 1, B, V) rows, in the dtype of emb; the gumbel array is
-    cast to it.
+    softmax((logits + gumbel[t - 1]) / tau); gumbel is (steps, sum of B_i,
+    V), its columns in the order of y0s. Returns one (steps + 1, B_i, V)
+    node per first row, in the dtype of emb; the gumbel array is cast to it.
+    Each node's backward covers only its own rows, so its gradients are
+    those of a run over its batch alone.
     """
-    y0, emb, wx, wh, b, proj_w, proj_b = (Tensor._lift(t) for t in (y0, emb, wx, wh, b, proj_w, proj_b))
+    y0s = [Tensor._lift(y) for y in y0s]
+    emb, wx, wh, b, proj_w, proj_b = (Tensor._lift(t) for t in (emb, wx, wh, b, proj_w, proj_b))
     dtype = emb.data.dtype
     gumbel = np.asarray(gumbel, dtype)
     steps, bsz, vocab = gumbel.shape
+    slices, stop = [], 0
+    for y0 in y0s:
+        slices.append(slice(stop, stop + len(y0.data)))
+        stop = slices[-1].stop
+    if stop != bsz:
+        raise ShapeError(f"first rows {[y.shape for y in y0s]} need {stop} noise columns, got {bsz}")
     _check_lstm_weights(wx, wh, b, emb.data.shape[1])
     rows = np.empty((steps + 1, bsz, vocab), dtype)
-    rows[0] = y0.data
+    for y0, sl in zip(y0s, slices):
+        rows[0, sl] = y0.data
     x = np.empty((steps, bsz, emb.data.shape[1]), dtype)
     tape = _LstmTape(wh.data, b.data, steps, bsz)
     for t in range(steps):
@@ -467,28 +484,33 @@ def gumbel_lstm_sequence(y0, emb, wx, wh, b, proj_w, proj_b, gumbel, tau):
         h = tape.step(t, x[t] @ wx.data)
         rows[t + 1] = kernels.softmax_rows((h @ proj_w.data + proj_b.data + gumbel[t]) * (1.0 / tau))
 
-    def backward(g):
-        d_logits, d_x = np.empty_like(rows[1:]), np.empty_like(x)
-        d_pre = np.empty((steps, bsz, 4 * tape.h.shape[2]), dtype)
-        dy, dh_next, dc = g[steps], 0.0, np.zeros_like(tape.h[0])
-        for t in reversed(range(steps)):
-            y = rows[t + 1]
-            d_logits[t] = (y * (dy - (dy * y).sum(axis=-1, keepdims=True))) * (1.0 / tau)
-            d_pre[t], dc = tape.backward_step(t, d_logits[t] @ proj_w.data.T + dh_next, dc)
-            dh_next = d_pre[t] @ wh.data.T
-            d_x[t] = d_pre[t] @ wx.data.T
-            dy = g[t] + d_x[t] @ emb.data.T
-        y0._accum(dy)
-        rows_in = steps * bsz
-        tape.accum_weights(x, d_pre.reshape(rows_in, d_pre.shape[2]), wx, wh, b)
-        d_logits = d_logits.reshape(rows_in, vocab)
-        if emb.requires_grad:
-            emb._accum(rows[:-1].reshape(rows_in, vocab).T @ d_x.reshape(rows_in, x.shape[2]), owned=True)
-        if proj_w.requires_grad:
-            proj_w._accum(tape.h[1:].reshape(rows_in, tape.h.shape[2]).T @ d_logits, owned=True)
-        proj_b._accum(d_logits.sum(axis=0))
+    def node(y0, sl):
+        def backward(g):
+            n, hdim = g.shape[1], tape.h.shape[2]
+            d_logits, d_x = np.empty((steps, n, vocab), dtype), np.empty((steps, n, x.shape[2]), dtype)
+            d_pre = np.empty((steps, n, 4 * hdim), dtype)
+            dy, dh_next, dc = g[steps], 0.0, np.zeros((n, hdim), dtype)
+            for t in reversed(range(steps)):
+                y = rows[t + 1, sl]
+                d_logits[t] = (y * (dy - (dy * y).sum(axis=-1, keepdims=True))) * (1.0 / tau)
+                d_pre[t], dc = tape.backward_step(t, _matmul_t(d_logits[t], proj_w.data) + dh_next, dc, sl)
+                dh_next = _matmul_t(d_pre[t], wh.data)
+                d_x[t] = _matmul_t(d_pre[t], wx.data)
+                dy = g[t] + _matmul_t(d_x[t], emb.data)
+            y0._accum(dy)
+            rows_in = steps * n
+            tape.accum_weights(x[:, sl], d_pre.reshape(rows_in, 4 * hdim), wx, wh, b, sl)
+            d_logits = d_logits.reshape(rows_in, vocab)
+            if emb.requires_grad:
+                emb._accum(rows[:-1, sl].reshape(rows_in, vocab).T @ d_x.reshape(rows_in, x.shape[2]),
+                           owned=True)
+            if proj_w.requires_grad:
+                proj_w._accum(tape.h[1:, sl].reshape(rows_in, hdim).T @ d_logits, owned=True)
+            proj_b._accum(d_logits.sum(axis=0))
 
-    return Tensor._make(rows, (y0, emb, wx, wh, b, proj_w, proj_b), backward)
+        return Tensor._make(rows[:, sl], (y0, emb, wx, wh, b, proj_w, proj_b), backward)
+
+    return [node(y0, sl) for y0, sl in zip(y0s, slices)]
 
 
 def straight_through_hard(y):

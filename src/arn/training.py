@@ -19,7 +19,7 @@ from . import kernels, networks
 from .distributions import kl_gauss_std, reparam_sample
 from .errors import ConfigError, NumericsError, TrainingAborted
 from .networks import ArnConfig, ArnModel
-from .tensor import Tensor, no_grad
+from .tensor import Tensor
 
 CHECKPOINT_MAGIC = b"ARN1"
 CHECKPOINT_VERSION = 1
@@ -165,35 +165,39 @@ def train(model: ArnModel, corpus_ids: np.ndarray, cfg: TrainConfig,
     lr = cfg.lr
     halved = False
 
-    def relaxed_fake(tau):  # z, then the uniforms: a seeded run depends on this order
-        shape = (model.config.seq_len, cfg.batch_size, model.config.vocab_size)
-        z = rngs["noise"].standard_normal((cfg.batch_size, model.config.d_latent))
-        return networks.generate_relaxed_batch(model, z, tau, rngs["gumbel"].random(shape))
-
+    latent = (cfg.batch_size, model.config.d_latent)
+    uniform = (model.config.seq_len, cfg.batch_size, model.config.vocab_size)
     trace_file = open(trace_path, "w", encoding="utf-8") if trace_path else None
     try:
         for step in range(cfg.steps):
             tau = cfg.tau_at(step)
-            d_loss_val = 0.0
+            d_loss_val, fake = 0.0, None
             try:
                 if cfg.lambda_adv > 0:
                     batch = sample_batch(corpus_ids, cfg.batch_size, rngs["data"])
-                    with no_grad():
-                        fake = relaxed_fake(tau)
-                    d_loss = discriminator_loss(model, batch, fake)
+                    # D's update changes no generator parameter, so one generator pass makes
+                    # D's fakes and G's. A seeded run depends on the order of each stream:
+                    # z_D, the ELBO noise, z_G; then u_D, u_G.
+                    z_d, noise, z_g = (rngs["noise"].standard_normal(latent) for _ in range(3))
+                    gumbel = rngs["gumbel"]
+                    fake_d, fake = networks.generate_relaxed_batch(
+                        model, tau, (z_d, gumbel.random(uniform)), (z_g, gumbel.random(uniform)))
+                    d_loss = discriminator_loss(model, batch, Tensor(fake_d.data))
                     if not np.isfinite(d_loss.data):
                         raise NumericsError("non-finite discriminator loss")
                     d_loss.backward()
                     optimizer_step(model.discriminator_params(), d_state, lr)
                     d_loss_val = float(d_loss.data)
+                    del d_loss, fake_d  # the D graph, before the G phase builds its own
+                else:
+                    noise = rngs["noise"].standard_normal(latent)
                 batch = sample_batch(corpus_ids, cfg.batch_size, rngs["data"])
-                noise = rngs["noise"].standard_normal((cfg.batch_size, model.config.d_latent))
-                fake = relaxed_fake(tau) if cfg.lambda_adv > 0 else None
                 g_loss, fields = generator_loss(model, batch, noise, fake, cfg.lambda_adv)
                 if not np.isfinite(g_loss.data):
                     raise NumericsError("non-finite generator loss")
                 g_loss.backward()
                 optimizer_step(model.generator_params(), g_state, lr)
+                del g_loss, fake  # the G graph, before the next step builds its own
             except NumericsError as exc:
                 if halved:
                     if checkpoint_path:

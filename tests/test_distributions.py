@@ -6,6 +6,7 @@ import pytest
 from arn.distributions import (
     Categorical,
     GaussianPosterior,
+    gumbel_noise,
     gumbel_softmax,
     js_categorical,
     kl_categorical,
@@ -121,6 +122,18 @@ class TestGumbel:
             return (y * Tensor(np.linspace(-1, 1, 6))).sum()
 
         assert grad_check(f, Tensor(rng.standard_normal(6))) <= 1e-5
+
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_noise_is_the_out_of_place_formula_and_leaves_the_uniforms(self, dtype):
+        u = np.random.default_rng(8).random((3, 4, 5)).astype(dtype)
+        u[0, 0, :3] = [0.0, 1.0, 1.0 - 1e-13]
+        before = u.copy()
+        want = -np.log(-np.log(np.clip(u.astype(np.float64), 1e-12, 1.0 - 1e-12)))
+        got = gumbel_noise(u)
+        assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+        assert u.tobytes() == before.tobytes()
+        assert np.all(np.isfinite(got))
 
 
 class TestCategoricalDivergences:

@@ -114,7 +114,7 @@ def test_gumbel_noise_near_one_stays_finite_in_float32():
     # 1 - 1e-13 is clamped to 1 - 1e-12, which float32 would round to 1
     u = np.random.default_rng(5).random((F32.seq_len, 3, F32.vocab_size))
     u[:, :, 7] = 1.0 - 1e-13
-    rows = networks.generate_relaxed_batch(f32_model(6), np.zeros((3, F32.d_latent)), 0.2, u)
+    (rows,) = networks.generate_relaxed_batch(f32_model(6), 0.2, (np.zeros((3, F32.d_latent)), u))
     assert rows.data.dtype == np.float32
     assert np.all(np.isfinite(rows.data))
     y = gumbel_softmax(Tensor(np.zeros((2, 4), np.float32)), 0.5, np.full((2, 4), 1.0 - 1e-13))

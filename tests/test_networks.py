@@ -19,7 +19,7 @@ from arn.networks import (
     one_hot_rows,
     sequence_log_likelihood_batch,
 )
-from arn.tensor import Tensor, gather_rows, grad_check, lstm_cell, pick
+from arn.tensor import Tensor, gather_rows, grad_check, gumbel_lstm_sequence, lstm_cell, pick
 
 TINY = ArnConfig(seq_len=3, vocab_size=4, d_emb=5, d_hidden=6, d_latent=2)
 
@@ -166,20 +166,20 @@ class TestGenerate:
 class TestRelaxedAndDiscriminator:
     def test_relaxed_rows_sum_to_one(self, model):
         uniforms = np.random.default_rng(9).random((TINY.seq_len, 1, 4))
-        rows = generate_relaxed_batch(model, np.zeros((1, 2)), 0.7, uniforms)
+        (rows,) = generate_relaxed_batch(model, 0.7, (np.zeros((1, 2)), uniforms))
         assert rows.shape[0] == TINY.seq_len
         for row in rows:
             assert abs(row.data.sum() - 1.0) < 1e-9
 
     def test_low_temperature_near_one_hot(self, model):
         uniforms = np.random.default_rng(10).random((TINY.seq_len, 1, 4))
-        rows = generate_relaxed_batch(model, np.zeros((1, 2)), 0.01, uniforms)
+        (rows,) = generate_relaxed_batch(model, 0.01, (np.zeros((1, 2)), uniforms))
         assert all(row.data.max() > 0.99 for row in rows)
 
     @pytest.mark.parametrize("shape", [(2, 1, 4), (4, 1, 4), (3, 2, 4), (3, 1, 5)])
     def test_uniforms_must_match_sequence_shape(self, model, shape):
         with pytest.raises(ShapeError):
-            generate_relaxed_batch(model, np.zeros((1, 2)), 0.7, np.full(shape, 0.5))
+            generate_relaxed_batch(model, 0.7, (np.zeros((1, 2)), np.full(shape, 0.5)))
 
     def test_zero_discriminator_outputs_half(self, zero_model, model):
         ids = sample_noise_mode(model, np.random.default_rng(11))
@@ -214,10 +214,44 @@ class TestRelaxedAndDiscriminator:
         def f(w):
             trial = ArnModel(model.config, dict(model.params))
             trial.params["gen.wx"] = w
-            rows = generate_relaxed_batch(trial, np.array([[0.2, -0.1]]), 0.8, noise)
+            (rows,) = generate_relaxed_batch(trial, 0.8, (np.array([[0.2, -0.1]]), noise))
             return discriminator_score_batch(trial, rows).sigmoid().mean()
 
         assert grad_check(f, model.params["gen.wx"]) <= 1e-4
+
+
+@pytest.mark.parametrize("cfg,bsz", [
+    (ArnConfig.preset("desk"), 32),
+    (ArnConfig(seq_len=6, vocab_size=50, d_emb=12, d_hidden=16, d_latent=4, dtype="float32"), 8),
+])
+def test_shared_pass_equals_single_batch_calls_bit_for_bit(cfg, bsz):
+    """Two (z, uniforms) pairs run as one batch: same rows and generator gradients as one call each."""
+    rng = np.random.default_rng(17)
+    model = ArnModel.initialized(cfg, rng)
+    shape = (cfg.seq_len, bsz, cfg.vocab_size)
+    draws = [(rng.standard_normal((bsz, cfg.d_latent)), rng.random(shape)) for _ in range(2)]
+    weights = Tensor(rng.standard_normal(shape).astype(cfg.dtype))
+    shared = generate_relaxed_batch(model, 0.7, *draws)
+    assert len(shared) == 2
+    for rows, draw in zip(shared, draws):
+        (alone,) = generate_relaxed_batch(model, 0.7, draw)
+        assert rows.data.dtype == np.dtype(cfg.dtype) and rows.data.tobytes() == alone.data.tobytes()
+        grads = []
+        for out in (rows, alone):
+            (out * weights).sum().backward()
+            grads.append({n: p.grad.copy() for n, p in model.params.items() if p.grad is not None})
+        assert set(grads[0]) == set(grads[1]) == {"dec.w", "dec.b", "emb", "gen.wx", "gen.wh", "gen.b",
+                                                  "gen.proj_w", "gen.proj_b"}
+        for name, grad in grads[0].items():
+            assert grad.tobytes() == grads[1][name].tobytes(), name
+
+
+def test_shared_pass_needs_one_noise_column_per_first_row():
+    rng = np.random.default_rng(18)
+    y0s = [Tensor(np.full((2, 4), 0.25)), Tensor(np.full((1, 4), 0.25))]
+    weights = [rng.standard_normal(s) for s in ((4, 5), (5, 24), (6, 24), (24,), (6, 4), (4,))]
+    with pytest.raises(ShapeError):
+        gumbel_lstm_sequence(y0s, *weights, np.zeros((2, 4, 4)), 0.5)
 
 
 class TestPerStepReference:
@@ -239,7 +273,7 @@ class TestPerStepReference:
 
     def test_relaxed_rows_and_scores(self, model):
         z, tau = np.random.default_rng(15).standard_normal((4, 2)), 0.6
-        rows = generate_relaxed_batch(model, z, tau, np.random.default_rng(16).random((3, 4, 4)))
+        (rows,) = generate_relaxed_batch(model, tau, (z, np.random.default_rng(16).random((3, 4, 4))))
         rng = np.random.default_rng(16)
         row = gumbel_softmax(decode_first_token(model, Tensor(z)), tau, rng.random((4, 4)))
         ref, state = [row], self.zero_state(4)

@@ -189,7 +189,8 @@ SEQUENCE_OPS = {
     "gumbel_lstm_sequence": (
         {"y0": (2, 3), "emb": (3, 2), "wx": (2, 8), "wh": (2, 8), "b": (8,), "proj_w": (2, 3),
          "proj_b": (3,)},
-        gumbel_lstm_sequence, _per_step_gumbel_lstm, (_GUMBEL, 0.7), _OUT_WEIGHTS,
+        lambda y0, *rest: gumbel_lstm_sequence([y0], *rest)[0], _per_step_gumbel_lstm, (_GUMBEL, 0.7),
+        _OUT_WEIGHTS,
     ),
 }
 
@@ -290,7 +291,7 @@ class TestFirstGradientOwnership:
         batch = rng.integers(0, cfg.vocab_size, size=(bsz, cfg.seq_len))
         noise = rng.standard_normal((bsz, cfg.d_latent))
         z = rng.standard_normal((bsz, cfg.d_latent))
-        fake = networks.generate_relaxed_batch(m, z, 0.8, rng.random((cfg.seq_len, bsz, cfg.vocab_size)))
+        (fake,) = networks.generate_relaxed_batch(m, 0.8, (z, rng.random((cfg.seq_len, bsz, cfg.vocab_size))))
         loss, _ = training.generator_loss(m, batch, noise, fake, 1.0)
         loss.backward()
         grads = [(name, p.grad) for name, p in m.params.items() if p.grad is not None]

@@ -36,7 +36,20 @@ def g_phase_draws(m, rngs, bsz, tau):
     """The draws of train's G phase: ELBO noise, then z, then the Gumbel uniforms of the fake."""
     noise = rngs["noise"].standard_normal((bsz, TINY.d_latent))
     z = rngs["noise"].standard_normal((bsz, TINY.d_latent))
-    return noise, networks.generate_relaxed_batch(m, z, tau, uniforms(rngs, bsz))
+    (fake,) = networks.generate_relaxed_batch(m, tau, (z, uniforms(rngs, bsz)))
+    return noise, fake
+
+
+def nan_at_second_d_loss(monkeypatch):
+    """Make the second discriminator loss of a run NaN, which rejects that step."""
+    scored, calls = training.discriminator_loss, []
+
+    def nan_at_second_call(model, real_ids, fake):
+        calls.append(None)
+        loss = scored(model, real_ids, fake)
+        return loss + Tensor(np.nan) if len(calls) == 2 else loss
+
+    monkeypatch.setattr(training, "discriminator_loss", nan_at_second_call)
 
 
 class TestElbo:
@@ -121,7 +134,7 @@ class TestDiscriminatorLoss:
         rngs = training.rng_streams(7)
         with no_grad():
             z = rngs["noise"].standard_normal((4, TINY.d_latent))
-            fake = networks.generate_relaxed_batch(m, z, 0.8, uniforms(rngs, 4))
+            (fake,) = networks.generate_relaxed_batch(m, 0.8, (z, uniforms(rngs, 4)))
         loss = training.discriminator_loss(m, tiny_corpus(8, n=4), fake)
         loss.backward()
         for name, p in m.generator_params().items():
@@ -232,7 +245,7 @@ class TestTrainLoop:
         cfg = TrainConfig(batch_size=4, steps=1, seed=19)
         with no_grad():
             z = rngs["noise"].standard_normal((4, TINY.d_latent))
-            fake = networks.generate_relaxed_batch(m, z, 1.0, uniforms(rngs, 4))
+            (fake,) = networks.generate_relaxed_batch(m, 1.0, (z, uniforms(rngs, 4)))
         fake = Tensor(fake.data.copy())
         d_loss = training.discriminator_loss(m, corpus_ids[:4], fake)
         d_loss.backward()
@@ -249,15 +262,7 @@ class TestTrainLoop:
             assert v.data.tobytes() == disc_mid[k].tobytes()
 
     def test_nonfinite_discriminator_loss_rejects_the_step(self, tmp_path, monkeypatch):
-        scored = training.discriminator_loss
-        calls = []
-
-        def nan_at_second_call(model, real_ids, fake):
-            calls.append(None)
-            loss = scored(model, real_ids, fake)
-            return loss + Tensor(np.nan) if len(calls) == 2 else loss
-
-        monkeypatch.setattr(training, "discriminator_loss", nan_at_second_call)
+        nan_at_second_d_loss(monkeypatch)
         path = tmp_path / "trace.jsonl"
         _, trace = training.train(tiny_model(38), tiny_corpus(39),
                                   TrainConfig(batch_size=4, steps=4, seed=38), trace_path=str(path))
@@ -268,6 +273,21 @@ class TestTrainLoop:
 
         lines = path.read_text().splitlines()
         assert [json.loads(line, parse_constant=reject)["step"] for line in lines] == [0, 2, 3]
+
+    def test_rejected_d_phase_has_drawn_the_g_phase_noise(self, monkeypatch):
+        # one generator pass per step draws z_D, the ELBO noise and z_G, then u_D and u_G,
+        # before D scores anything: a rejected D phase leaves these streams where a kept one does
+        made = []
+        monkeypatch.setattr(training, "rng_streams", lambda seed, make=training.rng_streams: (
+            made.append(make(seed)) or made[-1]))
+        cfg = TrainConfig(batch_size=4, steps=4, seed=40)
+        _, kept = training.train(tiny_model(40), tiny_corpus(41), cfg)
+        nan_at_second_d_loss(monkeypatch)
+        _, rejected = training.train(tiny_model(40), tiny_corpus(41), cfg)
+        assert len(kept) == 4 and [r["step"] for r in rejected] == [0, 2, 3]
+        for name in ("noise", "gumbel"):
+            assert made[0][name].bit_generator.state == made[1][name].bit_generator.state, name
+        assert made[0]["data"].bit_generator.state != made[1]["data"].bit_generator.state
 
     def test_mle_only_elbo_trend(self):
         # deterministic cyclic source: ELBO should improve under lambda_adv=0
