@@ -56,11 +56,7 @@ def _merge_config(args, parser, argv):
 
 def _read_token_lines(path):
     """Whitespace-split tokens of every non-empty line of a UTF-8 file."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return [toks for toks in (line.split() for line in fh) if toks]
-    except UnicodeDecodeError as exc:
-        raise EncodingError(f"{path}: {exc}") from exc
+    return [toks for toks in map(str.split, corpus_mod.read_lines(path)) if toks]
 
 
 def _read_raw_ids(path, vocab_size):
@@ -282,7 +278,7 @@ def main(argv=None):
     try:
         args = _merge_config(args, parser, argv)
         return args.func(args)
-    except (OSError, EmptyInputError) as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (NumericsError, TrainingAborted) as exc:

@@ -17,13 +17,22 @@ PAD_ID = 0
 UNK_ID = 1
 
 
+def read_lines(path):
+    """Yield the lines of a UTF-8 text file without their line ends.
+
+    "\n", "\r\n" and a lone "\r" each end a line. Bytes that are not UTF-8
+    raise EncodingError naming the file.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for line in fh:
+                yield line.rstrip("\n")
+    except UnicodeDecodeError as exc:
+        raise EncodingError(f"{path}: {exc}") from exc
+
+
 def tokenize(text):
     """Lowercase and split on Unicode whitespace; punctuation stays attached."""
-    if isinstance(text, bytes):
-        try:
-            text = text.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise EncodingError(str(exc)) from exc
     return text.lower().split()
 
 
@@ -50,11 +59,7 @@ class Vocabulary:
 
     @staticmethod
     def load(path) -> "Vocabulary":
-        try:
-            with open(path, encoding="utf-8") as fh:
-                tokens = [line.rstrip("\n") for line in fh if line != "\n"]
-        except UnicodeDecodeError as exc:
-            raise EncodingError(f"{path}: {exc}") from exc
+        tokens = [line for line in read_lines(path) if line]
         if not tokens:
             raise EmptyInputError(f"{path}: empty vocabulary")
         if tokens[:2] != [PAD_TOKEN, UNK_TOKEN]:
@@ -86,12 +91,7 @@ def encode_fixed(tokens, vocab: Vocabulary, t_len: int) -> np.ndarray:
 
 def load_corpus(path, vocab: Vocabulary, t_len: int) -> np.ndarray:
     """Encode a one-sentence-per-line UTF-8 file into an (N, T) id array."""
-    rows = []
-    with open(path, "rb") as fh:
-        for raw in fh:
-            toks = tokenize(raw.rstrip(b"\n"))
-            if toks:
-                rows.append(encode_fixed(toks, vocab, t_len))
+    rows = [encode_fixed(toks, vocab, t_len) for toks in map(tokenize, read_lines(path)) if toks]
     if not rows:
         raise EmptyInputError(f"{path}: no sentences")
     return np.stack(rows)

@@ -26,10 +26,6 @@ class GaussianPosterior:
     log_var: Tensor
 
     def __post_init__(self):
-        if not isinstance(self.mu, Tensor):
-            self.mu = Tensor(self.mu)
-        if not isinstance(self.log_var, Tensor):
-            self.log_var = Tensor(self.log_var)
         if self.mu.shape != self.log_var.shape:
             raise ShapeError(f"mu/log_var shape mismatch: {self.mu.shape} vs {self.log_var.shape}")
 

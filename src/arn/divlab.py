@@ -83,19 +83,14 @@ def verify_identity(p_d: Categorical, p_g: Categorical):
     return lhs, rhs, abs(lhs - rhs)
 
 
-def _kl_js_objective_and_grad(p: np.ndarray, logits: np.ndarray):
+def _kl_js_grad(p: np.ndarray, logits: np.ndarray):
+    """The gradient of KL(p||q) + JS(p||q) w.r.t. the logits, and q = softmax(logits)."""
     q = np.exp(logits - logits.max())
     q /= q.sum()
     m = 0.5 * (p + q)
-    mask = p > 0
-    kl = float(np.sum(p[mask] * np.log(p[mask] / q[mask])))
-    js = 0.5 * float(np.sum(p[mask] * np.log(p[mask] / m[mask]))) + 0.5 * float(
-        np.sum(q * np.log(q / m))
-    )
     # d/dq of KL + JS, then chain through the softmax parameterization
     g_q = -p / q + 0.5 * np.log(q / m)
-    g_logits = q * (g_q - np.dot(q, g_q))
-    return kl + js, g_logits, q
+    return q * (g_q - np.dot(q, g_q)), q
 
 
 def solve_nash(p_d: Categorical, init: Categorical, tol: float = 1e-3,
@@ -111,7 +106,7 @@ def solve_nash(p_d: Categorical, init: Categorical, tol: float = 1e-3,
     logits = np.log(np.clip(init.probs, 1e-12, None))
     best_q, best_tv = None, math.inf
     for _ in range(max_iter):
-        _, grad, q = _kl_js_objective_and_grad(p, logits)
+        grad, q = _kl_js_grad(p, logits)
         tv = 0.5 * float(np.abs(q - p).sum())
         if tv < best_tv:
             best_tv, best_q = tv, q

@@ -23,8 +23,8 @@ def lstm_cell_forward(pre, c_prev):
     """Fused LSTM cell: gate math given preactivations.
 
     pre: (B, 4H) preactivations laid out [i | f | o | g]; c_prev: (B, H).
-    Returns (hc, saved) where hc = concat(h_new, c_new) along axis 1 and
-    saved = (i, f, o, g, tanh_c_new) for the backward pass.
+    Returns (h_new, c_new, saved), where saved = (i, f, o, g, tanh_c_new)
+    is kept for the backward pass.
     """
     bsz, hdim = c_prev.shape
     # one sigmoid over the [i|f|o] block, laid out gate-major so that each
@@ -33,26 +33,22 @@ def lstm_cell_forward(pre, c_prev):
     g = np.tanh(pre[:, 3 * hdim:])
     c_new = f * c_prev + i * g
     tc = np.tanh(c_new)
-    h_new = o * tc
-    hc = np.concatenate([h_new, c_new], axis=1)
-    return hc, (i, f, o, g, tc)
+    return o * tc, c_new, (i, f, o, g, tc)
 
 
-def lstm_cell_backward(d_hc, c_prev, i, f, o, g, tc):
+def lstm_cell_backward(dh, dc, c_prev, i, f, o, g, tc):
     """Backward of the fused cell.
 
-    d_hc: (B, 2H) gradient w.r.t. concat(h_new, c_new).
+    dh, dc: (B, H) gradients w.r.t. h_new and c_new.
     Returns (d_pre, d_c_prev).
     """
     hdim = c_prev.shape[1]
-    dh = d_hc[:, :hdim]
-    dc_in = d_hc[:, hdim:]
-    dc = dc_in + dh * o * (1.0 - tc * tc)
+    dc = dc + dh * o * (1.0 - tc * tc)
     do = dh * tc
     di = dc * g
     df = dc * c_prev
     dg = dc * i
-    d_pre = np.empty((c_prev.shape[0], 4 * hdim), dtype=d_hc.dtype)
+    d_pre = np.empty((c_prev.shape[0], 4 * hdim), dtype=dh.dtype)
     d_pre[:, :hdim] = di * i * (1.0 - i)
     d_pre[:, hdim:2 * hdim] = df * f * (1.0 - f)
     d_pre[:, 2 * hdim:3 * hdim] = do * o * (1.0 - o)

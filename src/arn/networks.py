@@ -10,6 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import kernels
 from .distributions import GaussianPosterior, gumbel_noise, gumbel_softmax
 from .errors import ConfigError, ShapeError, VocabError
 from .tensor import (
@@ -17,12 +18,6 @@ from .tensor import (
 )
 
 INIT_SCALE = 0.08
-
-
-@dataclass
-class RnnState:
-    h: Tensor
-    c: Tensor
 
 
 @dataclass
@@ -100,23 +95,12 @@ class ArnModel:
     def discriminator_params(self):
         return {k: v for k, v in self.params.items() if k.startswith("disc.")}
 
-    def copy(self) -> "ArnModel":
-        clone = ArnModel(self.config)
-        for name, p in self.params.items():
-            clone.params[name] = Tensor(p.data.copy(), requires_grad=True)
-        return clone
-
 
 def _check_ids(model, ids):
     ids = np.asarray(ids, dtype=np.int64)
     if np.any(ids < 0) or np.any(ids >= model.config.vocab_size):
         raise VocabError("token id out of vocabulary range")
     return ids
-
-
-def init_state(model: ArnModel, batch: int) -> RnnState:
-    shape, dtype = (batch, model.config.d_hidden), model.config.dtype
-    return RnnState(Tensor(np.zeros(shape, dtype)), Tensor(np.zeros(shape, dtype)))
 
 
 def encode_first_token(model: ArnModel, x1) -> GaussianPosterior:
@@ -136,17 +120,6 @@ def decode_first_token(model: ArnModel, z) -> Tensor:
     if z.data.ndim != 2 or z.shape[1] != model.config.d_latent:
         raise ShapeError(f"latents must be (B, {model.config.d_latent}), got shape {z.shape}")
     return z @ model.params["dec.w"] + model.params["dec.b"]
-
-
-def lstm_step(model: ArnModel, inp, state: RnnState):
-    """One generator step: (logits over V, next state). inp is (B, d_emb)."""
-    inp = inp if isinstance(inp, Tensor) else Tensor(inp)
-    p = model.params
-    hc = lstm_cell(inp @ p["gen.wx"] + state.h @ p["gen.wh"] + p["gen.b"], state.c)
-    hdim = model.config.d_hidden
-    new_state = RnnState(hc[:, :hdim], hc[:, hdim:])
-    logits = new_state.h @ p["gen.proj_w"] + p["gen.proj_b"]
-    return logits, new_state
 
 
 def sequence_log_likelihood_batch(model: ArnModel, ids, z) -> tuple:
@@ -174,17 +147,22 @@ def _sample_rows(probs: np.ndarray, rng) -> np.ndarray:
 
 
 def generate_batch(model: ArnModel, z: np.ndarray, rng) -> np.ndarray:
-    """Sample (B, T) hard token ids given latent draws z (B, d_z)."""
+    """Sample (B, T) hard token ids given latent draws z (B, d_z).
+
+    Forward only: after the first token, each step is one lstm_cell call on
+    the parameter arrays, so no graph is recorded.
+    """
     with no_grad():
-        bsz = z.shape[0]
-        probs = decode_first_token(model, z).softmax().data
-        ids = np.empty((bsz, model.config.seq_len), dtype=np.int64)
-        ids[:, 0] = _sample_rows(probs, rng)
-        state = init_state(model, bsz)
-        for i in range(1, model.config.seq_len):
-            inp = gather_rows(model.params["emb"], ids[:, i - 1])
-            logits, state = lstm_step(model, inp, state)
-            ids[:, i] = _sample_rows(logits.softmax().data, rng)
+        first = decode_first_token(model, z).data
+    p = {name: t.data for name, t in model.params.items()}
+    bsz, hdim = len(first), model.config.d_hidden
+    ids = np.empty((bsz, model.config.seq_len), dtype=np.int64)
+    ids[:, 0] = _sample_rows(kernels.softmax_rows(first), rng)
+    h = c = np.zeros((bsz, hdim), model.config.dtype)
+    for i in range(1, model.config.seq_len):
+        hc = lstm_cell(p["emb"][ids[:, i - 1]] @ p["gen.wx"] + h @ p["gen.wh"] + p["gen.b"], c).data
+        h, c = hc[:, :hdim], hc[:, hdim:]
+        ids[:, i] = _sample_rows(kernels.softmax_rows(h @ p["gen.proj_w"] + p["gen.proj_b"]), rng)
     return ids
 
 

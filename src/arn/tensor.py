@@ -365,19 +365,16 @@ def lstm_cell(pre, c_prev):
         4 * c_prev.data.shape[1],
     ):
         raise ShapeError(f"lstm_cell needs (B,4H) and (B,H), got {pre.data.shape}, {c_prev.data.shape}")
-    data, saved = kernels.lstm_cell_forward(
-        np.ascontiguousarray(pre.data), np.ascontiguousarray(c_prev.data)
-    )
-    i, f, o, g_gate, tc = saved
+    c_data = np.ascontiguousarray(c_prev.data)
+    h, c, saved = kernels.lstm_cell_forward(np.ascontiguousarray(pre.data), c_data)
+    hdim = c.shape[1]
 
     def backward(g):
-        d_pre, d_c = kernels.lstm_cell_backward(
-            np.ascontiguousarray(g), np.ascontiguousarray(c_prev.data), i, f, o, g_gate, tc
-        )
+        d_pre, d_c = kernels.lstm_cell_backward(g[:, :hdim], g[:, hdim:], c_data, *saved)
         pre._accum(d_pre)
         c_prev._accum(d_c)
 
-    return Tensor._make(data, (pre, c_prev), backward)
+    return Tensor._make(np.concatenate([h, c], axis=1), (pre, c_prev), backward)
 
 
 class _LstmTape:
@@ -395,16 +392,14 @@ class _LstmTape:
         self.saved = []
 
     def step(self, t, xw):
-        hc, saved = kernels.lstm_cell_forward(xw + self.h[t] @ self.wh + self.b, self.c[t])
-        hdim = self.wh.shape[0]
-        self.h[t + 1], self.c[t + 1] = hc[:, :hdim], hc[:, hdim:]
+        self.h[t + 1], self.c[t + 1], saved = kernels.lstm_cell_forward(
+            xw + self.h[t] @ self.wh + self.b, self.c[t])
         self.saved.append(saved)
         return self.h[t + 1]
 
     def backward_step(self, t, dh, dc, rows=slice(None)):
         """(d_pre, dL/dc[t]) of step t from dL/dh[t + 1] and dL/dc[t + 1]."""
-        saved = (a[rows] for a in self.saved[t])
-        return kernels.lstm_cell_backward(np.concatenate([dh, dc], axis=1), self.c[t, rows], *saved)
+        return kernels.lstm_cell_backward(dh, dc, self.c[t, rows], *(a[rows] for a in self.saved[t]))
 
     def accum_weights(self, x, d_pre, wx, wh, b, rows=slice(None)):
         """Weight gradients from the (T*B, 4H) d_pre rows, one GEMM per matrix."""

@@ -186,9 +186,13 @@ def train(model: ArnModel, corpus_ids: np.ndarray, cfg: TrainConfig,
                     if not np.isfinite(d_loss.data):
                         raise NumericsError("non-finite discriminator loss")
                     d_loss.backward()
-                    optimizer_step(model.discriminator_params(), d_state, lr)
+                    d_params = model.discriminator_params()
+                    optimizer_step(d_params, d_state, lr)
                     d_loss_val = float(d_loss.data)
-                    del d_loss, fake_d  # the D graph, before the G phase builds its own
+                    # the D graph and D's gradients, before the G phase builds its own
+                    del d_loss, fake_d
+                    for p in d_params.values():
+                        p.grad = None
                 else:
                     noise = rngs["noise"].standard_normal(latent)
                 batch = sample_batch(corpus_ids, cfg.batch_size, rngs["data"])

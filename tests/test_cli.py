@@ -92,6 +92,14 @@ class TestTrain:
                     "--steps", "1", "--out", str(tmp_path / "m.arn")]) == 2
         assert str(vocab) in capsys.readouterr().err
 
+    def test_non_utf8_word_corpus_names_the_file(self, tmp_path, capsys):
+        vocab, path = tmp_path / "vocab.txt", tmp_path / "corpus.txt"
+        vocab.write_text("<PAD>\n<UNK>\ncafe\n")
+        path.write_bytes("caf\u00e9 au lait\n".encode("latin-1"))
+        assert run(["train", "--corpus", str(path), "--vocab", str(vocab), "--steps", "1",
+                    "--out", str(tmp_path / "m.arn")]) == 2
+        assert str(path) in capsys.readouterr().err
+
     @pytest.mark.parametrize("text", ["0 1 2\n3 4\n", "0 1 a\n", "0 1 8\n", "0 -1 2\n",
                                       "99999999999999999999 1\n", "\n\n"])
     def test_bad_raw_id_corpus(self, tmp_path, text):

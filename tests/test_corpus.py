@@ -17,7 +17,7 @@ from arn.corpus import (
     tokenize,
     tv_distance,
 )
-from arn.errors import ArnError, ConfigError, EmptyInputError, VocabError
+from arn.errors import ArnError, ConfigError, EmptyInputError, EncodingError, VocabError
 
 
 class TestTokenize:
@@ -96,6 +96,23 @@ class TestEncodeFixed:
     def test_roundtrip_in_vocab(self, vocab):
         toks = ["c", "a", "e"]
         assert vocab.decode(encode_fixed(toks, vocab, 3)) == toks
+
+
+class TestLoadCorpus:
+    @pytest.fixture
+    def vocab(self):
+        return build_vocab(["a b c"], 5)
+
+    def test_every_line_end_ends_a_sentence(self, tmp_path, vocab):
+        path = tmp_path / "corpus.txt"
+        path.write_bytes(b"a B\r\nc\rb a\n\n  \nC")
+        np.testing.assert_array_equal(load_corpus(str(path), vocab, 2), [[2, 3], [4, PAD_ID], [3, 2], [4, PAD_ID]])
+
+    def test_non_utf8_names_the_file(self, tmp_path, vocab):
+        path = tmp_path / "corpus.txt"
+        path.write_bytes(b"a b\ncaf\xe9\n")
+        with pytest.raises(EncodingError, match="corpus.txt"):
+            load_corpus(str(path), vocab, 2)
 
 
 class TestMarkov:

@@ -38,10 +38,10 @@ def naive_lstm(pre, c_prev):
 def test_lstm_forward_matches_textbook_gates(rng):
     pre = rng.standard_normal((5, 16)) * 3
     c = rng.standard_normal((5, 4))
-    hc, (i, f, o, g, tc) = kernels.lstm_cell_forward(pre, c)
+    h, c_new, (i, f, o, g, tc) = kernels.lstm_cell_forward(pre, c)
     h_ref, c_ref = naive_lstm(pre, c)
-    np.testing.assert_allclose(hc[:, :4], h_ref, rtol=1e-14, atol=1e-15)
-    np.testing.assert_allclose(hc[:, 4:], c_ref, rtol=1e-14, atol=1e-15)
+    np.testing.assert_allclose(h, h_ref, rtol=1e-14, atol=1e-15)
+    np.testing.assert_allclose(c_new, c_ref, rtol=1e-14, atol=1e-15)
     np.testing.assert_allclose(tc, np.tanh(c_ref), rtol=1e-14, atol=1e-15)
     np.testing.assert_allclose(g, np.tanh(pre[:, 12:]), rtol=1e-14, atol=1e-15)
 
@@ -49,14 +49,14 @@ def test_lstm_forward_matches_textbook_gates(rng):
 def test_lstm_backward_matches_central_differences(rng):
     pre = rng.standard_normal((3, 8))
     c = rng.standard_normal((3, 2))
-    weight = rng.standard_normal((3, 4))  # loss = sum(weight * concat(h, c_new))
+    w_h, w_c = rng.standard_normal((2, 3, 2))  # loss = sum(w_h * h) + sum(w_c * c_new)
 
     def loss(p, cp):
         h, cn = naive_lstm(p, cp)
-        return float(np.sum(weight * np.concatenate([h, cn], axis=1)))
+        return float(np.sum(w_h * h) + np.sum(w_c * cn))
 
-    _, saved = kernels.lstm_cell_forward(pre, c)
-    d_pre, d_c = kernels.lstm_cell_backward(weight, c, *saved)
+    *_, saved = kernels.lstm_cell_forward(pre, c)
+    d_pre, d_c = kernels.lstm_cell_backward(w_h, w_c, c, *saved)
     eps = 1e-6
     for arr, grad in ((pre, d_pre), (c, d_c)):
         numeric = np.empty_like(arr)

@@ -8,14 +8,12 @@ from arn.errors import ConfigError, ShapeError, VocabError
 from arn.networks import (
     ArnConfig,
     ArnModel,
-    RnnState,
     decode_first_token,
     discriminator_score_batch,
     draw_latents,
     encode_first_token,
     generate_batch,
     generate_relaxed_batch,
-    lstm_step,
     one_hot_rows,
     sequence_log_likelihood_batch,
 )
@@ -42,6 +40,18 @@ def log_likelihood(model, ids, z):
 
 def sample_noise_mode(model, rng, count=1):
     return generate_batch(model, draw_latents(model, "noise", rng, count), rng)
+
+
+def zeros(bsz):
+    return Tensor(np.zeros((bsz, TINY.d_hidden)))
+
+
+def generator_step(model, inp, h, c):
+    """One generator step as autodiff nodes: (logits over V, h, c) from the (B, d_emb) input tensor."""
+    p, hdim = model.params, model.config.d_hidden
+    hc = lstm_cell(inp @ p["gen.wx"] + h @ p["gen.wh"] + p["gen.b"], c)
+    h, c = hc[:, :hdim], hc[:, hdim:]
+    return h @ p["gen.proj_w"] + p["gen.proj_b"], h, c
 
 
 class TestEncoderDecoder:
@@ -79,27 +89,25 @@ class TestEncoderDecoder:
 
 class TestLstmStep:
     def test_all_zero(self, zero_model):
-        state = RnnState(Tensor(np.zeros((1, 6))), Tensor(np.zeros((1, 6))))
-        logits, new = lstm_step(zero_model, np.zeros((1, 5)), state)
-        assert np.all(new.h.data == 0) and np.all(new.c.data == 0)
+        logits, h, c = generator_step(zero_model, Tensor(np.zeros((1, 5))), zeros(1), zeros(1))
+        assert np.all(h.data == 0) and np.all(c.data == 0)
         np.testing.assert_allclose(logits.softmax().data, 0.25)
 
     def test_zero_weights_nonzero_cell(self, zero_model):
         c0 = np.linspace(-1, 1, 6).reshape(1, 6)
-        state = RnnState(Tensor(np.zeros((1, 6))), Tensor(c0))
-        _, new = lstm_step(zero_model, np.zeros((1, 5)), state)
-        np.testing.assert_allclose(new.c.data, 0.5 * c0, atol=1e-15)
-        np.testing.assert_allclose(new.h.data, 0.5 * np.tanh(0.5 * c0), atol=1e-15)
+        _, h, c = generator_step(zero_model, Tensor(np.zeros((1, 5))), zeros(1), Tensor(c0))
+        np.testing.assert_allclose(c.data, 0.5 * c0, atol=1e-15)
+        np.testing.assert_allclose(h.data, 0.5 * np.tanh(0.5 * c0), atol=1e-15)
 
     def test_grad_through_chained_steps(self, model):
-        inp = np.random.default_rng(1).standard_normal((1, 5))
+        inp = Tensor(np.random.default_rng(1).standard_normal((1, 5)))
 
         def f(w):
             trial = ArnModel(model.config, dict(model.params))
             trial.params["gen.wh"] = w
-            state = RnnState(Tensor(np.zeros((1, 6))), Tensor(np.zeros((1, 6))))
+            h = c = zeros(1)
             for _ in range(3):
-                logits, state = lstm_step(trial, inp, state)
+                logits, h, c = generator_step(trial, inp, h, c)
             return (logits.log_softmax() * 0.1).sum()
 
         assert grad_check(f, model.params["gen.wh"]) <= 1e-4
@@ -147,7 +155,7 @@ class TestGenerate:
 
     def test_mode_equivalence_at_degenerate_encoder(self, model):
         # zero encoder => q(z|x1) = p(z), so the two modes share one law
-        m = model.copy()
+        m = ArnModel(model.config, dict(model.params))
         m.params["enc.w"] = Tensor(np.zeros_like(m.params["enc.w"].data), requires_grad=True)
         m.params["enc.b"] = Tensor(np.zeros_like(m.params["enc.b"].data), requires_grad=True)
         rng = np.random.default_rng(8)
@@ -257,17 +265,14 @@ def test_shared_pass_needs_one_noise_column_per_first_row():
 class TestPerStepReference:
     """The batched sequence paths against one autodiff node chain per timestep."""
 
-    @staticmethod
-    def zero_state(bsz):
-        return RnnState(Tensor(np.zeros((bsz, TINY.d_hidden))), Tensor(np.zeros((bsz, TINY.d_hidden))))
-
     def test_log_likelihood(self, model):
         rng = np.random.default_rng(14)
         ids, z = rng.integers(0, 4, size=(5, 3)), rng.standard_normal((5, 2))
         _, ar = sequence_log_likelihood_batch(model, ids, z)
-        state, ref = self.zero_state(5), Tensor(np.zeros(5))
+        h = c = zeros(5)
+        ref = Tensor(np.zeros(5))
         for i in range(1, 3):
-            logits, state = lstm_step(model, gather_rows(model.params["emb"], ids[:, i - 1]), state)
+            logits, h, c = generator_step(model, gather_rows(model.params["emb"], ids[:, i - 1]), h, c)
             ref = ref + pick(logits.log_softmax(), ids[:, i])
         np.testing.assert_allclose(ar.data, ref.data, rtol=0, atol=1e-12)
 
@@ -276,9 +281,9 @@ class TestPerStepReference:
         (rows,) = generate_relaxed_batch(model, tau, (z, np.random.default_rng(16).random((3, 4, 4))))
         rng = np.random.default_rng(16)
         row = gumbel_softmax(decode_first_token(model, Tensor(z)), tau, rng.random((4, 4)))
-        ref, state = [row], self.zero_state(4)
+        ref, h, c = [row], zeros(4), zeros(4)
         for _ in range(1, 3):
-            logits, state = lstm_step(model, row @ model.params["emb"], state)
+            logits, h, c = generator_step(model, row @ model.params["emb"], h, c)
             row = gumbel_softmax(logits, tau, rng.random((4, 4)))
             ref.append(row)
         np.testing.assert_allclose(rows.data, np.stack([r.data for r in ref]), rtol=0, atol=1e-12)
@@ -295,3 +300,33 @@ class TestPerStepReference:
             h, c = hc[:, :hdim], hc[:, hdim:]
         ref_scores = (h @ p["disc.head_w"].data + p["disc.head_b"].data).reshape(-1)
         np.testing.assert_allclose(scores.data, ref_scores, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+def test_generate_batch_matches_a_numpy_per_step_loop(dtype):
+    """Sampling on the same z and rng as a loop of textbook gate math: the same tokens."""
+    cfg = ArnConfig(seq_len=6, vocab_size=30, d_emb=5, d_hidden=6, d_latent=2, dtype=dtype)
+    model = ArnModel.initialized(cfg, np.random.default_rng(19))
+    z = np.random.default_rng(20).standard_normal((50, cfg.d_latent))
+    ids = generate_batch(model, z, np.random.default_rng(21))
+
+    p, hdim, rng = {n: t.data for n, t in model.params.items()}, cfg.d_hidden, np.random.default_rng(21)
+
+    def sample(logits):
+        ex = np.exp(logits - logits.max(axis=1, keepdims=True))
+        cum = np.cumsum(ex / ex.sum(axis=1, keepdims=True), axis=1, dtype=np.float64)
+        cum[:, -1] = 1.0
+        return (rng.random(len(logits))[:, None] > cum).sum(axis=1)
+
+    ref = np.empty_like(ids)
+    ref[:, 0] = sample(z.astype(dtype) @ p["dec.w"] + p["dec.b"])
+    h = c = np.zeros((len(z), hdim), dtype)
+    for t in range(1, cfg.seq_len):
+        pre = p["emb"][ref[:, t - 1]] @ p["gen.wx"] + h @ p["gen.wh"] + p["gen.b"]
+        i, f, o = (1.0 / (1.0 + np.exp(-pre[:, k * hdim:(k + 1) * hdim])) for k in range(3))
+        c = f * c + i * np.tanh(pre[:, 3 * hdim:])
+        h = o * np.tanh(c)
+        assert h.dtype == np.dtype(dtype)
+        ref[:, t] = sample(h @ p["gen.proj_w"] + p["gen.proj_b"])
+    assert ids.dtype == np.int64 and ids.shape == (50, cfg.seq_len)
+    np.testing.assert_array_equal(ids, ref)

@@ -261,6 +261,12 @@ class TestTrainLoop:
         for k, v in m.discriminator_params().items():
             assert v.data.tobytes() == disc_mid[k].tobytes()
 
+    def test_discriminator_gradients_are_released_after_its_update(self):
+        m = tiny_model(42)
+        training.train(m, tiny_corpus(43), TrainConfig(batch_size=4, steps=2, seed=42))
+        assert all(p.grad is None for p in m.discriminator_params().values())
+        assert all(p.grad is not None for p in m.generator_params().values())
+
     def test_nonfinite_discriminator_loss_rejects_the_step(self, tmp_path, monkeypatch):
         nan_at_second_d_loss(monkeypatch)
         path = tmp_path / "trace.jsonl"
