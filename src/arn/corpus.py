@@ -66,6 +66,11 @@ class Vocabulary:
             raise VocabError(f"{path}: the first two tokens must be {PAD_TOKEN} and {UNK_TOKEN}")
         if len(set(tokens)) != len(tokens):
             raise VocabError(f"{path}: duplicate tokens")
+        words = tokens[2:]
+        # one pass over the joined words: it equals the per-word test tokenize(tok) == [tok]
+        if tokenize("\n".join(words)) != words:
+            bad = next(tok for tok in words if tokenize(tok) != [tok])
+            raise VocabError(f"{path}: token {bad!r} is not one lowercase word without whitespace")
         return Vocabulary(tokens)
 
 

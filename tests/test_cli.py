@@ -1,5 +1,8 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -84,7 +87,7 @@ class TestTrain:
         assert run(["divlab", "--config", str(cfg)]) == 2
 
     @pytest.mark.parametrize("content", [b"<PAD>\n<UNK>\n\xff\n", b"", b"a\nb\nc\n", b"<PAD>\n",
-                                         b"<PAD>\n<UNK>\na\na\n"])
+                                         b"<PAD>\n<UNK>\na\na\n", b"<PAD>\n<UNK>\nCat\nsat on\n"])
     def test_bad_vocabulary_file(self, tmp_path, markov_corpus_file, capsys, content):
         vocab = tmp_path / "vocab.txt"
         vocab.write_bytes(content)
@@ -262,6 +265,32 @@ class TestEvaluate:
         gen.write_text("")
         test.write_text("a b\n")
         assert run(["evaluate", "--generated", str(gen), "--test", str(test)]) == 2
+
+    @pytest.mark.parametrize("orders, stdout", [
+        ("2,3", '{"bleu": {"2": 64.56, "3": 43.33}, "fc": {"2": 47.37, "3": 38.46}, '
+                '"diversity": {"2": 63.16, "3": 84.62}, "samples": 6}\n'),
+        ("4,1,2,2", '{"bleu": {"1": 75.97, "2": 64.56, "4": 15.92}, "fc": {"1": 30.77, "2": 47.37, '
+                    '"4": 37.5}, "diversity": {"1": 30.77, "2": 63.16, "4": 100.0}, "samples": 6}\n'),
+    ])
+    def test_golden_stdout(self, tmp_path, capsys, orders, stdout):
+        gen = tmp_path / "gen.txt"
+        test = tmp_path / "test.txt"
+        gen.write_text("the cat sat on the mat\nthe cat <PAD> on a mat\na dog sat\ndog\n"
+                       "the the the cat\non the mat the cat sat down\n")
+        test.write_text("the cat sat on a mat\na cat sat on the mat\nthe dog sat down\nthe mat\n")
+        assert run(["evaluate", "--generated", str(gen), "--test", str(test), "--orders", orders]) == 0
+        assert capsys.readouterr().out == stdout
+
+    def test_huge_order_exits_fast(self, tmp_path):
+        gen = tmp_path / "gen.txt"
+        gen.write_text("a b c\nb c a\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "arn.cli", "evaluate", "--generated", str(gen), "--test", str(gen),
+             "--orders", "1000000"],
+            capture_output=True, text=True, timeout=20,
+            env=dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__))))
+        assert proc.returncode == 2
+        assert "no 1000000-grams" in proc.stderr
 
     @pytest.mark.parametrize("orders", ["x", "2,,3", "0", "-1"])
     def test_bad_orders(self, tmp_path, orders):

@@ -198,6 +198,7 @@ def test_vocabulary_load_loads_or_raises_arn_error(tmp_path, raw):
     assert len(vocab) > 0 and all("\n" not in tok for tok in vocab.tokens)
     assert vocab.tokens[:2] == ["<PAD>", "<UNK>"]
     assert len(set(vocab.tokens)) == len(vocab.tokens)
+    assert all(tokenize(tok) == [tok] for tok in vocab.tokens[2:])
 
 
 @FUZZ

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from arn.errors import EmptyInputError
+from arn.errors import ConfigError, EmptyInputError
 from arn.metrics import bleu_n, corpus_bleu_n, diversity_n, fc_n, full_report
 
 A, B, C, D, X, Y = range(6)
@@ -101,11 +101,15 @@ class TestCorpusBleu:
         assert diversity_n(gen[::-1], 2) == diversity_n(gen, 2)
 
 
-def oracle_bleu(cand, refs, n):
+def oracle_grams(seq, k, pad_id=None):
+    return [tuple(seq[i:i + k]) for i in range(len(seq) - k + 1) if pad_id not in seq[i:i + k]]
+
+
+def oracle_bleu(cand, refs, n, pad_id=None):
     """Sentence BLEU-n by brute force: clip by the max count in any one
     reference, and take the closest reference length, the shorter on a tie."""
     def grams(seq, k):
-        return [tuple(seq[i:i + k]) for i in range(len(seq) - k + 1)]
+        return oracle_grams(seq, k, pad_id)
 
     logs = []
     for k in range(1, n + 1):
@@ -124,6 +128,18 @@ def oracle_bleu(cand, refs, n):
             r = length
     bp = 1.0 if c > r else math.exp(1.0 - r / c)
     return 100.0 * bp * math.exp(sum(logs) / n)
+
+
+def oracle_report(gen, test, orders, pad_id):
+    """BLEU-n, FC-n and Diversity-n by brute force, one order at a time."""
+    bleu, fc, diversity = {}, {}, {}
+    for n in orders:
+        grams = [g for s in gen for g in oracle_grams(s, n, pad_id)]
+        test_grams = {g for s in test for g in oracle_grams(s, n, pad_id)}
+        bleu[n] = sum([oracle_bleu(s, test, n, pad_id) for s in gen]) / len(gen)
+        fc[n] = 100.0 * sum(1 for g in set(grams) if g in test_grams) / len(grams)
+        diversity[n] = 100.0 * len(set(grams)) / len(grams)
+    return bleu, fc, diversity
 
 
 class TestRaggedReferenceLengths:
@@ -202,6 +218,67 @@ class TestFullReport:
                 continue
             assert full_report(*as_ints, orders=orders, pad_id=0) == want
             assert full_report(*as_rows, orders=orders, pad_id=0) == want
+
+
+class TestOnePassReport:
+    """full_report scores every order from one n-gram pass; it must equal the brute force."""
+
+    @pytest.mark.parametrize("pad_id", [0, "<PAD>"])
+    @pytest.mark.parametrize("rows", ["lists", "arrays"])
+    def test_equals_oracle_on_ragged_corpora(self, pad_id, rows):
+        rng = np.random.default_rng(31)
+        orders_pool = [(1,), (2, 3), (3, 2), (2, 2), (1, 2, 3), (3, 1, 3), (4,), (5, 1, 2)]
+        checked = short = 0
+        for trial in range(150):
+            v = int(rng.integers(2, 6))  # id 0 is the pad
+            gen, test = ([[int(t) if pad_id == 0 else ("<PAD>" if t == 0 else f"w{t}")
+                           for t in rng.integers(0, v, size=int(rng.integers(1, 9)))]
+                          for _ in range(int(rng.integers(1, 7)))]
+                         for _ in range(2))
+            orders = orders_pool[trial % len(orders_pool)]
+            short += any(len(s) < max(orders) for s in gen)
+            args = [[np.asarray(s) for s in c] for c in (gen, test)] if rows == "arrays" else [gen, test]
+            missing = [n for n in orders if not any(oracle_grams(s, n, pad_id) for s in gen)]
+            if missing:
+                with pytest.raises(EmptyInputError, match=f"^no {missing[0]}-grams in generated corpus$"):
+                    full_report(*args, orders=orders, pad_id=pad_id)
+                continue
+            report = full_report(*args, orders=orders, pad_id=pad_id)
+            assert (report.bleu, report.fc, report.diversity) == oracle_report(gen, test, orders, pad_id), \
+                (trial, orders)
+            assert report.sample_count == len(gen)
+            checked += 1
+        assert checked >= 75 and short >= 50
+
+    @pytest.mark.parametrize("orders", [(2, 3), (3, 2), (1,), (5, 2, 4)])
+    @pytest.mark.parametrize("gen, test, message", [
+        ([], [["a", "b"]], "empty generated corpus"),
+        ([], [], "empty generated corpus"),
+        ([["a", "b", "c", "d"]], [], "empty reference corpus"),
+        ([[]], [], "empty reference corpus"),
+    ])
+    def test_empty_corpus_errors(self, orders, gen, test, message):
+        with pytest.raises(EmptyInputError, match=f"^{message}$"):
+            full_report(gen, test, orders=orders, pad_id="<PAD>")
+
+    @pytest.mark.parametrize("orders, n", [((2, 4, 3), 4), ((3, 4, 2), 3), ((2, 2, 5, 4), 5),
+                                           ((1, 9), 9)])
+    def test_first_order_without_generated_grams_is_named(self, orders, n):
+        # the longest pad-free run of the generated corpus is 2 tokens long
+        gen = [["a", "b", "<PAD>", "c"], ["<PAD>", "d"], ["e", "<PAD>", "f", "g"]]
+        with pytest.raises(EmptyInputError, match=f"^no {n}-grams in generated corpus$"):
+            full_report(gen, [["a", "b", "c"]], orders=orders, pad_id="<PAD>")
+
+    @pytest.mark.parametrize("orders", [(0,), (-1,), (2, 0)])
+    def test_non_positive_order_is_a_config_error(self, orders):
+        gen = [["a", "b"]]
+        with pytest.raises(ConfigError):
+            full_report(gen, gen, orders=orders)
+        if len(orders) == 1:
+            with pytest.raises(ConfigError):
+                corpus_bleu_n(gen, gen, orders[0])
+            with pytest.raises(ConfigError):
+                bleu_n(gen[0], gen, orders[0])
 
 
 class TestIdArrays:
