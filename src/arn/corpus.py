@@ -8,6 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .distributions import sample_rows
 from .errors import ConfigError, EmptyInputError, EncodingError, VocabError
 from .metrics import ngrams
 
@@ -140,16 +141,12 @@ class MarkovSource:
 
 def sample_markov(src: MarkovSource, t_len: int, count: int, rng) -> np.ndarray:
     """(count, t_len) array of state-index sequences."""
+    if t_len < 1:
+        raise ConfigError(f"sequence length must be >= 1, got {t_len}")
     out = np.empty((count, t_len), dtype=np.int64)
-    if count == 0:
-        return out
-    cum_pi = src.pi.cumsum()
-    cum_a = src.transition.cumsum(axis=1)
-    out[:, 0] = np.searchsorted(cum_pi, rng.random(count), side="right").clip(0, src.k - 1)
+    out[:, 0] = sample_rows(np.broadcast_to(src.pi, (count, src.k)), rng)
     for i in range(1, t_len):
-        u = rng.random(count)
-        rows = cum_a[out[:, i - 1]]
-        out[:, i] = (u[:, None] > rows).sum(axis=1).clip(0, src.k - 1)
+        out[:, i] = sample_rows(src.transition[out[:, i - 1]], rng)
     return out
 
 

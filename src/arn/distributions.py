@@ -102,6 +102,15 @@ def gumbel_softmax(logits, tau: float, uniform_noise, hard=False) -> Tensor:
     return y
 
 
+def sample_rows(probs: np.ndarray, rng) -> np.ndarray:
+    """One inverse-CDF index per row of a (B, K) array of laws; index K - 1 takes any rounding shortfall."""
+    # a float32 running sum over 10^4 tokens drifts by up to 1e-5
+    cum = probs.cumsum(axis=1, dtype=np.float64)
+    cum[:, -1] = 1.0
+    u = rng.random(probs.shape[0])
+    return (u[:, None] > cum).sum(axis=1)
+
+
 def _kl_raw(p: np.ndarray, q: np.ndarray) -> float:
     mask = p > 0
     if np.any(q[mask] == 0):

@@ -33,15 +33,8 @@ class SupportError(ArnError):
     """Absolute-continuity violation between distributions."""
 
 
-class ConvergenceError(ArnError):
-    """Iterative solver hit its cap before reaching tolerance.
-
-    Carries the best iterate found so far in ``best``.
-    """
-
-    def __init__(self, message, best=None):
-        super().__init__(message)
-        self.best = best
+class ConvergenceError(NumericsError):
+    """Iterative solver hit its cap before reaching tolerance."""
 
 
 class EmptyInputError(ArnError):

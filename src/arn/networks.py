@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .distributions import GaussianPosterior, gumbel_noise, gumbel_softmax
+from .distributions import GaussianPosterior, gumbel_noise, gumbel_softmax, sample_rows
 from .errors import ConfigError, ShapeError, VocabError
 from .tensor import (
     Tensor, concat, gather_rows, gumbel_lstm_sequence, lstm_cell, lstm_sequence, no_grad, pick,
@@ -138,14 +138,6 @@ def sequence_log_likelihood_batch(model: ArnModel, ids, z) -> tuple:
     return lp1, steps.reshape(tlen - 1, bsz).sum(axis=0)
 
 
-def _sample_rows(probs: np.ndarray, rng) -> np.ndarray:
-    # a float32 running sum over 10^4 tokens drifts by up to 1e-5
-    cum = probs.cumsum(axis=1, dtype=np.float64)
-    cum[:, -1] = 1.0
-    u = rng.random(probs.shape[0])
-    return (u[:, None] > cum).sum(axis=1)
-
-
 def generate_batch(model: ArnModel, z: np.ndarray, rng) -> np.ndarray:
     """Sample (B, T) hard token ids given latent draws z (B, d_z).
 
@@ -157,27 +149,20 @@ def generate_batch(model: ArnModel, z: np.ndarray, rng) -> np.ndarray:
     p = {name: t.data for name, t in model.params.items()}
     bsz, hdim = len(first), model.config.d_hidden
     ids = np.empty((bsz, model.config.seq_len), dtype=np.int64)
-    ids[:, 0] = _sample_rows(kernels.softmax_rows(first), rng)
+    ids[:, 0] = sample_rows(kernels.softmax_rows(first), rng)
     h = c = np.zeros((bsz, hdim), model.config.dtype)
     for i in range(1, model.config.seq_len):
         hc = lstm_cell(p["emb"][ids[:, i - 1]] @ p["gen.wx"] + h @ p["gen.wh"] + p["gen.b"], c).data
         h, c = hc[:, :hdim], hc[:, hdim:]
-        ids[:, i] = _sample_rows(kernels.softmax_rows(h @ p["gen.proj_w"] + p["gen.proj_b"]), rng)
+        ids[:, i] = sample_rows(kernels.softmax_rows(h @ p["gen.proj_w"] + p["gen.proj_b"]), rng)
     return ids
 
 
-def draw_latents(model: ArnModel, mode, rng, count, seed_tokens=None) -> np.ndarray:
-    """(count, d_z) latent draws.
-
-    mode "noise": z ~ N(0, I). mode "decoded-x1": z ~ q(z | seed_tokens[k]).
-    """
+def draw_latents(model: ArnModel, rng, count, seed_tokens=None) -> np.ndarray:
+    """(count, d_z) latent draws: z ~ N(0, I) without seed tokens, else z ~ q(z | seed_tokens[k])."""
     dz = model.config.d_latent
-    if mode == "noise":
-        return rng.standard_normal((count, dz))
-    if mode != "decoded-x1":
-        raise ConfigError(f"unknown generation mode {mode!r}")
     if seed_tokens is None:
-        raise ConfigError("decoded-x1 mode requires a seed token")
+        return rng.standard_normal((count, dz))
     with no_grad():
         q = encode_first_token(model, np.asarray(seed_tokens))
         return q.mu.data + np.exp(0.5 * q.log_var.data) * rng.standard_normal((count, dz))

@@ -51,8 +51,13 @@ class TrainConfig:
     def __post_init__(self):
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
-        if self.lambda_adv < 0:
-            raise ConfigError("lambda_adv must be >= 0")
+        # each range test is written so that NaN fails it
+        if not self.steps >= 0:
+            raise ConfigError(f"steps must be >= 0, got {self.steps}")
+        if not 0 < self.lr < math.inf:
+            raise ConfigError(f"lr must be finite and > 0, got {self.lr}")
+        if not 0 <= self.lambda_adv < math.inf:
+            raise ConfigError(f"lambda_adv must be finite and >= 0, got {self.lambda_adv}")
 
     def tau_at(self, step: int) -> float:
         """Exponential anneal from TAU_START to TAU_END over the run."""

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from arn import cli, corpus, networks, training
-from arn.errors import ArnError
+from arn import cli, corpus, divlab, networks, training
+from arn.errors import ArnError, ConvergenceError
 from arn.networks import ArnConfig, ArnModel
 from arn.tensor import Tensor
 
@@ -41,6 +41,20 @@ class TestTrain:
         fresh = ArnModel.initialized(ArnConfig.preset("desk"), training.rng_streams(3)["init"])
         for name, p in fresh.params.items():
             assert loaded.params[name].data.tobytes() == p.data.tobytes()
+
+    @pytest.mark.parametrize("flag, value, field", [
+        ("--lambda-adv", "nan", "lambda_adv"), ("--lambda-adv", "inf", "lambda_adv"),
+        ("--lr", "-1", "lr"), ("--lr", "nan", "lr"), ("--steps", "-3", "steps"),
+    ])
+    def test_out_of_range_setting_is_a_usage_error(self, tmp_path, capsys, flag, value, field):
+        corpus_file = tmp_path / "corpus.txt"
+        corpus_file.write_text("0 1 2 3\n1 2 3 4\n2 3 4 5\n")
+        out = tmp_path / "m.arn"
+        code = run(["train", "--corpus", str(corpus_file), "--steps", "2", "--batch-size", "2",
+                    flag, value, "--out", str(out)])
+        assert code == 2
+        assert field in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_corpus(self, tmp_path):
         code = run(["train", "--corpus", str(tmp_path / "nope.txt"), "--steps", "1",
@@ -330,6 +344,14 @@ class TestDivlab:
 
     def test_bad_outcomes(self):
         assert run(["divlab", "--trials", "5", "--outcomes", "99"]) == 2
+
+    def test_unconverged_nash_solve_is_a_numeric_abort(self, monkeypatch, capsys):
+        def no_convergence(p_d, init):
+            raise ConvergenceError("no convergence to TV <= 0.001 in 1 iterations (last TV 1.000e-01)")
+
+        monkeypatch.setattr(divlab, "solve_nash", no_convergence)
+        assert run(["divlab", "--trials", "5", "--outcomes", "4"]) == 3
+        assert "numeric abort: no convergence" in capsys.readouterr().err
 
 
 # byte pieces that make raw-id corpora of every kind: ids in and out of range,

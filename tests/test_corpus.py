@@ -127,6 +127,11 @@ class TestMarkov:
     def test_count_zero(self):
         assert sample_markov(self.cycle(), 4, 0, np.random.default_rng(0)).shape == (0, 4)
 
+    @pytest.mark.parametrize("count", [0, 3])
+    def test_zero_length_is_a_config_error(self, count):
+        with pytest.raises(ConfigError, match="sequence length"):
+            sample_markov(self.cycle(), 0, count, np.random.default_rng(0))
+
     def test_cycle_bigram_distribution(self):
         dist = source_ngram_distribution(self.cycle(), 2, 7)
         assert set(dist) == {(0, 1), (1, 2), (2, 0)}

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from arn import divlab
 from arn.distributions import Categorical
 from arn.divlab import (
     ToyGame,
@@ -14,7 +15,7 @@ from arn.divlab import (
     solve_nash,
     verify_identity,
 )
-from arn.errors import DomainError, SupportError
+from arn.errors import ConvergenceError, DomainError, NumericsError, SupportError
 
 
 class TestGameValue:
@@ -110,22 +111,31 @@ class TestNash:
     def test_uniform_target(self):
         rng = np.random.default_rng(5)
         p = Categorical([0.25] * 4)
-        q = solve_nash(p, random_simplex(rng, 4), tol=1e-3)
+        q = solve_nash(p, random_simplex(rng, 4))
         assert 0.5 * np.abs(q.probs - p.probs).sum() <= 1e-3
 
     def test_multi_start(self):
         rng = np.random.default_rng(6)
         p = Categorical([0.7, 0.2, 0.1])
         for _ in range(20):
-            q = solve_nash(p, random_simplex(rng, 3), tol=1e-3)
+            q = solve_nash(p, random_simplex(rng, 3))
             assert 0.5 * np.abs(q.probs - p.probs).sum() <= 1e-3
 
     def test_objective_never_increases_from_init(self):
         rng = np.random.default_rng(7)
         p = Categorical([0.5, 0.3, 0.2])
         init = random_simplex(rng, 3)
-        q = solve_nash(p, init, tol=1e-3)
+        q = solve_nash(p, init)
         assert kl_js_objective(p, q) <= kl_js_objective(p, init) + 1e-12
+
+    def test_iteration_cap_names_the_last_tv(self, monkeypatch):
+        monkeypatch.setattr(divlab, "NASH_MAX_ITER", 1)
+        p, init = Categorical([0.7, 0.2, 0.1]), Categorical([0.1, 0.2, 0.7])
+        # the one iterate is softmax(log init), init itself up to rounding
+        tv = 0.5 * np.abs(init.probs - p.probs).sum()
+        with pytest.raises(ConvergenceError, match=f"in 1 iterations \\(last TV {tv:.3e}\\)"):
+            solve_nash(p, init)
+        assert issubclass(ConvergenceError, NumericsError)
 
     def test_rejects_zero_target(self):
         with pytest.raises(DomainError):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from arn.distributions import gumbel_softmax, kl_gauss_std
-from arn.errors import ConfigError, ShapeError, VocabError
+from arn.errors import ShapeError, VocabError
 from arn.networks import (
     ArnConfig,
     ArnModel,
@@ -39,7 +39,7 @@ def log_likelihood(model, ids, z):
 
 
 def sample_noise_mode(model, rng, count=1):
-    return generate_batch(model, draw_latents(model, "noise", rng, count), rng)
+    return generate_batch(model, draw_latents(model, rng, count), rng)
 
 
 def zeros(bsz):
@@ -144,14 +144,10 @@ class TestSequenceLikelihood:
 class TestGenerate:
     def test_output_shape_and_range(self, model):
         rng = np.random.default_rng(6)
-        for mode, seed_tokens in (("noise", None), ("decoded-x1", [2])):
-            ids = generate_batch(model, draw_latents(model, mode, rng, 1, seed_tokens), rng)
+        for seed_tokens in (None, [2]):
+            ids = generate_batch(model, draw_latents(model, rng, 1, seed_tokens), rng)
             assert ids.shape == (1, TINY.seq_len)
             assert np.all((ids >= 0) & (ids < TINY.vocab_size))
-
-    def test_decoded_mode_needs_seed(self, model):
-        with pytest.raises(ConfigError):
-            draw_latents(model, "decoded-x1", np.random.default_rng(7), 1)
 
     def test_mode_equivalence_at_degenerate_encoder(self, model):
         # zero encoder => q(z|x1) = p(z), so the two modes share one law

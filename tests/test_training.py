@@ -313,6 +313,21 @@ class TestTrainLoop:
             training.train(tiny_model(), np.empty((0, 3)), TrainConfig(steps=1))
 
 
+class TestTrainConfig:
+    @pytest.mark.parametrize("field, value", [
+        ("lr", -1.0), ("lr", 0.0), ("lr", math.nan), ("lr", math.inf),
+        ("lambda_adv", -0.5), ("lambda_adv", math.nan), ("lambda_adv", math.inf),
+        ("steps", -3),
+    ])
+    def test_rejects_out_of_range_setting(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            TrainConfig(**{field: value})
+
+    def test_zero_steps_and_zero_lambda_are_valid(self):
+        cfg = TrainConfig(steps=0, lambda_adv=0.0)
+        assert (cfg.steps, cfg.lambda_adv) == (0, 0.0)
+
+
 class TestCheckpoint:
     def test_roundtrip(self, tmp_path):
         m = tiny_model(23)
