@@ -207,8 +207,10 @@ def cmd_gradcheck(args):
 
 
 def cmd_divlab(args):
-    if args.trials < 1 or not 2 <= args.outcomes <= 16:
-        raise EmptyInputError("need trials >= 1 and 2 <= outcomes <= 16")
+    if args.trials < 1:
+        raise ConfigError(f"--trials must be >= 1, got {args.trials}")
+    if not 2 <= args.outcomes <= 16:
+        raise ConfigError(f"--outcomes must lie in 2..16, got {args.outcomes}")
     report = divlab.run_lab(args.trials, args.outcomes, args.seed)
     _emit(json.dumps(report), args.out)
     ok = (

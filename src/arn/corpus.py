@@ -88,19 +88,22 @@ def build_vocab(lines, cap: int) -> Vocabulary:
     return Vocabulary([PAD_TOKEN, UNK_TOKEN] + [tok for tok, _ in kept])
 
 
+def _fixed_ids(tokens, vocab: Vocabulary, t_len: int) -> list:
+    ids = [vocab.index.get(tok, UNK_ID) for tok in tokens[:t_len]]
+    return ids + [PAD_ID] * (t_len - len(ids))
+
+
 def encode_fixed(tokens, vocab: Vocabulary, t_len: int) -> np.ndarray:
     """Map tokens to ids, truncate to t_len or right-pad with PAD."""
-    ids = [vocab.encode_token(tok) for tok in tokens[:t_len]]
-    ids += [PAD_ID] * (t_len - len(ids))
-    return np.asarray(ids, dtype=np.int64)
+    return np.asarray(_fixed_ids(tokens, vocab, t_len), dtype=np.int64)
 
 
 def load_corpus(path, vocab: Vocabulary, t_len: int) -> np.ndarray:
-    """Encode a one-sentence-per-line UTF-8 file into an (N, T) id array."""
-    rows = [encode_fixed(toks, vocab, t_len) for toks in map(tokenize, read_lines(path)) if toks]
+    """Encode a one-sentence-per-line UTF-8 file into an (N, T) id array, one row per encode_fixed."""
+    rows = [_fixed_ids(toks, vocab, t_len) for toks in map(tokenize, read_lines(path)) if toks]
     if not rows:
         raise EmptyInputError(f"{path}: no sentences")
-    return np.stack(rows)
+    return np.array(rows, dtype=np.int64)
 
 
 @dataclass

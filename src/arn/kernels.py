@@ -57,11 +57,15 @@ def lstm_cell_backward(dh, dc, c_prev, i, f, o, g, tc):
     return d_pre, d_c_prev
 
 
-def softmax_rows(x):
-    """Row-wise softmax with max subtraction (overflow guard)."""
-    shifted = x - x.max(axis=-1, keepdims=True)
-    ex = np.exp(shifted)
-    return ex / ex.sum(axis=-1, keepdims=True)
+def softmax_rows(x, out=None):
+    """Row-wise softmax with max subtraction (overflow guard), written into out when given.
+
+    out may be x itself; the result is the same either way.
+    """
+    ex = np.subtract(x, x.max(axis=-1, keepdims=True), out=out)
+    np.exp(ex, out=ex)
+    ex /= ex.sum(axis=-1, keepdims=True)
+    return ex
 
 
 def log_softmax_rows(x):

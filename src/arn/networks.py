@@ -142,19 +142,23 @@ def generate_batch(model: ArnModel, z: np.ndarray, rng) -> np.ndarray:
     """Sample (B, T) hard token ids given latent draws z (B, d_z).
 
     Forward only: after the first token, each step is one lstm_cell call on
-    the parameter arrays, so no graph is recorded.
+    the parameter arrays, so no graph is recorded. Every step's (B, V)
+    logits, laws and running sums are written into the same two arrays.
     """
     with no_grad():
-        first = decode_first_token(model, z).data
+        logits = decode_first_token(model, z).data
     p = {name: t.data for name, t in model.params.items()}
-    bsz, hdim = len(first), model.config.d_hidden
+    bsz, hdim = len(logits), model.config.d_hidden
+    cum = np.empty(logits.shape, np.float64)
     ids = np.empty((bsz, model.config.seq_len), dtype=np.int64)
-    ids[:, 0] = sample_rows(kernels.softmax_rows(first), rng)
+    ids[:, 0] = sample_rows(kernels.softmax_rows(logits, out=logits), rng, cum)
     h = c = np.zeros((bsz, hdim), model.config.dtype)
     for i in range(1, model.config.seq_len):
         hc = lstm_cell(p["emb"][ids[:, i - 1]] @ p["gen.wx"] + h @ p["gen.wh"] + p["gen.b"], c).data
         h, c = hc[:, :hdim], hc[:, hdim:]
-        ids[:, i] = sample_rows(kernels.softmax_rows(h @ p["gen.proj_w"] + p["gen.proj_b"]), rng)
+        np.matmul(h, p["gen.proj_w"], out=logits)
+        logits += p["gen.proj_b"]
+        ids[:, i] = sample_rows(kernels.softmax_rows(logits, out=logits), rng, cum)
     return ids
 
 

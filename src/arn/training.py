@@ -7,6 +7,7 @@ is the standard binary cross-entropy -log D(real) - log(1 - D(fake)).
 """
 
 import contextlib
+import itertools
 import json
 import math
 import os
@@ -268,9 +269,9 @@ def load_checkpoint(path) -> ArnModel:
     """Rebuild a model from a checkpoint; ConfigError if the file is malformed.
 
     Before any payload is allocated, the header and the payload sizes it
-    declares must add up to the file size; each payload is then read once,
-    straight into its parameter array. The model takes the dtype its
-    parameter tensors share.
+    declares must add up to the file size; all payloads are then read at
+    once into one region, and each tensor is a view of it at its offset.
+    The model takes the dtype its parameter tensors share.
     """
     with open(path, "rb") as fh:
         if fh.read(4) != CHECKPOINT_MAGIC:
@@ -300,17 +301,19 @@ def load_checkpoint(path) -> ArnModel:
             raise ConfigError(f"{path}: tensor name is not UTF-8") from exc
         except struct.error as exc:
             raise ConfigError(f"{path}: truncated checkpoint") from exc
-        size = fh.tell() + sum(math.prod(shape) * dtype.itemsize for _, shape, dtype in manifest)
+        offsets = list(itertools.accumulate(
+            (math.prod(shape) * dtype.itemsize for _, shape, dtype in manifest), initial=0))
+        size = fh.tell() + offsets[-1]
         file_size = os.fstat(fh.fileno()).st_size
         if size > file_size:
             raise ConfigError(f"{path}: truncated checkpoint")
         if size < file_size:
             raise ConfigError(f"{path}: trailing bytes after the last tensor")
-        tensors = {}
-        for name, shape, dtype in manifest:
-            tensors[name] = np.empty(shape, dtype)
-            if fh.readinto(tensors[name]) != tensors[name].nbytes:
-                raise ConfigError(f"{path}: truncated checkpoint")
+        region = np.empty(offsets[-1], np.uint8)
+        if fh.readinto(region) != region.nbytes:
+            raise ConfigError(f"{path}: truncated checkpoint")
+    tensors = {name: region[lo:hi].view(dtype).reshape(shape)
+               for (name, shape, dtype), lo, hi in zip(manifest, offsets, offsets[1:])}
     missing = [f for f in _META_FIELDS if _META_PREFIX + f not in tensors]
     if missing:
         raise ConfigError(f"{path}: missing model sizes {missing}")

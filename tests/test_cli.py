@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from arn import cli, corpus, divlab, networks, training
-from arn.errors import ArnError, ConvergenceError
+from arn.errors import ArnError, ConfigError, ConvergenceError
 from arn.networks import ArnConfig, ArnModel
 from arn.tensor import Tensor
 
@@ -342,8 +342,16 @@ class TestDivlab:
         run(["divlab", "--trials", "10", "--outcomes", "4", "--seed", "5"])
         assert capsys.readouterr().out == first
 
-    def test_bad_outcomes(self):
-        assert run(["divlab", "--trials", "5", "--outcomes", "99"]) == 2
+    def test_bad_outcomes(self, capsys):
+        for argv, message in ((["--outcomes", "99"], "--outcomes must lie in 2..16, got 99"),
+                              (["--outcomes", "1"], "--outcomes must lie in 2..16, got 1"),
+                              (["--trials", "0"], "--trials must be >= 1, got 0")):
+            assert run(["divlab", *argv]) == 2
+            assert capsys.readouterr().err == f"error: {message}\n"
+            # a range error, as for --count, --orders and TrainConfig
+            args = cli.build_parser().parse_args(["divlab", *argv])
+            with pytest.raises(ConfigError, match=f"^{message}$"):
+                cli.cmd_divlab(args)
 
     def test_unconverged_nash_solve_is_a_numeric_abort(self, monkeypatch, capsys):
         def no_convergence(p_d, init):

@@ -67,6 +67,18 @@ class TestOptimalDiscriminator:
             err = np.max(np.abs(optimal_discriminator(p, q) - grid_search_discriminator(p, q)))
             assert err <= 1e-4
 
+    def test_grid_step_is_read_at_each_call(self, monkeypatch):
+        p, q = random_simplex(np.random.default_rng(4), 6), random_simplex(np.random.default_rng(5), 6)
+        fine = grid_search_discriminator(p, q)
+        monkeypatch.setattr(divlab, "GRID_STEP", 1e-3)
+        coarse = grid_search_discriminator(p, q)
+        coarse_grid = np.arange(1e-3, 1.0, 1e-3)
+        assert np.isin(coarse, coarse_grid).all() and not np.isin(fine, coarse_grid).all()
+        monkeypatch.undo()
+        again = grid_search_discriminator(p, q)
+        assert np.isin(again, np.arange(1e-5, 1.0, 1e-5)).all()
+        assert again.tobytes() == fine.tobytes()
+
     def test_minimizes_over_random_discriminators(self):
         rng = np.random.default_rng(3)
         p, q = random_simplex(rng, 4), random_simplex(rng, 4)

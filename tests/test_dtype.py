@@ -31,9 +31,10 @@ def float64_arrays(monkeypatch):
         return out
 
     def checked_kernel(name, kernel):
-        def checked(*args):
-            made.extend((name, a.shape) for a in args if getattr(a, "dtype", None) == np.float64)
-            return kernel(*args)
+        def checked(*args, **kwargs):
+            made.extend((name, a.shape) for a in (*args, *kwargs.values())
+                        if getattr(a, "dtype", None) == np.float64)
+            return kernel(*args, **kwargs)
         return checked
 
     monkeypatch.setattr(Tensor, "_make", staticmethod(checked_make))

@@ -2,7 +2,10 @@
 
 The pins were recorded before the samplers and the divergence lab's solver
 settings were folded into shared helpers and constants, so a change that
-moves any of them changes what a seed means and fails here. The divlab
+moves any of them changes what a seed means and fails here. The two-chunk
+generate pins were recorded before generate_batch wrote every step into
+arrays reused across steps, so a row that leaks from one step or chunk into
+the next fails here too. The divlab
 reports are exact float reprs, recorded with NumPy 2.4 on x86-64; a NumPy
 build whose log or exp rounds differently may differ in the last digit.
 """
@@ -31,6 +34,12 @@ GENERATE_DIGESTS = {
     ("float32", "noise", False): "45909d65f85240a598182b9384f32210e5e7875a79e2f46b3fec195b72f802b5",
     ("float32", "decoded-x1", False): "3a89921e74eb6cb2da7f47827a09c97fe0c017879f89ccc0fb5cd7ab6fd529de",
     ("float32", "decoded-x1", True): "5c5a41e0aa398557232e3d6e0433eb4d13af5bc34631ae75366a3b3f1b68d67b",
+}
+
+# a float32 model with V = 1000; --count 300 samples a full GENERATE_CHUNK of 256 rows, then 44
+GENERATE_TWO_CHUNK_DIGESTS = {
+    "noise": "51337374ab38b01569f9c3f39617ff6dcd968ed03646e2010b29c006b783a757",
+    "decoded-x1": "25dd825ab17fc0bf82bfcc60e133054751a675492dbc63033e17ba3e37df321c",
 }
 
 
@@ -64,10 +73,11 @@ def test_divlab_stdout(capsys, trials, outcomes, seed):
     assert capsys.readouterr().out == DIVLAB_STDOUT[trials, outcomes, seed]
 
 
-def generate_stdout(tmp_path, capsys, dtype, mode, seed_corpus):
+def generate_stdout(tmp_path, capsys, dtype, mode, seed_corpus, vocab_size=30):
     # weights 25x the initialization scale make every step's law peaked, so
     # each latent and seed token shows in the samples
-    model = ArnModel.initialized(ArnConfig(vocab_size=30, dtype=dtype), training.rng_streams(4)["init"])
+    model = ArnModel.initialized(ArnConfig(vocab_size=vocab_size, dtype=dtype),
+                                 training.rng_streams(4)["init"])
     for p in model.params.values():
         p.data *= 25
     checkpoint = tmp_path / "model.arn"
@@ -86,3 +96,11 @@ def test_generate_stdout(tmp_path, capsys, dtype, mode, seed_corpus):
     out = generate_stdout(tmp_path, capsys, dtype, mode, seed_corpus)
     assert len(out.splitlines()) == 300
     assert hashlib.sha256(out.encode()).hexdigest() == GENERATE_DIGESTS[dtype, mode, seed_corpus]
+
+
+@pytest.mark.parametrize("mode", sorted(GENERATE_TWO_CHUNK_DIGESTS))
+def test_generate_two_chunks_stdout(tmp_path, capsys, mode):
+    assert cli.GENERATE_CHUNK < 300 < 2 * cli.GENERATE_CHUNK
+    out = generate_stdout(tmp_path, capsys, "float32", mode, False, vocab_size=1000)
+    assert len(out.splitlines()) == 300
+    assert hashlib.sha256(out.encode()).hexdigest() == GENERATE_TWO_CHUNK_DIGESTS[mode]

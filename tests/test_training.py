@@ -11,13 +11,29 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from arn import networks, training
+from arn import cli, networks, training
 from arn.errors import ConfigError, NumericsError
 from arn.networks import ArnConfig, ArnModel
 from arn.tensor import Tensor, grad_check, no_grad
 from arn.training import AdamState, TrainConfig, optimizer_step
 
 TINY = ArnConfig(seq_len=3, vocab_size=4, d_emb=5, d_hidden=6, d_latent=2)
+
+
+def meta_entries(cfg):
+    """The model sizes a checkpoint starts with, as (name, f64 scalar) pairs."""
+    return [(f"meta.{f}", np.array(float(getattr(cfg, f))))
+            for f in ("seq_len", "vocab_size", "d_emb", "d_hidden", "d_latent")]
+
+
+def checkpoint_bytes(entries):
+    """A checkpoint file of (name, array) entries, written by hand from the documented format."""
+    out = b"ARN1" + struct.pack("<H", 1) + struct.pack("<I", len(entries))
+    for name, arr in entries:
+        out += struct.pack("<H", len(name)) + name.encode("utf-8")
+        out += struct.pack("<B", arr.ndim) + b"".join(struct.pack("<Q", e) for e in arr.shape)
+        out += struct.pack("<B", {np.float32: 0, np.float64: 1}[arr.dtype.type])
+    return out + b"".join(arr.astype(arr.dtype.newbyteorder("<")).tobytes() for _, arr in entries)
 
 
 def tiny_model(seed=0):
@@ -371,16 +387,41 @@ class TestCheckpoint:
         path = tmp_path / "model.arn"
         training.save_checkpoint(str(path), m)
         # meta.* sizes as f64 scalars, then the parameters in name order
-        entries = [(f"meta.{f}", np.array(float(getattr(TINY, f))))
-                   for f in ("seq_len", "vocab_size", "d_emb", "d_hidden", "d_latent")]
-        entries += [(name, m.params[name].data) for name in sorted(m.params)]
-        expected = b"ARN1" + struct.pack("<H", 1) + struct.pack("<I", len(entries))
-        for name, arr in entries:
-            expected += struct.pack("<H", len(name)) + name.encode("utf-8")
-            expected += struct.pack("<B", arr.ndim) + b"".join(struct.pack("<Q", e) for e in arr.shape)
-            expected += struct.pack("<B", {np.float32: 0, np.float64: 1}[arr.dtype.type])
-        expected += b"".join(arr.astype(arr.dtype.newbyteorder("<")).tobytes() for _, arr in entries)
-        assert path.read_bytes() == expected
+        entries = meta_entries(TINY) + [(name, m.params[name].data) for name in sorted(m.params)]
+        assert path.read_bytes() == checkpoint_bytes(entries)
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_loaded_params_are_separate_aligned_arrays(self, tmp_path, dtype):
+        cfg = dataclasses.replace(ArnConfig.preset("desk"), dtype=dtype)
+        m = ArnModel.initialized(cfg, training.rng_streams(39)["init"])
+        path = tmp_path / "model.arn"
+        training.save_checkpoint(str(path), m)
+        loaded = training.load_checkpoint(str(path))
+        arrays = [p.data for p in loaded.params.values()]
+        for a in arrays:
+            assert a.flags.c_contiguous and a.flags.aligned and a.flags.writeable
+            assert a.dtype == np.dtype(dtype)
+        for i, a in enumerate(arrays):
+            assert not any(np.shares_memory(a, b) for b in arrays[i + 1:])
+        # the loaded copy trains exactly as the model it was saved from
+        corpus_ids = np.random.default_rng(40).integers(0, cfg.vocab_size, size=(40, cfg.seq_len))
+        for model in (m, loaded):
+            training.train(model, corpus_ids, TrainConfig(batch_size=4, steps=2, seed=41))
+        for name, p in m.params.items():
+            assert loaded.params[name].data.tobytes() == p.data.tobytes()
+
+    def test_mixed_dtypes_behind_a_misaligned_payload_exit_2(self, tmp_path, capsys):
+        # an odd-length float32 payload first puts every float64 payload after it off 8-byte alignment
+        cfg = dataclasses.replace(TINY, vocab_size=7)
+        m = ArnModel.initialized(cfg, np.random.default_rng(42))
+        names = ["dec.b"] + sorted(set(m.params) - {"dec.b"})
+        entries = meta_entries(cfg) + [(name, m.params[name].data.astype(np.float32 if name == "dec.b"
+                                                                          else np.float64))
+                                       for name in names]
+        path = tmp_path / "model.arn"
+        path.write_bytes(checkpoint_bytes(entries))
+        assert cli.main(["generate", "--checkpoint", str(path), "--count", "1"]) == 2
+        assert "parameters mix dtypes ['float32', 'float64']" in capsys.readouterr().err
 
     def test_loaded_params_are_updated_in_place(self, tmp_path):
         path = tmp_path / "model.arn"
