@@ -6,6 +6,7 @@ file may be supplied with --config; explicit flags win over its keys.
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
@@ -91,6 +92,9 @@ def _emit(line, out_path):
 
 
 def cmd_train(args):
+    # checked before step 0, not when the trained model is written
+    if not args.out or os.path.isdir(args.out) or not os.path.isdir(os.path.dirname(args.out) or "."):
+        raise ConfigError(f"--out {args.out!r} must name a file in an existing directory")
     model_cfg = ArnConfig.preset(args.preset)
     vocab = None
     if args.vocab:
@@ -115,6 +119,8 @@ def cmd_train(args):
 def cmd_generate(args):
     if args.count < 0:
         raise ConfigError(f"--count must be >= 0, got {args.count}")
+    if args.seed_corpus and args.mode != "decoded-x1":
+        raise ConfigError("--seed-corpus needs --mode decoded-x1")
     model = training.load_checkpoint(args.checkpoint)
     vocab = corpus_mod.Vocabulary.load(args.vocab) if args.vocab else None
     if vocab is not None and len(vocab) != model.config.vocab_size:
@@ -126,7 +132,7 @@ def cmd_generate(args):
     if args.mode == "decoded-x1":
         if args.seed_corpus:
             ids = _read_ids(args.seed_corpus, vocab, model.config)
-            first_dist = corpus_mod.first_token_distribution(ids)
+            first_dist = np.bincount(ids[:, 0]) / len(ids)  # over ids 0..max(x1)
         else:
             first_dist = np.full(model.config.vocab_size, 1.0 / model.config.vocab_size)
         seed_tokens = rng.choice(len(first_dist), size=args.count, p=first_dist)

@@ -2,7 +2,6 @@
 Markov sources with exact n-gram statistics for verification.
 """
 
-import json
 from collections import Counter
 from dataclasses import dataclass
 
@@ -46,9 +45,6 @@ class Vocabulary:
 
     def __len__(self):
         return len(self.tokens)
-
-    def encode_token(self, token: str) -> int:
-        return self.index.get(token, UNK_ID)
 
     def decode(self, ids):
         return [self.tokens[int(i)] for i in ids]
@@ -112,7 +108,6 @@ class MarkovSource:
 
     pi: np.ndarray
     transition: np.ndarray
-    states: list = None
 
     def __post_init__(self):
         self.pi = np.asarray(self.pi, dtype=np.float64)
@@ -122,24 +117,10 @@ class MarkovSource:
             raise ConfigError("transition matrix must be K x K")
         if abs(self.pi.sum() - 1.0) > 1e-9 or np.any(np.abs(self.transition.sum(axis=1) - 1.0) > 1e-9):
             raise ConfigError("pi and every transition row must sum to 1")
-        if self.states is None:
-            self.states = list(range(k))
 
     @property
     def k(self):
         return self.pi.size
-
-    def save(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(
-                {"states": self.states, "pi": self.pi.tolist(), "A": self.transition.tolist()}, fh
-            )
-
-    @staticmethod
-    def load(path) -> "MarkovSource":
-        with open(path, encoding="utf-8") as fh:
-            obj = json.load(fh)
-        return MarkovSource(pi=obj["pi"], transition=obj["A"], states=obj["states"])
 
 
 def sample_markov(src: MarkovSource, t_len: int, count: int, rng) -> np.ndarray:
@@ -192,10 +173,3 @@ def empirical_ngram_distribution(sequences, n: int) -> dict:
 def tv_distance(p: dict, q: dict) -> float:
     keys = set(p) | set(q)
     return 0.5 * sum(abs(p.get(key, 0.0) - q.get(key, 0.0)) for key in keys)
-
-
-def first_token_distribution(corpus_ids: np.ndarray) -> np.ndarray:
-    """Empirical distribution of x1 over the vocabulary (for decoded-x1 seeds)."""
-    firsts = corpus_ids[:, 0]
-    counts = np.bincount(firsts, minlength=int(firsts.max()) + 1).astype(np.float64)
-    return counts / counts.sum()

@@ -136,10 +136,6 @@ def solve_nash(p_d: Categorical, init: Categorical):
         f"no convergence to TV <= {NASH_TOL} in {NASH_MAX_ITER} iterations (last TV {tv:.3e})")
 
 
-def kl_js_objective(p_d: Categorical, q: Categorical) -> float:
-    return kl_categorical(p_d, q) + js_categorical(p_d, q)
-
-
 def random_simplex(rng, k: int) -> Categorical:
     x = rng.gamma(1.0, 1.0, size=k) + 1e-9
     return Categorical(x / x.sum())

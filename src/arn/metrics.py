@@ -115,13 +115,6 @@ def _sentence_bleus(by_order, c, index: _ReferenceIndex, orders):
             for n in orders]
 
 
-def bleu_n(candidate, references, n, pad_id=None) -> float:
-    """Sentence BLEU-n of one candidate against a reference set."""
-    _check_orders((n,))
-    index = _ReferenceIndex(references, n, pad_id)
-    return _sentence_bleus(_ngrams_upto(candidate, n, pad_id), len(candidate), index, (n,))[0]
-
-
 def corpus_bleu_n(generated, test, n, pad_id=None) -> float:
     """Mean sentence BLEU-n, every test sentence serving as a reference."""
     _check_orders((n,))

@@ -170,8 +170,8 @@ def test_07_metric_oracles():
     # worked examples reproduce exactly
     assert metrics.diversity_n([[0, 1, 0], [0, 1, 2]], 2) == 75.0
     assert metrics.fc_n([[0, 1, 0], [0, 1, 2]], [[0, 1, 3]], 2) == 25.0
-    assert round(metrics.bleu_n([0, 1, 2, 3], [[0, 1, 4], [2, 3, 5]], 2), 2) == 81.65
-    assert round(metrics.bleu_n([0, 0, 0], [[0, 1]], 1), 2) == 33.33
+    assert round(metrics.corpus_bleu_n([[0, 1, 2, 3]], [[0, 1, 4], [2, 3, 5]], 2), 2) == 81.65
+    assert round(metrics.corpus_bleu_n([[0, 0, 0]], [[0, 1]], 1), 2) == 33.33
     _report("7 metric oracles", "200 micro-corpora exact; worked examples reproduce")
 
 

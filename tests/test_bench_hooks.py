@@ -1,12 +1,15 @@
-"""The benchmark's span recorder still finds every attribute it patches.
+"""The benchmark still runs against the program.
 
 perfbench/tracer.py wraps functions of the arn modules by name for the
-traced benchmark run (--trace 1). A rename in the program would break that
-run only; this test makes it fail here too.
+traced benchmark run (--trace 1), and perfbench/run.py reads names of the
+program on every run. A rename in the program would break those runs only;
+these tests make it fail here too.
 """
 
 import gc
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +17,8 @@ import numpy as np
 import arn
 import arn.cli
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACER = ROOT / "perfbench" / "tracer.py"
 OWNERS = (arn.tensor, arn.tensor.Tensor, arn.kernels, arn.networks, arn.training, arn.corpus,
           arn.corpus.Vocabulary, arn.metrics, arn.divlab, arn.cli, arn.distributions)
 
@@ -67,3 +71,10 @@ def test_span_recorder_install_run_uninstall(tmp_path):
         after = vars(owner)
         assert all(after[k] is v for k, v in attrs.items()), owner
     assert rec._on_gc not in gc.callbacks
+
+
+def test_benchmark_selftest_exits_0():
+    # every workload once untraced and once traced, at smoke size
+    proc = subprocess.run([sys.executable, "perfbench/selftest.py"], cwd=ROOT,
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stdout + proc.stderr

@@ -56,6 +56,17 @@ class TestTrain:
         assert field in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("out", ["missing/m.arn", "."])
+    def test_unwritable_out_exits_before_training(self, tmp_path, monkeypatch, capsys,
+                                                  markov_corpus_file, out):
+        def no_training(*args, **kwargs):
+            raise AssertionError("training.train entered")
+
+        monkeypatch.setattr(training, "train", no_training)
+        out = str(tmp_path / out)
+        assert run(["train", "--corpus", markov_corpus_file, "--steps", "1000", "--out", out]) == 2
+        assert out in capsys.readouterr().err
+
     def test_missing_corpus(self, tmp_path):
         code = run(["train", "--corpus", str(tmp_path / "nope.txt"), "--steps", "1",
                     "--out", str(tmp_path / "m.arn")])
@@ -215,6 +226,13 @@ class TestGenerate:
         code = run(["generate", "--checkpoint", checkpoint, "--mode", "decoded-x1",
                     "--count", "3", "--seed-corpus", markov_corpus_file, "--out", str(path)])
         assert code == 0 and len(path.read_text().splitlines()) == 3
+
+    @pytest.mark.parametrize("exists", [True, False])
+    def test_seed_corpus_needs_decoded_x1_mode(self, checkpoint, tmp_path, capsys, markov_corpus_file,
+                                               exists):
+        seed_corpus = markov_corpus_file if exists else str(tmp_path / "nope.txt")
+        assert run(["generate", "--checkpoint", checkpoint, "--seed-corpus", seed_corpus]) == 2
+        assert "--seed-corpus needs --mode decoded-x1" in capsys.readouterr().err
 
     def test_vocabulary_must_match_checkpoint(self, checkpoint, tmp_path):
         vocab = tmp_path / "vocab.txt"

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from arn.errors import ConfigError, EmptyInputError
-from arn.metrics import bleu_n, corpus_bleu_n, diversity_n, fc_n, full_report
+from arn.metrics import corpus_bleu_n, diversity_n, fc_n, full_report
 
 A, B, C, D, X, Y = range(6)
 
@@ -54,29 +54,31 @@ class TestFeatureCoverage:
 
 
 class TestBleu:
+    """Sentence BLEU-n: corpus BLEU-n of a one-sentence corpus."""
+
     def test_exact_match(self):
         ref = [A, B, C, D]
         for n in (1, 2, 3, 4):
-            assert abs(bleu_n(ref, [ref], n) - 100.0) < 1e-12
+            assert abs(corpus_bleu_n([ref], [ref], n) - 100.0) < 1e-12
 
     def test_worked_example(self):
         # p1 = 4/4, p2 = 2/3, BP = 1 -> 100 sqrt(2/3)
-        score = bleu_n([A, B, C, D], [[A, B, X], [C, D, Y]], 2)
+        score = corpus_bleu_n([[A, B, C, D]], [[A, B, X], [C, D, Y]], 2)
         assert abs(score - 100.0 * math.sqrt(2.0 / 3.0)) < 1e-10
         assert round(score, 2) == 81.65
 
     def test_clipping_example(self):
         # "the the the" vs "the cat": p1 clipped to 1/3, BP = 1
-        score = bleu_n([A, A, A], [[A, B]], 1)
+        score = corpus_bleu_n([[A, A, A]], [[A, B]], 1)
         assert abs(score - 100.0 / 3.0) < 1e-10
         assert round(score, 2) == 33.33
 
     def test_zero_precision_policy(self):
-        assert bleu_n([A, B], [[C, D]], 1) == 0.0
+        assert corpus_bleu_n([[A, B]], [[C, D]], 1) == 0.0
 
     def test_brevity_penalty(self):
         # candidate shorter than the closest reference
-        score = bleu_n([A, B], [[A, B, C, D]], 1)
+        score = corpus_bleu_n([[A, B]], [[A, B, C, D]], 1)
         assert abs(score - 100.0 * math.exp(1 - 4 / 2)) < 1e-10
 
 
@@ -84,11 +86,6 @@ class TestCorpusBleu:
     def test_identical_corpora(self):
         corpus = [[A, B, C], [B, C, D]]
         assert abs(corpus_bleu_n(corpus, corpus, 2) - 100.0) < 1e-12
-
-    def test_single_sentence_mean(self):
-        gen = [[A, B, C]]
-        test = [[A, B, D], [C, D, Y]]
-        assert corpus_bleu_n(gen, test, 2) == bleu_n(gen[0], test, 2)
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(1)
@@ -145,9 +142,9 @@ def oracle_report(gen, test, orders, pad_id):
 class TestRaggedReferenceLengths:
     def test_tie_breaks_toward_shorter_reference(self):
         # c = 3 lies between reference lengths 2 and 4: r = 2, so no penalty
-        assert bleu_n([A, B, C], [[A, B, C, D], [A, B]], 1) == 100.0
+        assert corpus_bleu_n([[A, B, C]], [[A, B, C, D], [A, B]], 1) == 100.0
         # c = 2 lies between 1 and 3: r = 1, again no penalty
-        assert bleu_n([A, B], [[A], [A, B, C], [B]], 1) == 100.0
+        assert corpus_bleu_n([[A, B]], [[A], [A, B, C], [B]], 1) == 100.0
 
     def test_matches_oracle_on_ragged_micro_corpora(self):
         rng = np.random.default_rng(17)
@@ -170,7 +167,7 @@ class TestRaggedReferenceLengths:
                         for g in gen for d in range(1, 8))
             n = int(rng.integers(1, 4))
             want = [oracle_bleu(g, test, n) for g in gen]
-            assert [bleu_n(g, test, n) for g in gen] == want, trial
+            assert [corpus_bleu_n([g], test, n) for g in gen] == want, trial
             assert corpus_bleu_n(gen, test, n) == sum(want) / len(want), trial
         assert ties >= 50
 
@@ -277,8 +274,6 @@ class TestOnePassReport:
         if len(orders) == 1:
             with pytest.raises(ConfigError):
                 corpus_bleu_n(gen, gen, orders[0])
-            with pytest.raises(ConfigError):
-                bleu_n(gen[0], gen, orders[0])
 
 
 class TestIdArrays:
@@ -290,7 +285,7 @@ class TestIdArrays:
     @pytest.mark.parametrize("score", [
         lambda gen, test: fc_n(gen, test, 2),
         lambda gen, test: corpus_bleu_n(gen, test, 3),
-        lambda gen, test: bleu_n(gen[1], test, 2),
+        lambda gen, test: corpus_bleu_n([gen[1]], test, 2),
         lambda gen, test: full_report(gen, test, orders=(1, 2, 3), pad_id=0).to_json(),
     ], ids=["fc_n", "corpus_bleu_n", "reference_index", "full_report"])
     def test_array_scores_as_its_rows(self, score):
@@ -300,7 +295,7 @@ class TestIdArrays:
         lambda empty, full: fc_n(full, empty, 2),
         lambda empty, full: corpus_bleu_n(empty, full, 2),
         lambda empty, full: corpus_bleu_n(full, empty, 2),
-        lambda empty, full: bleu_n(full[0], empty, 2),
+        lambda empty, full: corpus_bleu_n([full[0]], empty, 2),
         lambda empty, full: full_report(empty, full),
         lambda empty, full: full_report(full, empty),
     ], ids=["fc_n_test", "corpus_bleu_n_generated", "corpus_bleu_n_test", "reference_index",
