@@ -17,6 +17,9 @@ GRID_STEP = 1e-5
 NASH_TOL = 1e-3
 NASH_STEP = 0.1
 NASH_MAX_ITER = 100_000
+# grid points per block of the D* scan: its two 125 KiB work arrays stay in cache, and below
+# glibc's 128 KiB mmap threshold, so they are not mapped and faulted in on every call
+_GRID_BLOCK = 16_000
 
 
 @dataclass
@@ -76,17 +79,26 @@ def grid_search_discriminator(p_d: Categorical, p_g: Categorical) -> np.ndarray:
     """Per-coordinate exhaustive minimizer of the game value over the GRID_STEP grid in (0, 1).
 
     The D-terms are separable across outcomes, so each coordinate minimizes
-    -p_d[k] log D - p_g[k] log(1 - D) independently. Every outcome's
-    objective is written into the same two work arrays.
+    -p_d[k] log D - p_g[k] log(1 - D) independently. The grid is scanned in
+    blocks of _GRID_BLOCK points through two block-sized work arrays; a block's
+    minimum replaces the best so far only when strictly smaller, so the first
+    minimum of the whole grid wins, as with one argmin over it.
     """
     grid, log_grid, log_1m = _grid(GRID_STEP)
-    obj, term = np.empty_like(grid), np.empty_like(grid)
+    obj, term = np.empty(_GRID_BLOCK), np.empty(_GRID_BLOCK)
+    best = np.full(len(p_d), np.inf)
     out = np.empty(len(p_d))
-    for k in range(len(p_d)):
-        np.multiply(-p_d.probs[k], log_grid, out=obj)
-        np.multiply(p_g.probs[k], log_1m, out=term)
-        obj -= term
-        out[k] = grid[int(np.argmin(obj))]
+    for start in range(0, len(grid), _GRID_BLOCK):
+        logs, logs_1m = log_grid[start:start + _GRID_BLOCK], log_1m[start:start + _GRID_BLOCK]
+        block_obj, block_term = obj[:len(logs)], term[:len(logs)]
+        for k in range(len(p_d)):
+            np.multiply(-p_d.probs[k], logs, out=block_obj)
+            np.multiply(p_g.probs[k], logs_1m, out=block_term)
+            block_obj -= block_term
+            i = int(np.argmin(block_obj))
+            if block_obj[i] < best[k]:
+                best[k] = block_obj[i]
+                out[k] = grid[start + i]
     return out
 
 

@@ -5,124 +5,135 @@ that are distinct; FC-n is the fraction whose distinct grams also occur in
 the test set. BLEU uses uniform weights over orders 1..n, clipped modified
 precisions against the whole test corpus, no smoothing (any zero precision
 gives score 0), and the closest-reference-length brevity penalty.
+
+Tokens are scored as written, equal where equal as dict keys ("3" and 3 differ,
+3 and np.int64(3) do not). One dict maps both corpora's tokens to dense ids;
+each order's k-grams get ids by ranking (id of the (k-1)-gram, next token)
+pairs with np.unique, and all counts are read from sorted (sentence, k-gram)
+pairs with NumPy. Only the per-sentence BLEU float math runs in Python.
 """
 
 import json
 import math
-from collections import Counter
+from collections import namedtuple
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import chain
+
+import numpy as np
 
 from .errors import ConfigError, EmptyInputError
 
 
-def ngrams(seq, n, pad_id=None):
-    """Tuples of n >= 1 consecutive hashable tokens of seq, minus any holding pad_id."""
+def ngrams(seq, n):
+    """Tuples of n >= 1 consecutive hashable tokens of seq."""
     if n > len(seq):
         return []
-    grams = list(zip(*(seq[k:] for k in range(n))))
-    if pad_id is not None:
-        grams = [g for g in grams if pad_id not in g]
-    return grams
+    return list(zip(*(seq[k:] for k in range(n))))
 
 
-def _ngrams_upto(seq, max_order, pad_id=None):
-    """ngrams(seq, k, pad_id) for k = 1..max_order, cut at the first empty order (all above are too)."""
-    by_order = []
-    for k in range(1, max_order + 1):
-        grams = ngrams(seq, k, pad_id)
-        if not grams:
-            break
-        by_order.append(grams)
-    return by_order
+# one order k's counts: each generated sentence's k-grams clipped by their max count in any one
+# test sentence, and in all; the generated corpus's k-grams in all, distinct, and found in the test
+_Order = namedtuple("_Order", "clipped totals grams distinct covered")
 
 
-def _all_ngrams(sequences, n, pad_id):
-    return [g for seq in sequences for g in ngrams(seq, n, pad_id)]
-
-
-def _distinct(grams, n):
-    """The distinct n-grams of a generated corpus's pooled n-grams, of which there must be some."""
-    if not grams:
+def _order(counts, n):
+    """Order n of _count's list; EmptyInputError where the generated corpus has no n-gram."""
+    if not 1 <= n <= len(counts):
         raise EmptyInputError(f"no {n}-grams in generated corpus")
-    return set(grams)
+    return counts[n - 1]
 
 
-def _diversity(grams, distinct):
-    return 100.0 * len(distinct) / len(grams)
+def _count(generated, test, top, pad_id=None):
+    """The _Order of each k = 1..top, up to the first order with no generated k-gram.
+
+    k-grams holding a token equal to pad_id are not counted.
+    """
+    sentences = [*generated, *test]
+    lengths = np.fromiter(map(len, sentences), np.int64, len(sentences))
+    flat = list(chain.from_iterable(sentences))
+    ids = dict(zip(dict.fromkeys(flat), range(1, len(flat) + 1)))
+    if pad_id is not None and pad_id in ids:
+        ids[pad_id] = 0
+    # id 0 marks a pad and the gap after each sentence, so no k-gram holds a pad or spans two sentences
+    stream = np.zeros(len(flat) + len(sentences), np.int64)
+    stream[np.arange(len(flat)) + np.repeat(np.arange(len(sentences)), lengths)] = \
+        np.fromiter(map(ids.__getitem__, flat), np.int64, len(flat))
+    sentence = np.repeat(np.arange(len(sentences)), lengths + 1)
+    n_gen, n_tokens = len(generated), len(ids) + 1
+    starts = np.flatnonzero(stream)  # where each k-gram starts, in stream order
+    gram, n_grams = stream[starts], n_tokens
+    counts = []
+    for k in range(1, top + 1):
+        if k > 1:  # a k-gram is a (k-1)-gram and the token after it; ranks stay below the token count
+            keep = stream[starts + k - 1] > 0
+            starts = starts[keep]
+            ranked, gram = np.unique(gram[keep] * n_tokens + stream[starts + k - 1], return_inverse=True)
+            n_grams = len(ranked)
+        pairs, repeats = np.unique(sentence[starts] * n_grams + gram, return_counts=True)
+        sent, gram_of = np.divmod(pairs, n_grams)
+        split = int(np.searchsorted(sent, n_gen))
+        if split == 0:
+            break  # and no generated sentence has a longer gram
+        ref_max = np.zeros(n_grams, np.int64)
+        np.maximum.at(ref_max, gram_of[split:], repeats[split:])
+        sent, gram_of, repeats = sent[:split], gram_of[:split], repeats[:split]
+        clipped = np.bincount(sent, np.minimum(repeats, ref_max[gram_of]), n_gen).astype(np.int64)
+        totals = np.bincount(sent, repeats, n_gen).astype(np.int64)
+        seen = np.zeros(n_grams, bool)
+        seen[gram_of] = True
+        counts.append(_Order(clipped.tolist(), totals.tolist(), int(repeats.sum()),
+                             int(np.count_nonzero(seen)), int(np.count_nonzero(ref_max[seen]))))
+    return counts
 
 
-def _coverage(grams, distinct, test_grams):
-    return 100.0 * len(test_grams & distinct) / len(grams)
+def _mean_bleus(generated, test, counts, orders):
+    """Mean sentence BLEU-n over the generated corpus for each n in orders, summed in sentence order."""
+    lengths = sorted({len(r) for r in test})
+    # ties break toward the shorter reference
+    closest = {c: min(lengths, key=lambda r: (abs(r - c), r)) for c in {len(g) for g in generated}}
+    rows = []
+    for i, g in enumerate(generated):
+        log_precisions = []
+        for order in counts:
+            if order.clipped[i] == 0:
+                break  # no k-gram, or none in the test set: every higher order clips to 0 too
+            log_precisions.append(math.log(order.clipped[i] / order.totals[i]))
+        if not log_precisions:
+            rows.append([0.0] * len(orders))
+            continue
+        c = len(g)
+        r = closest[c]
+        bp = 1.0 if c > r else math.exp(1.0 - r / c)
+        rows.append([100.0 * bp * math.exp(sum(log_precisions[:n]) / n) if n <= len(log_precisions)
+                     else 0.0 for n in orders])
+    return [sum(scores) / len(generated) for scores in zip(*rows)]
+
+
+def _check_inputs(orders, generated, test):
+    if min(orders) < 1:
+        raise ConfigError(f"n-gram orders must be positive integers, got {tuple(orders)}")
+    if len(generated) == 0:
+        raise EmptyInputError("empty generated corpus")
+    if len(test) == 0:
+        raise EmptyInputError("empty reference corpus")
 
 
 def diversity_n(generated, n, pad_id=None) -> float:
-    grams = _all_ngrams(generated, n, pad_id)
-    return _diversity(grams, _distinct(grams, n))
+    order = _order(_count(generated, [], n, pad_id), n)
+    return 100.0 * order.distinct / order.grams
 
 
 def fc_n(generated, test, n, pad_id=None) -> float:
     if len(test) == 0:
         raise EmptyInputError("empty test corpus")
-    grams = _all_ngrams(generated, n, pad_id)
-    return _coverage(grams, _distinct(grams, n), set(_all_ngrams(test, n, pad_id)))
-
-
-def _check_orders(orders):
-    if min(orders) < 1:
-        raise ConfigError(f"n-gram orders must be positive integers, got {tuple(orders)}")
-
-
-class _ReferenceIndex:
-    """Per-order max n-gram counts and distinct sorted lengths over the test corpus.
-
-    The keys of max_counts[k] are the test corpus's distinct k-grams.
-    """
-
-    def __init__(self, references, max_order, pad_id=None):
-        if len(references) == 0:
-            raise EmptyInputError("empty reference corpus")
-        self.lengths = sorted({len(r) for r in references})
-        self.max_counts = [dict() for _ in range(max_order + 1)]
-        for ref in references:
-            for max_counts, grams in zip(self.max_counts[1:], _ngrams_upto(ref, max_order, pad_id)):
-                for gram, cnt in Counter(grams).items():
-                    if cnt > max_counts.get(gram, 0):
-                        max_counts[gram] = cnt
-
-    def closest_length(self, c):
-        # ties break toward the shorter reference
-        return min(self.lengths, key=lambda r: (abs(r - c), r))
-
-
-def _sentence_bleus(by_order, c, index: _ReferenceIndex, orders):
-    """Sentence BLEU-n for each n in orders of a length-c candidate with the given k-gram lists."""
-    log_precisions = []
-    for grams, max_counts in zip(by_order, index.max_counts[1:]):
-        if len(set(grams)) == len(grams):  # each gram once: it clips to 1 if the test has it
-            clipped = len(max_counts.keys() & grams)
-        else:
-            counts = Counter(grams)
-            clipped = sum(map(min, counts.values(), map(max_counts.get, counts, repeat(0))))
-        if clipped == 0:
-            break  # and every higher order clips to 0 too
-        log_precisions.append(math.log(clipped / len(grams)))
-    if not log_precisions:
-        return [0.0] * len(orders)
-    r = index.closest_length(c)
-    bp = 1.0 if c > r else math.exp(1.0 - r / c)
-    return [100.0 * bp * math.exp(sum(log_precisions[:n]) / n) if n <= len(log_precisions) else 0.0
-            for n in orders]
+    order = _order(_count(generated, test, n, pad_id), n)
+    return 100.0 * order.covered / order.grams
 
 
 def corpus_bleu_n(generated, test, n, pad_id=None) -> float:
     """Mean sentence BLEU-n, every test sentence serving as a reference."""
-    _check_orders((n,))
-    if len(generated) == 0:
-        raise EmptyInputError("empty generated corpus")
-    index = _ReferenceIndex(test, n, pad_id)
-    return sum(_sentence_bleus(_ngrams_upto(g, n, pad_id), len(g), index, (n,))[0]
-               for g in generated) / len(generated)
+    _check_inputs((n,), generated, test)
+    return _mean_bleus(generated, test, _count(generated, test, n, pad_id), (n,))[0]
 
 
 @dataclass
@@ -149,31 +160,17 @@ class MetricsReport:
 def full_report(generated, test, orders=(2, 3), pad_id=None) -> MetricsReport:
     """BLEU-n, FC-n and Diversity-n for each n in orders, equal to the one-order functions.
 
-    Each corpus's k-grams are extracted and counted once for k = 1 up to the
-    highest order asked.
+    Each corpus's k-grams are counted once for k = 1 up to the highest order asked.
     """
     report = MetricsReport(sample_count=len(generated))
     if not orders:
         return report
-    _check_orders(orders)
-    if len(generated) == 0:
-        raise EmptyInputError("empty generated corpus")
-    top = max(orders)
-    # no index order above the longest generated sentence: a larger order is an error below
-    index = _ReferenceIndex(test, min(top, max(map(len, generated))), pad_id)
-    pooled = {n: [] for n in orders}  # each order once, with the generated corpus's n-grams
-    distinct_orders = list(pooled)
-    rows = []
-    for g in generated:
-        by_order = _ngrams_upto(g, top, pad_id)
-        rows.append(_sentence_bleus(by_order, len(g), index, distinct_orders))
-        for n, grams in pooled.items():
-            if n <= len(by_order):
-                grams += by_order[n - 1]
+    _check_inputs(orders, generated, test)
+    counts = _count(generated, test, max(orders), pad_id)
     for n in orders:
-        grams = pooled[n]
-        distinct = _distinct(grams, n)  # an order above the index's has no grams and raises here
-        report.diversity[n] = _diversity(grams, distinct)
-        report.fc[n] = _coverage(grams, distinct, index.max_counts[n].keys())
-    report.bleu.update(zip(distinct_orders, (sum(scores) / len(generated) for scores in zip(*rows))))
+        order = _order(counts, n)
+        report.diversity[n] = 100.0 * order.distinct / order.grams
+        report.fc[n] = 100.0 * order.covered / order.grams
+    bleu_orders = list(dict.fromkeys(orders))
+    report.bleu.update(zip(bleu_orders, _mean_bleus(generated, test, counts, bleu_orders)))
     return report

@@ -66,6 +66,46 @@ class TestOptimalDiscriminator:
             err = np.max(np.abs(optimal_discriminator(p, q) - grid_search_discriminator(p, q)))
             assert err <= 1e-4
 
+    @staticmethod
+    def unblocked_grid_search(p_d, p_g):
+        """One argmin over the whole grid per outcome, with the scan's arithmetic."""
+        grid = np.arange(divlab.GRID_STEP, 1.0, divlab.GRID_STEP)
+        return np.array([grid[np.argmin(-a * np.log(grid) - b * np.log(1.0 - grid))]
+                         for a, b in zip(p_d.probs, p_g.probs)])
+
+    def test_blocked_scan_equals_one_argmin(self):
+        rng = np.random.default_rng(6)
+        for k in rng.integers(2, 17, size=40):
+            p, q = random_simplex(rng, int(k)), random_simplex(rng, int(k))
+            assert grid_search_discriminator(p, q).tobytes() == self.unblocked_grid_search(p, q).tobytes()
+
+    def test_minimum_on_a_block_boundary(self):
+        # grid point i is (i + 1) * step; aim D* at the last point of each block, the first of the
+        # next, and their neighbours. Each target g comes with an outcome aimed at 1 - g of the
+        # same weight, so p_d and p_g share one normalizer and p_d / (p_d + p_g) is g itself.
+        step, block = divlab.GRID_STEP, divlab._GRID_BLOCK
+        grid = np.arange(step, 1.0, step)
+        edges = np.arange(block, len(grid), block)
+        targets = np.concatenate([edges + d for d in (-2, -1, 0, 1)])
+        g = np.concatenate([grid[targets], 1.0 - grid[targets]])
+        w = np.tile(np.random.default_rng(7).uniform(1.0, 2.0, size=len(targets)), 2)
+        p, q = Categorical(g * w / (g * w).sum()), Categorical((1.0 - g) * w / ((1.0 - g) * w).sum())
+        found = grid_search_discriminator(p, q)
+        assert found.tobytes() == self.unblocked_grid_search(p, q).tobytes()
+        hit = np.rint(found[:len(targets)] / step).astype(int) - 1
+        assert np.abs(hit - targets).max() <= 1 and np.mean(hit == targets) >= 0.5
+
+    def test_tie_across_a_block_boundary_keeps_the_first(self):
+        # found by search: this outcome's objective is equal, to the bit, at the last point of one
+        # block and the first of the next, and smaller nowhere else
+        a, b = 0.15992373740985288, 0.17324724499535313
+        p, q = Categorical([a, 1.0 - a]), Categorical([b, 1.0 - b])
+        grid = np.arange(divlab.GRID_STEP, 1.0, divlab.GRID_STEP)
+        obj = -p.probs[0] * np.log(grid) - q.probs[0] * np.log(1.0 - grid)
+        first, second = np.flatnonzero(obj == obj.min())
+        assert second == first + 1 and second % divlab._GRID_BLOCK == 0
+        assert grid_search_discriminator(p, q)[0] == grid[first]
+
     def test_grid_step_is_read_at_each_call(self, monkeypatch):
         p, q = random_simplex(np.random.default_rng(4), 6), random_simplex(np.random.default_rng(5), 6)
         fine = grid_search_discriminator(p, q)

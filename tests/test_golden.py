@@ -1,11 +1,12 @@
-"""Outputs pinned byte for byte: the Markov sampler, `arn divlab` and `arn generate`.
+"""Outputs pinned byte for byte: the Markov sampler, `arn divlab`, `arn generate` and `arn evaluate`.
 
 The pins were recorded before the samplers and the divergence lab's solver
 settings were folded into shared helpers and constants, so a change that
 moves any of them changes what a seed means and fails here. The two-chunk
 generate pins were recorded before generate_batch wrote every step into
 arrays reused across steps, so a row that leaks from one step or chunk into
-the next fails here too. The divlab
+the next fails here too. The evaluate pins were recorded before the n-gram
+counts moved from tuple dicts to integer id arrays. The divlab
 reports are exact float reprs, recorded with NumPy 2.4 on x86-64; a NumPy
 build whose log or exp rounds differently may differ in the last digit.
 """
@@ -40,6 +41,16 @@ GENERATE_DIGESTS = {
 GENERATE_TWO_CHUNK_DIGESTS = {
     "noise": "51337374ab38b01569f9c3f39617ff6dcd968ed03646e2010b29c006b783a757",
     "decoded-x1": "25dd825ab17fc0bf82bfcc60e133054751a675492dbc63033e17ba3e37df321c",
+}
+
+# sha256 of `arn evaluate` stdout on the corpora of evaluate_corpora(kind), per --orders
+EVALUATE_DIGESTS = {
+    ("words", "2,3"): "953713d01c0fd12746e9e6310645a579d45e8b3d7b6604c5ae5008855d7a1135",
+    ("words", "1,2,3,4"): "bea46b58388c21f46dc35d27acb5d9ef9c0158996ba505533489cdb6c67359a7",
+    ("ints", "2,3"): "9bf7a78232d2d50f19645886e645863f4381e3bb70c5edd15b8add2ffe85339d",
+    ("ints", "1,2,3,4"): "ab8e54808583271946b94b593c1d4cbfed15cd47e44ca5b27cad04162919837b",
+    ("wide", "2,3"): "601957b0c7e197ff9b762dfedcb194280e98c39b23fadf45c49cd67630f03c3c",
+    ("wide", "1,2,3,4"): "ed9ab4721e8432fa08e4b7cc030121a9688110f237bb0e387d9af93f8ae51d4d",
 }
 
 
@@ -104,3 +115,39 @@ def test_generate_two_chunks_stdout(tmp_path, capsys, mode):
     out = generate_stdout(tmp_path, capsys, "float32", mode, False, vocab_size=1000)
     assert len(out.splitlines()) == 300
     assert hashlib.sha256(out.encode()).hexdigest() == GENERATE_TWO_CHUNK_DIGESTS[mode]
+
+
+def evaluate_corpora(kind):
+    """Generated and test token lines of one kind, drawn from a fixed seed.
+
+    "words": 8 words, so n-grams repeat within and across sentences, with
+    ragged lengths 1..14, interior <PAD> tokens and padded tails. "ints":
+    integer tokens 0..39 of ragged lengths 3..20. "wide": 600 words of a
+    Zipf-like law over lengths 5..30, so most long grams are distinct.
+    """
+    rng = np.random.default_rng({"words": 11, "ints": 12, "wide": 13}[kind])
+
+    def line():
+        if kind == "words":
+            words = ["the", "cat", "sat", "on", "a", "mat", "dog", "ran"]
+            toks = [words[i] for i in rng.integers(0, len(words), size=int(rng.integers(1, 15)))]
+            toks = [corpus.PAD_TOKEN if rng.random() < 0.08 else t for t in toks]
+            tail = int(rng.integers(1, 5)) if rng.random() < 0.25 else 0
+            return toks + [corpus.PAD_TOKEN] * tail
+        if kind == "ints":
+            return [str(t) for t in rng.integers(0, 40, size=int(rng.integers(3, 21)))]
+        ranks = np.minimum(rng.zipf(1.3, size=int(rng.integers(5, 31))), 600)
+        return [f"w{r}" for r in ranks]
+
+    return ([line() for _ in range(300)], [line() for _ in range(250)])
+
+
+@pytest.mark.parametrize("kind, orders", sorted(EVALUATE_DIGESTS))
+def test_evaluate_stdout(tmp_path, capsys, kind, orders):
+    paths = []
+    for name, lines in zip(("gen.txt", "test.txt"), evaluate_corpora(kind)):
+        (tmp_path / name).write_text("".join(" ".join(toks) + "\n" for toks in lines), encoding="utf-8")
+        paths.append(str(tmp_path / name))
+    assert cli.main(["evaluate", "--generated", paths[0], "--test", paths[1], "--orders", orders]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == EVALUATE_DIGESTS[kind, orders], out

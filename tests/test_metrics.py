@@ -276,6 +276,71 @@ class TestOnePassReport:
                 corpus_bleu_n(gen, gen, orders[0])
 
 
+class TestDifferential:
+    """Every entry point against the brute force, bit for bit, on seeded micro-corpora."""
+
+    def test_fuzz_equals_oracle(self):
+        rng = np.random.default_rng(1802)
+        checked = missing_orders = duplicate_orders = 0
+        for trial in range(2000):
+            pad_id = (0, "<PAD>")[trial % 2]
+            v = int(rng.integers(2, 7))  # id 0 is the pad
+
+            def sentence():
+                return [int(t) if pad_id == 0 else ("<PAD>" if t == 0 else f"w{t}")
+                        for t in rng.integers(0, v, size=int(rng.integers(1, 10)))]
+
+            gen = [sentence() for _ in range(int(rng.integers(1, 7)))]
+            test = [sentence() for _ in range(int(rng.integers(1, 7)))]
+            # orders repeat, and some lie above the longest pad-free run of the generated corpus
+            orders = tuple(int(n) for n in rng.integers(1, 8, size=int(rng.integers(1, 4))))
+            duplicate_orders += len(set(orders)) < len(orders)
+            args = [[np.asarray(s) for s in c] for c in (gen, test)] if trial % 4 >= 2 else [gen, test]
+            missing = [n for n in orders if not any(oracle_grams(s, n, pad_id) for s in gen)]
+            if missing:
+                n = missing[0]
+                for score in (lambda: full_report(*args, orders=orders, pad_id=pad_id),
+                              lambda: diversity_n(args[0], n, pad_id=pad_id),
+                              lambda: fc_n(*args, n, pad_id=pad_id)):
+                    with pytest.raises(EmptyInputError, match=f"^no {n}-grams in generated corpus$"):
+                        score()
+                assert corpus_bleu_n(*args, n, pad_id=pad_id) == 0.0
+                missing_orders += 1
+                continue
+            report = full_report(*args, orders=orders, pad_id=pad_id)
+            assert (report.bleu, report.fc, report.diversity) == oracle_report(gen, test, orders, pad_id), \
+                (trial, orders)
+            for n in orders:
+                assert corpus_bleu_n(*args, n, pad_id=pad_id) == report.bleu[n], (trial, n)
+                assert diversity_n(args[0], n, pad_id=pad_id) == report.diversity[n], (trial, n)
+                assert fc_n(*args, n, pad_id=pad_id) == report.fc[n], (trial, n)
+            checked += 1
+        assert checked >= 900 and missing_orders >= 900 and duplicate_orders >= 300
+
+    @pytest.mark.parametrize("distinct", [8190, 8191, 8192])
+    def test_order_20_over_8000_tokens(self, distinct):
+        # A k-gram key built as a base-V number wraps int64 far below order 20. Where V is a power
+        # of two it then drops the first tokens, merging 20-grams that differ only there, which
+        # these corpora hold; the distinct token counts put V at 2^13 under any small id offset.
+        rng = np.random.default_rng(20)
+        gen = rng.permutation(6000).reshape(300, 20)  # every token once
+        test = gen[:200].copy()
+        test[100:, 0] = gen[200:, 0]  # rows 100..199 lose their first token to one of rows 200..299
+        fresh = np.resize(rng.permutation(np.arange(6000, distinct)), (110, 20))
+        test = np.concatenate([test, fresh])
+        assert len(np.unique(np.concatenate([gen, test]))) == distinct
+        orders = tuple(range(1, 21))
+        report = full_report(gen, test, orders=orders)
+        for n in orders:
+            grams = [g for s in gen for g in oracle_grams(s, n)]
+            test_grams = {g for s in test for g in oracle_grams(s, n)}
+            assert report.diversity[n] == 100.0
+            assert report.fc[n] == 100.0 * sum(1 for g in set(grams) if g in test_grams) / len(grams), n
+        # only rows 0..99 have all their 20-grams, and their one 20-gram, in the test corpus
+        assert report.fc[20] == 100.0 * 100 / 300
+        assert report.bleu[20] == 100.0 * 100 / 300 == corpus_bleu_n(gen, test, 20)
+
+
 class TestIdArrays:
     """(N, T) id arrays, as load_corpus, sample_markov and generate_batch return them."""
 
