@@ -102,16 +102,16 @@ def gumbel_softmax(logits, tau: float, uniform_noise, hard=False) -> Tensor:
     return y
 
 
-def sample_rows(probs: np.ndarray, rng, cum=None) -> np.ndarray:
+def sample_rows(probs: np.ndarray, rng, cum=None, mask=None) -> np.ndarray:
     """One inverse-CDF index per row of a (B, K) array of laws; index K - 1 takes any rounding shortfall.
 
-    cum, when given, is a float64 array of probs' shape that the running sums are written into.
+    cum (float64) and mask (bool), when given, take the running sums and comparisons, in probs' shape.
     """
     # a float32 running sum over 10^4 tokens drifts by up to 1e-5
     cum = np.cumsum(probs, axis=1, dtype=np.float64, out=cum)
     cum[:, -1] = 1.0
     u = rng.random(probs.shape[0])
-    return (u[:, None] > cum).sum(axis=1)
+    return np.less(cum, u[:, None], out=mask).sum(axis=1)
 
 
 def _kl_raw(p: np.ndarray, q: np.ndarray) -> float:

@@ -23,38 +23,41 @@ def lstm_cell_forward(pre, c_prev):
     """Fused LSTM cell: gate math given preactivations.
 
     pre: (B, 4H) preactivations laid out [i | f | o | g]; c_prev: (B, H).
-    Returns (h_new, c_new, saved), where saved = (i, f, o, g, tanh_c_new)
-    is kept for the backward pass.
+    Returns (h_new, c_new, saved), where saved = (ifo, g, tanh_c_new) is
+    kept for the backward pass, with ifo the (3, B, H) gate-major block of
+    the i, f and o sigmoids.
     """
     bsz, hdim = c_prev.shape
     # one sigmoid over the [i|f|o] block, laid out gate-major so that each
-    # saved gate is a contiguous (B, H) array for the elementwise backward
-    i, f, o = sigmoid(np.ascontiguousarray(pre[:, :3 * hdim].reshape(bsz, 3, hdim).transpose(1, 0, 2)))
+    # gate is a contiguous (B, H) array for the elementwise backward
+    i, f, o = ifo = sigmoid(np.ascontiguousarray(pre[:, :3 * hdim].reshape(bsz, 3, hdim).transpose(1, 0, 2)))
     g = np.tanh(pre[:, 3 * hdim:])
     c_new = f * c_prev + i * g
     tc = np.tanh(c_new)
-    return o * tc, c_new, (i, f, o, g, tc)
+    return o * tc, c_new, (ifo, g, tc)
 
 
-def lstm_cell_backward(dh, dc, c_prev, i, f, o, g, tc):
-    """Backward of the fused cell.
+def lstm_cell_backward(dh, dc, c_prev, ifo, g, tc, d_pre=None):
+    """Backward of the fused cell, given lstm_cell_forward's saved (ifo, g, tc).
 
-    dh, dc: (B, H) gradients w.r.t. h_new and c_new.
-    Returns (d_pre, d_c_prev).
+    dh, dc: (B, H) gradients w.r.t. h_new and c_new; ifo may be the rows
+    ifo[:, rows] of the saved block, with g[rows] and tc[rows]. Returns
+    (d_pre, d_c_prev), d_pre written into a given C-contiguous (B, 4H) array.
     """
-    hdim = c_prev.shape[1]
+    bsz, hdim = c_prev.shape
+    i, f, o = ifo
     dc = dc + dh * o * (1.0 - tc * tc)
-    do = dh * tc
-    di = dc * g
-    df = dc * c_prev
-    dg = dc * i
-    d_pre = np.empty((c_prev.shape[0], 4 * hdim), dtype=dh.dtype)
-    d_pre[:, :hdim] = di * i * (1.0 - i)
-    d_pre[:, hdim:2 * hdim] = df * f * (1.0 - f)
-    d_pre[:, 2 * hdim:3 * hdim] = do * o * (1.0 - o)
-    d_pre[:, 3 * hdim:] = dg * (1.0 - g * g)
-    d_c_prev = dc * f
-    return d_pre, d_c_prev
+    # the three sigmoid gates' terms d * s * (1 - s) as one (3, B, H) block
+    d_ifo = np.empty(ifo.shape, dh.dtype)
+    np.multiply(dc, g, out=d_ifo[0])
+    np.multiply(dc, c_prev, out=d_ifo[1])
+    np.multiply(dh, tc, out=d_ifo[2])
+    d_ifo *= ifo
+    d_ifo *= 1.0 - ifo
+    d_pre = np.empty((bsz, 4 * hdim), dh.dtype) if d_pre is None else d_pre
+    d_pre.reshape(bsz, 4, hdim)[:, :3] = d_ifo.transpose(1, 0, 2)
+    d_pre[:, 3 * hdim:] = dc * i * (1.0 - g * g)
+    return d_pre, dc * f
 
 
 def softmax_rows(x, out=None):
@@ -92,10 +95,11 @@ def adam_update(param, grad, m, v, t, lr, beta1, beta2, eps):
     c2 = 1.0 - beta2 ** t
     x = np.empty(min(param.size, ADAM_BLOCK), param.dtype)
     y = np.empty_like(x)
-    for lo in range(0, param.size, ADAM_BLOCK):
-        hi = min(lo + ADAM_BLOCK, param.size)
-        p, g, mb, vb = param[lo:hi], grad[lo:hi], m[lo:hi], v[lo:hi]
-        xb, yb = x[:hi - lo], y[:hi - lo]
+    # a parameter of at most one block runs on its whole arrays, without slicing
+    blocks = [(param, grad, m, v)] if param.size <= ADAM_BLOCK else (
+        [a[lo:lo + ADAM_BLOCK] for a in (param, grad, m, v)] for lo in range(0, param.size, ADAM_BLOCK))
+    for p, g, mb, vb in blocks:
+        xb, yb = (x, y) if p.size == x.size else (x[:p.size], y[:p.size])
         mb *= beta1
         np.multiply(1.0 - beta1, g, out=xb)
         mb += xb

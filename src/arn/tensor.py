@@ -17,6 +17,7 @@ from .errors import DomainError, NumericsError, RankError, ShapeError
 
 _grad_enabled = True
 _BASIC_INDEX = (int, np.integer, slice, type(Ellipsis), type(None))
+_FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 
 
 @contextlib.contextmanager
@@ -38,7 +39,7 @@ def _as_array(data):
     a float64 0-d array would promote a float32 operand.
     """
     arr = np.asarray(data)
-    if arr.dtype in (np.float32, np.float64):
+    if arr.dtype in _FLOAT_DTYPES:
         return arr
     return arr.astype(np.float64)
 
@@ -82,11 +83,11 @@ class Tensor:
 
     @staticmethod
     def _make(data, parents, backward):
-        out = Tensor(data)
+        out = Tensor.__new__(Tensor)  # a float ndarray is stored as it is
+        out.data = data if type(data) is np.ndarray and data.dtype in _FLOAT_DTYPES else _as_array(data)
+        out.grad, out.requires_grad, out._backward, out._prev = None, False, None, ()
         if _grad_enabled and any(p.requires_grad for p in parents):
-            out.requires_grad = True
-            out._prev = tuple(parents)
-            out._backward = backward
+            out.requires_grad, out._prev, out._backward = True, tuple(parents), backward
         return out
 
     @property
@@ -119,12 +120,12 @@ class Tensor:
             if expanded:
                 topo.append(node)
                 continue
-            if id(node) in visited:
+            if node in visited:  # a Tensor hashes by identity
                 continue
-            visited.add(id(node))
+            visited.add(node)
             stack.append((node, True))
             for parent in node._prev:
-                if id(parent) not in visited:
+                if parent not in visited:
                     stack.append((parent, False))
         for node in topo:
             node.grad = None
@@ -142,7 +143,8 @@ class Tensor:
         is copied, since a later contribution adds into self.grad in place.
         """
         if self.requires_grad:
-            grad = _unbroadcast(grad, self.data.shape)
+            if grad.shape != self.data.shape:
+                grad = _unbroadcast(grad, self.data.shape)
             if self.grad is None:
                 self.grad = np.asarray(grad, self.data.dtype) if owned else np.array(grad, self.data.dtype)
             else:
@@ -168,13 +170,25 @@ class Tensor:
 
     def __neg__(self):
         a = self
-        return Tensor._make(-a.data, (a,), lambda g: a._accum(-g))
+        return Tensor._make(-a.data, (a,), lambda g: a._accum(-g, owned=True))
 
     def __sub__(self, other):
-        return self + (-Tensor._lift(other, self))
+        """a - b as one node; equal bit for bit to a + (-b)."""
+        a, b = self, Tensor._lift(other, self)
+        try:
+            data = a.data - b.data
+        except ValueError as exc:
+            raise ShapeError(str(exc)) from exc
+
+        def backward(g):
+            a._accum(g)
+            if b.requires_grad:
+                b._accum(-g, owned=True)
+
+        return Tensor._make(data, (a, b), backward)
 
     def __rsub__(self, other):
-        return Tensor._lift(other, self) + (-self)
+        return Tensor._lift(other, self) - self
 
     def __mul__(self, other):
         other = Tensor._lift(other, self)
@@ -185,8 +199,8 @@ class Tensor:
             raise ShapeError(str(exc)) from exc
 
         def backward(g):
-            a._accum(g * b.data)
-            b._accum(g * a.data)
+            a._accum(g * b.data, owned=True)
+            b._accum(g * a.data, owned=True)
 
         return Tensor._make(data, (a, b), backward)
 
@@ -226,7 +240,7 @@ class Tensor:
                     buf[key] += g
                 else:
                     np.add.at(buf, key, g)
-                a._accum(buf)
+                a._accum(buf, owned=True)
 
         return Tensor._make(data, (a,), backward)
 
@@ -253,31 +267,31 @@ class Tensor:
     def exp(self):
         a = self
         data = np.exp(a.data)
-        return Tensor._make(data, (a,), lambda g: a._accum(g * data))
+        return Tensor._make(data, (a,), lambda g: a._accum(g * data, owned=True))
 
     def log(self):
         a = self
         if np.any(a.data <= 0.0):
             raise DomainError("log requires strictly positive input")
         data = np.log(a.data)
-        return Tensor._make(data, (a,), lambda g: a._accum(g / a.data))
+        return Tensor._make(data, (a,), lambda g: a._accum(g / a.data, owned=True))
 
     def tanh(self):
         a = self
         data = np.tanh(a.data)
-        return Tensor._make(data, (a,), lambda g: a._accum(g * (1.0 - data * data)))
+        return Tensor._make(data, (a,), lambda g: a._accum(g * (1.0 - data * data), owned=True))
 
     def sigmoid(self):
         a = self
         data = kernels.sigmoid(a.data)
-        return Tensor._make(data, (a,), lambda g: a._accum(g * data * (1.0 - data)))
+        return Tensor._make(data, (a,), lambda g: a._accum(g * data * (1.0 - data), owned=True))
 
     def log_sigmoid(self):
         """log(sigmoid(x)) as min(x, 0) - log1p(exp(-|x|)): exp never overflows, in any dtype."""
         a = self
         data = np.minimum(a.data, 0.0) - np.log1p(np.exp(-np.abs(a.data)))
         sig = kernels.sigmoid(a.data)
-        return Tensor._make(data, (a,), lambda g: a._accum(g * (1.0 - sig)))
+        return Tensor._make(data, (a,), lambda g: a._accum(g * (1.0 - sig), owned=True))
 
     def softmax(self):
         """Softmax over the last axis (max-subtracted)."""
@@ -286,7 +300,7 @@ class Tensor:
 
         def backward(g):
             dot = (g * data).sum(axis=-1, keepdims=True)
-            a._accum(data * (g - dot))
+            a._accum(data * (g - dot), owned=True)
 
         return Tensor._make(data, (a,), backward)
 
@@ -296,7 +310,7 @@ class Tensor:
 
         def backward(g):
             soft = np.exp(data)
-            a._accum(g - soft * g.sum(axis=-1, keepdims=True))
+            a._accum(g - soft * g.sum(axis=-1, keepdims=True), owned=True)
 
         return Tensor._make(data, (a,), backward)
 
@@ -348,7 +362,7 @@ def pick(x, ids):
         if x.requires_grad:
             buf = np.zeros_like(x.data)
             buf[rows, ids] = g
-            x._accum(buf)
+            x._accum(buf, owned=True)
 
     return Tensor._make(x.data[rows, ids], (x,), backward)
 
@@ -371,8 +385,8 @@ def lstm_cell(pre, c_prev):
 
     def backward(g):
         d_pre, d_c = kernels.lstm_cell_backward(g[:, :hdim], g[:, hdim:], c_data, *saved)
-        pre._accum(d_pre)
-        c_prev._accum(d_c)
+        pre._accum(d_pre, owned=True)
+        c_prev._accum(d_c, owned=True)
 
     return Tensor._make(np.concatenate([h, c], axis=1), (pre, c_prev), backward)
 
@@ -397,16 +411,17 @@ class _LstmTape:
         self.saved.append(saved)
         return self.h[t + 1]
 
-    def backward_step(self, t, dh, dc, rows=slice(None)):
-        """(d_pre, dL/dc[t]) of step t from dL/dh[t + 1] and dL/dc[t + 1]."""
-        return kernels.lstm_cell_backward(dh, dc, self.c[t, rows], *(a[rows] for a in self.saved[t]))
+    def backward_step(self, t, dh, dc, d_pre, rows=slice(None)):
+        """dL/dc[t] of step t from dL/dh[t + 1] and dL/dc[t + 1]; the step's d_pre goes into d_pre."""
+        ifo, g, tc = self.saved[t]
+        return kernels.lstm_cell_backward(dh, dc, self.c[t, rows], ifo[:, rows], g[rows], tc[rows], d_pre)[1]
 
     def accum_weights(self, x, d_pre, wx, wh, b, rows=slice(None)):
         """Weight gradients from the (T*B, 4H) d_pre rows, one GEMM per matrix."""
         for w, inp in ((wx, x), (wh, self.h[:-1, rows])):
             if w.requires_grad:
                 w._accum(inp.reshape(len(d_pre), inp.shape[-1]).T @ d_pre, owned=True)
-        b._accum(d_pre.sum(axis=0))
+        b._accum(d_pre.sum(axis=0), owned=True)
 
 
 def _check_lstm_weights(wx, wh, b, d_in):
@@ -433,14 +448,14 @@ def lstm_sequence(x, wx, wh, b):
         tape.step(t, xw[t])
 
     def backward(g):
-        d_pre = np.empty_like(xw)
+        d_pre = xw  # the input projections are spent once the tape has run; d_pre reuses their buffer
         dh_next, dc = 0.0, np.zeros_like(tape.h[0])
         for t in reversed(range(tlen)):
-            d_pre[t], dc = tape.backward_step(t, g[t] + dh_next, dc)
+            dc = tape.backward_step(t, g[t] + dh_next, dc, d_pre[t])
             dh_next = _matmul_t(d_pre[t], wh.data)
         d_pre = d_pre.reshape(tlen * bsz, xw.shape[2])
         if x.requires_grad:
-            x._accum((d_pre @ wx.data.T).reshape(x.data.shape))
+            x._accum((d_pre @ wx.data.T).reshape(x.data.shape), owned=True)
         tape.accum_weights(x.data, d_pre, wx, wh, b)
 
     return Tensor._make(tape.h[1:], (x, wx, wh, b), backward)
@@ -488,7 +503,7 @@ def gumbel_lstm_sequence(y0s, emb, wx, wh, b, proj_w, proj_b, gumbel, tau):
             for t in reversed(range(steps)):
                 y = rows[t + 1, sl]
                 d_logits[t] = (y * (dy - (dy * y).sum(axis=-1, keepdims=True))) * (1.0 / tau)
-                d_pre[t], dc = tape.backward_step(t, _matmul_t(d_logits[t], proj_w.data) + dh_next, dc, sl)
+                dc = tape.backward_step(t, _matmul_t(d_logits[t], proj_w.data) + dh_next, dc, d_pre[t], sl)
                 dh_next = _matmul_t(d_pre[t], wh.data)
                 d_x[t] = _matmul_t(d_pre[t], wx.data)
                 dy = g[t] + _matmul_t(d_x[t], emb.data)
@@ -501,7 +516,7 @@ def gumbel_lstm_sequence(y0s, emb, wx, wh, b, proj_w, proj_b, gumbel, tau):
                            owned=True)
             if proj_w.requires_grad:
                 proj_w._accum(tape.h[1:, sl].reshape(rows_in, hdim).T @ d_logits, owned=True)
-            proj_b._accum(d_logits.sum(axis=0))
+            proj_b._accum(d_logits.sum(axis=0), owned=True)
 
         return Tensor._make(rows[:, sl], (y0, emb, wx, wh, b, proj_w, proj_b), backward)
 

@@ -135,7 +135,7 @@ def optimizer_step(params: dict, state: AdamState, lr: float):
     for name, p in params.items():
         if p.grad is None:
             continue
-        if not np.all(np.isfinite(p.grad)):
+        if not np.isfinite(p.grad).all():
             raise NumericsError(f"non-finite gradient in {name}")
         grads[name] = p.grad
     state.t += 1

@@ -12,6 +12,7 @@ from arn.distributions import (
     kl_categorical,
     kl_gauss_std,
     reparam_sample,
+    sample_rows,
 )
 from arn.errors import DomainError, ShapeError
 from arn.tensor import Tensor, grad_check
@@ -161,3 +162,16 @@ class TestCategoricalDivergences:
             p, q = Categorical(x / x.sum()), Categorical(y / y.sum())
             assert js_categorical(p, q) == js_categorical(q, p)
             assert -1e-12 <= js_categorical(p, q) <= math.log(2) + 1e-12
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_sample_rows_into_scratch_arrays_draws_the_same_ids(dtype):
+    probs = np.random.default_rng(9).dirichlet(np.full(50, 0.3), size=12).astype(dtype)
+    want = sample_rows(probs, np.random.default_rng(10))
+    cum, mask = np.full(probs.shape, np.nan), np.ones(probs.shape, bool)
+    got = sample_rows(probs, np.random.default_rng(10), cum, mask)
+    np.testing.assert_array_equal(got, want)
+    u = np.random.default_rng(10).random(len(probs))
+    np.testing.assert_array_equal(mask, cum < u[:, None])
+    np.testing.assert_array_equal(got, mask.sum(axis=1))
+    assert cum[:, -1].tolist() == [1.0] * len(probs)

@@ -1,4 +1,4 @@
-"""Outputs pinned byte for byte: the Markov sampler, `arn divlab`, `arn generate` and `arn evaluate`.
+"""Outputs pinned byte for byte: the Markov sampler, `arn divlab`, `arn generate`, `arn evaluate`, training.
 
 The pins were recorded before the samplers and the divergence lab's solver
 settings were folded into shared helpers and constants, so a change that
@@ -6,12 +6,17 @@ moves any of them changes what a seed means and fails here. The two-chunk
 generate pins were recorded before generate_batch wrote every step into
 arrays reused across steps, so a row that leaks from one step or chunk into
 the next fails here too. The evaluate pins were recorded before the n-gram
-counts moved from tuple dicts to integer id arrays. The divlab
+counts moved from tuple dicts to integer id arrays. The training pins were
+recorded before the LSTM kernels, the autodiff ops and Adam were trimmed of
+temporaries and wrappers, so any change to the arithmetic of a training
+step, in float64 or float32, fails here. The divlab
 reports are exact float reprs, recorded with NumPy 2.4 on x86-64; a NumPy
 build whose log or exp rounds differently may differ in the last digit.
 """
 
+import dataclasses
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -151,3 +156,41 @@ def test_evaluate_stdout(tmp_path, capsys, kind, orders):
     assert cli.main(["evaluate", "--generated", paths[0], "--test", paths[1], "--orders", orders]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == EVALUATE_DIGESTS[kind, orders], out
+
+
+# sha256 of (trace records, final parameter bytes) after TRAIN_STEPS desk steps, per (dtype, lambda_adv)
+TRAIN_STEPS = 40
+TRAIN_DIGESTS = {
+    ("float32", 0.0): ("8bd081278b9ca40cbb2953122cee54a6aa0f000ca6e6fbf94c653d1f9ac87550",
+                       "60c047321f6cf80143e19d8f236fcc2f67e113043cffb0beae0d3e4511f2f811"),
+    ("float32", 1.0): ("ebad5cbf60b320a7adcc278c17a2c8c76edb8c82b1284e4217d33c82b87e2464",
+                       "cd237010287df315c51252584425a97d9a6acf3509bfad49ee806433f8068445"),
+    ("float64", 0.0): ("14b022eea16dd4152cc488f723fc9f4409470f017d4811fd63d525072dccd7d3",
+                       "9d2054a3188fa899a2896982615baad5be63227fd446f045abf5a97475f5f1d0"),
+    ("float64", 1.0): ("bab16d6ec517ae49e07760e2f3bfa1334d6afbdb4ce168158e6e0dc40bb0cb34",
+                       "005e8598097b50a69b4f793c25105cfc814303ddffc2d877af92818234e42977"),
+}
+
+
+def training_digests(dtype, lambda_adv):
+    """Digests of a seeded desk training: its JSON trace lines, then its parameters in name order."""
+    cfg = dataclasses.replace(ArnConfig.preset("desk"), dtype=dtype)
+    rng = np.random.default_rng(21)
+    source = corpus.MarkovSource(rng.dirichlet(np.ones(cfg.vocab_size)),
+                                 rng.dirichlet(np.full(cfg.vocab_size, 0.5), size=cfg.vocab_size))
+    ids = corpus.sample_markov(source, cfg.seq_len, 500, rng)
+    model = ArnModel.initialized(cfg, training.rng_streams(3)["init"])
+    _, trace = training.train(model, ids, training.TrainConfig(
+        batch_size=32, steps=TRAIN_STEPS, lambda_adv=lambda_adv, seed=3))
+    assert len(trace) == TRAIN_STEPS
+    params = hashlib.sha256()
+    for name, p in sorted(model.params.items()):
+        assert p.data.dtype == cfg.dtype
+        params.update(name.encode() + p.data.tobytes())
+    records = "".join(json.dumps(record) + "\n" for record in trace)
+    return hashlib.sha256(records.encode()).hexdigest(), params.hexdigest()
+
+
+@pytest.mark.parametrize("dtype, lambda_adv", sorted(TRAIN_DIGESTS))
+def test_training_digests(dtype, lambda_adv):
+    assert training_digests(dtype, lambda_adv) == TRAIN_DIGESTS[dtype, lambda_adv]

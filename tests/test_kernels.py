@@ -38,12 +38,50 @@ def naive_lstm(pre, c_prev):
 def test_lstm_forward_matches_textbook_gates(rng):
     pre = rng.standard_normal((5, 16)) * 3
     c = rng.standard_normal((5, 4))
-    h, c_new, (i, f, o, g, tc) = kernels.lstm_cell_forward(pre, c)
+    h, c_new, (ifo, g, tc) = kernels.lstm_cell_forward(pre, c)
     h_ref, c_ref = naive_lstm(pre, c)
     np.testing.assert_allclose(h, h_ref, rtol=1e-14, atol=1e-15)
     np.testing.assert_allclose(c_new, c_ref, rtol=1e-14, atol=1e-15)
     np.testing.assert_allclose(tc, np.tanh(c_ref), rtol=1e-14, atol=1e-15)
     np.testing.assert_allclose(g, np.tanh(pre[:, 12:]), rtol=1e-14, atol=1e-15)
+    # the i, f, o sigmoids, gate-major and contiguous
+    assert ifo.shape == (3, 5, 4) and ifo.flags.c_contiguous
+    np.testing.assert_array_equal(ifo, kernels.sigmoid(pre[:, :12].reshape(5, 3, 4).transpose(1, 0, 2)))
+
+
+def gate_by_gate_backward(dh, dc, c_prev, i, f, o, g, tc):
+    """The backward written one gate at a time: the fused kernel's bit-for-bit reference."""
+    hdim = c_prev.shape[1]
+    dc = dc + dh * o * (1.0 - tc * tc)
+    d_pre = np.empty((c_prev.shape[0], 4 * hdim), dh.dtype)
+    d_pre[:, :hdim] = dc * g * i * (1.0 - i)
+    d_pre[:, hdim:2 * hdim] = dc * c_prev * f * (1.0 - f)
+    d_pre[:, 2 * hdim:3 * hdim] = dh * tc * o * (1.0 - o)
+    d_pre[:, 3 * hdim:] = dc * i * (1.0 - g * g)
+    return d_pre, dc * f
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_lstm_backward_equals_the_gate_by_gate_form_bit_for_bit(rng, dtype):
+    pre = (rng.standard_normal((9, 24)) * 3).astype(dtype)
+    c, dh, dc = rng.standard_normal((3, 9, 6)).astype(dtype)
+    _, _, (ifo, g, tc) = kernels.lstm_cell_forward(pre, c)
+    got = kernels.lstm_cell_backward(dh, dc, c, ifo, g, tc)
+    want = gate_by_gate_backward(dh, dc, c, *ifo, g, tc)
+    for a, b in zip(got, want):
+        assert a.dtype == dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("rows", [slice(1, 4), slice(0, 1), slice(2, 6)])
+def test_lstm_backward_on_a_row_subset_equals_those_rows_of_the_full_batch(rng, rows):
+    pre = rng.standard_normal((6, 20)) * 2
+    c = rng.standard_normal((6, 5))
+    dh, dc = rng.standard_normal((2, 6, 5))
+    _, _, (ifo, g, tc) = kernels.lstm_cell_forward(pre, c)
+    d_pre, d_c = kernels.lstm_cell_backward(dh, dc, c, ifo, g, tc)
+    sub_pre, sub_c = kernels.lstm_cell_backward(dh[rows], dc[rows], c[rows], ifo[:, rows], g[rows], tc[rows])
+    np.testing.assert_array_equal(sub_pre, d_pre[rows])
+    np.testing.assert_array_equal(sub_c, d_c[rows])
 
 
 def test_lstm_backward_matches_central_differences(rng):
@@ -168,3 +206,4 @@ def test_sigmoid_extremes_and_symmetry(rng):
     moderate = np.abs(x) < 30
     reference = np.array([naive_sigmoid(t) for t in x[moderate]])
     np.testing.assert_allclose(s[moderate], reference, rtol=1e-14)
+

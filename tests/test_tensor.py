@@ -300,3 +300,68 @@ class TestFirstGradientOwnership:
             assert not np.shares_memory(ga, m.params[name_a].data), name_a
             for name_b, gb in grads[i + 1:]:
                 assert not np.shares_memory(ga, gb), (name_a, name_b)
+
+
+class TestSubtraction:
+    """a - b is one node, equal bit for bit to a + (-b) in value and gradients."""
+
+    @staticmethod
+    def run(make, build):
+        """(value, gradients) of sum(build(*tensors) * c) for fresh leaves from make()."""
+        leaves = make()
+        out = build(*leaves)
+        c = np.random.default_rng(7).standard_normal(out.shape)
+        (out * Tensor(c)).sum().backward()
+        return out.data, [leaf.grad for leaf in leaves]
+
+    @pytest.mark.parametrize("shapes", [((3, 4), (3, 4)), ((3, 4), (4,)), ((4,), (3, 4)), ((2, 1), (1, 5)),
+                                        ((3, 4), ())])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_tensor_minus_tensor(self, shapes, dtype):
+        rng = np.random.default_rng(8)
+        arrays = [rng.standard_normal(s).astype(dtype) for s in shapes]
+
+        def make():
+            return [Tensor(a.copy(), requires_grad=True) for a in arrays]
+
+        got = self.run(make, lambda a, b: a - b)
+        want = self.run(make, lambda a, b: a + (-b))
+        assert got[0].dtype == dtype and got[0].tobytes() == want[0].tobytes()
+        for g, w in zip(got[1], want[1]):
+            assert g.shape == w.shape and g.dtype == w.dtype and g.tobytes() == w.tobytes()
+
+    @pytest.mark.parametrize("scalar", [0.75, np.float64(-2.5), np.array(3.0)])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_scalar_operands(self, scalar, dtype):
+        x = np.random.default_rng(9).standard_normal((3, 5)).astype(dtype)
+
+        def make():
+            return [Tensor(x.copy(), requires_grad=True)]
+
+        for got_fn, want_fn in ((lambda a: a - scalar, lambda a: a + (-Tensor._lift(scalar, a))),
+                                (lambda a: scalar - a, lambda a: Tensor._lift(scalar, a) + (-a))):
+            got, want = self.run(make, got_fn), self.run(make, want_fn)
+            assert got[0].dtype == dtype and got[0].tobytes() == want[0].tobytes()
+            assert got[1][0].tobytes() == want[1][0].tobytes()
+
+    def test_tensor_minus_itself(self):
+        a = t([[1.5, -2.0], [0.25, 4.0]])
+        (a - a).sum().backward()
+        np.testing.assert_array_equal(a.grad, np.zeros((2, 2)))
+
+    def test_operand_without_gradient(self):
+        a, b = t([1.0, 2.0]), t([3.0, 5.0], grad=False)
+        (b - a).sum().backward()
+        assert b.grad is None
+        np.testing.assert_array_equal(a.grad, [-1.0, -1.0])
+
+    def test_shape_mismatch_raises_shape_error(self):
+        with pytest.raises(ShapeError):
+            t(np.zeros((2, 3))) - t(np.zeros((4,)))
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_full_sum_is_a_0d_array_of_the_dtype(dtype):
+    s = Tensor(np.arange(6, dtype=dtype).reshape(2, 3), requires_grad=True).sum()
+    assert type(s.data) is np.ndarray and s.data.shape == () and s.data.dtype == dtype
+    s.backward()
