@@ -76,11 +76,11 @@ def _read_raw_ids(path, vocab_size):
     return ids
 
 
-def _read_ids(path, vocab, cfg: ArnConfig):
-    """(N, T) ids of a word corpus under vocab, or of a raw-id corpus when vocab is None."""
+def _read_ids(path, vocab, t_len, vocab_size):
+    """(N, t_len) ids of a word corpus under vocab; (N, T) ids of a raw-id corpus when vocab is None."""
     if vocab is not None:
-        return corpus_mod.load_corpus(path, vocab, cfg.seq_len)
-    return _read_raw_ids(path, cfg.vocab_size)
+        return corpus_mod.load_corpus(path, vocab, t_len)
+    return _read_raw_ids(path, vocab_size)
 
 
 def _emit(line, out_path):
@@ -100,7 +100,7 @@ def cmd_train(args):
     if args.vocab:
         vocab = corpus_mod.Vocabulary.load(args.vocab)
         model_cfg.vocab_size = len(vocab)
-    ids = _read_ids(args.corpus, vocab, model_cfg)
+    ids = _read_ids(args.corpus, vocab, model_cfg.seq_len, model_cfg.vocab_size)
     model_cfg.seq_len = ids.shape[1]
     train_cfg = training.TrainConfig(
         batch_size=args.batch_size,
@@ -131,7 +131,7 @@ def cmd_generate(args):
     seed_tokens = None
     if args.mode == "decoded-x1":
         if args.seed_corpus:
-            ids = _read_ids(args.seed_corpus, vocab, model.config)
+            ids = _read_ids(args.seed_corpus, vocab, 1, model.config.vocab_size)  # x1 is all it uses
             first_dist = np.bincount(ids[:, 0]) / len(ids)  # over ids 0..max(x1)
         else:
             first_dist = np.full(model.config.vocab_size, 1.0 / model.config.vocab_size)

@@ -7,7 +7,7 @@ precisions against the whole test corpus, no smoothing (any zero precision
 gives score 0), and the closest-reference-length brevity penalty.
 
 Tokens are scored as written, equal where equal as dict keys ("3" and 3 differ,
-3 and np.int64(3) do not). One dict maps both corpora's tokens to dense ids;
+3 and np.int64(3) do not). One dict maps both corpora's tokens to ids;
 each order's k-grams get ids by ranking (id of the (k-1)-gram, next token)
 pairs with np.unique, and all counts are read from sorted (sentence, k-gram)
 pairs with NumPy. Only the per-sentence BLEU float math runs in Python.
@@ -51,15 +51,16 @@ def _count(generated, test, top, pad_id=None):
     sentences = [*generated, *test]
     lengths = np.fromiter(map(len, sentences), np.int64, len(sentences))
     flat = list(chain.from_iterable(sentences))
-    ids = dict(zip(dict.fromkeys(flat), range(1, len(flat) + 1)))
+    # a token's id is 1 + the position where it first occurs: one dict pass, ids below len(flat) + 1
+    ids = {}
+    tokens = np.fromiter(map(ids.setdefault, flat, range(1, len(flat) + 1)), np.int64, len(flat))
     if pad_id is not None and pad_id in ids:
-        ids[pad_id] = 0
+        tokens[tokens == ids[pad_id]] = 0
     # id 0 marks a pad and the gap after each sentence, so no k-gram holds a pad or spans two sentences
     stream = np.zeros(len(flat) + len(sentences), np.int64)
-    stream[np.arange(len(flat)) + np.repeat(np.arange(len(sentences)), lengths)] = \
-        np.fromiter(map(ids.__getitem__, flat), np.int64, len(flat))
+    stream[np.arange(len(flat)) + np.repeat(np.arange(len(sentences)), lengths)] = tokens
     sentence = np.repeat(np.arange(len(sentences)), lengths + 1)
-    n_gen, n_tokens = len(generated), len(ids) + 1
+    n_gen, n_tokens = len(generated), len(flat) + 1
     starts = np.flatnonzero(stream)  # where each k-gram starts, in stream order
     gram, n_grams = stream[starts], n_tokens
     counts = []

@@ -10,6 +10,7 @@ import contextlib
 import itertools
 import json
 import math
+import mmap
 import os
 import struct
 from dataclasses import dataclass, field
@@ -23,7 +24,8 @@ from .networks import ArnConfig, ArnModel
 from .tensor import Tensor
 
 CHECKPOINT_MAGIC = b"ARN1"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
+PAYLOAD_ALIGN = 64  # version 2 pads the manifest with zero bytes to this; version 1 does not
 
 # fixed sub-stream ids so every source of randomness hangs off one seed
 _STREAMS = {"init": 0, "noise": 1, "gumbel": 2, "data": 3}
@@ -231,7 +233,8 @@ def train(model: ArnModel, corpus_ids: np.ndarray, cfg: TrainConfig,
 # ---------------------------------------------------------------------------
 # checkpoint format: magic "ARN1", u16 version, u32 tensor count, then per
 # tensor: u16 name length + UTF-8 name, u8 rank, u64 extents, u8 dtype tag
-# (0 = f32, 1 = f64); raw little-endian payloads follow in manifest order.
+# (0 = f32, 1 = f64); zero bytes up to a multiple of PAYLOAD_ALIGN (version
+# 2 only); raw little-endian payloads follow in manifest order.
 # ---------------------------------------------------------------------------
 
 _DTYPE_TAGS = {np.dtype("<f4"): 0, np.dtype("<f8"): 1}
@@ -256,6 +259,7 @@ def save_checkpoint(path, model: ArnModel):
                 raw = name.encode("utf-8")
                 fh.write(struct.pack(f"<H{len(raw)}sB{arr.ndim}QB", len(raw), raw, arr.ndim,
                                      *arr.shape, _DTYPE_TAGS[arr.dtype]))
+            fh.write(bytes(-fh.tell() % PAYLOAD_ALIGN))
             for _, arr in entries:
                 fh.write(arr)
         os.replace(tmp, path)
@@ -268,10 +272,12 @@ def save_checkpoint(path, model: ArnModel):
 def load_checkpoint(path) -> ArnModel:
     """Rebuild a model from a checkpoint; ConfigError if the file is malformed.
 
-    Before any payload is allocated, the header and the payload sizes it
-    declares must add up to the file size; all payloads are then read at
-    once into one region, and each tensor is a view of it at its offset.
-    The model takes the dtype its parameter tensors share.
+    Once the header and the payload sizes it declares add up to the file
+    size, the file is mapped copy-on-write and each tensor is a view of the
+    mapping: a page is read when first used, and a write never reaches the
+    file. A view not aligned to its dtype (a version 1 file) is copied once.
+    The model takes the dtype its parameter tensors share. Truncating the
+    file in place while the model is alive makes a later read raise SIGBUS.
     """
     with open(path, "rb") as fh:
         if fh.read(4) != CHECKPOINT_MAGIC:
@@ -283,7 +289,7 @@ def load_checkpoint(path) -> ArnModel:
         manifest = []
         try:
             version, count = unpack("<HI")
-            if version != CHECKPOINT_VERSION:
+            if version not in (1, CHECKPOINT_VERSION):
                 raise ConfigError(f"unsupported checkpoint version {version}")
             for _ in range(count):
                 (name_len,) = unpack("<H")
@@ -303,15 +309,20 @@ def load_checkpoint(path) -> ArnModel:
             raise ConfigError(f"{path}: truncated checkpoint") from exc
         offsets = list(itertools.accumulate(
             (math.prod(shape) * dtype.itemsize for _, shape, dtype in manifest), initial=0))
-        size = fh.tell() + offsets[-1]
+        head = fh.tell()
+        start = head + (-head % PAYLOAD_ALIGN if version == CHECKPOINT_VERSION else 0)
         file_size = os.fstat(fh.fileno()).st_size
-        if size > file_size:
+        if start + offsets[-1] > file_size:
             raise ConfigError(f"{path}: truncated checkpoint")
-        if size < file_size:
+        if start + offsets[-1] < file_size:
             raise ConfigError(f"{path}: trailing bytes after the last tensor")
-        region = np.empty(offsets[-1], np.uint8)
-        if fh.readinto(region) != region.nbytes:
-            raise ConfigError(f"{path}: truncated checkpoint")
+        if any(fh.read(start - head)):
+            raise ConfigError(f"{path}: nonzero padding before the payloads")
+        try:  # the file may have been cut since the size check
+            mapped = mmap.mmap(fh.fileno(), start + offsets[-1], access=mmap.ACCESS_COPY)
+        except ValueError as exc:
+            raise ConfigError(f"{path}: truncated checkpoint") from exc
+    region = np.frombuffer(mapped, np.uint8, offsets[-1], start)
     tensors = {name: region[lo:hi].view(dtype).reshape(shape)
                for (name, shape, dtype), lo, hi in zip(manifest, offsets, offsets[1:])}
     missing = [f for f in _META_FIELDS if _META_PREFIX + f not in tensors]
@@ -335,5 +346,7 @@ def load_checkpoint(path) -> ArnModel:
     for name, data in tensors.items():
         if data.shape != shapes[name]:
             raise ConfigError(f"{path}: {name} has shape {data.shape}, expected {shapes[name]}")
-        model.params[name] = Tensor(data, requires_grad=True)
+    # NumPy would copy or leave BLAS on every use of a misaligned view, so one is copied once
+    model.params = {name: Tensor(data if data.flags.aligned else data.copy(), requires_grad=True)
+                    for name, data in tensors.items()}
     return model

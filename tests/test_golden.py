@@ -9,7 +9,9 @@ the next fails here too. The evaluate pins were recorded before the n-gram
 counts moved from tuple dicts to integer id arrays. The training pins were
 recorded before the LSTM kernels, the autodiff ops and Adam were trimmed of
 temporaries and wrappers, so any change to the arithmetic of a training
-step, in float64 or float32, fails here. The divlab
+step, in float64 or float32, fails here. The word seed-corpus generate pins
+were recorded before checkpoints were mapped instead of read and before the
+seed corpus was encoded to its first tokens alone. The divlab
 reports are exact float reprs, recorded with NumPy 2.4 on x86-64; a NumPy
 build whose log or exp rounds differently may differ in the last digit.
 """
@@ -120,6 +122,45 @@ def test_generate_two_chunks_stdout(tmp_path, capsys, mode):
     out = generate_stdout(tmp_path, capsys, "float32", mode, False, vocab_size=1000)
     assert len(out.splitlines()) == 300
     assert hashlib.sha256(out.encode()).hexdigest() == GENERATE_TWO_CHUNK_DIGESTS[mode]
+
+
+# sha256 of `arn generate --vocab V --mode decoded-x1 --seed-corpus words.txt` stdout, per dtype
+GENERATE_WORD_SEED_DIGESTS = {
+    "float32": "7ee6934ab25e3f5c58c8a9dcd4614ccafd99f5c7ad42de48b6365c25acfe51ff",
+    "float64": "7ee6934ab25e3f5c58c8a9dcd4614ccafd99f5c7ad42de48b6365c25acfe51ff",
+}
+
+SEED_WORDS = ["the", "cat", "sat", "on", "a", "mat", "dog", "ran", "and", "with", "big", "red"]
+
+# blank lines, an out-of-vocabulary first word (read as <UNK>), an upper-case first word,
+# a one-word line and a line longer than seq_len
+SEED_WORD_LINES = "the cat sat on the mat\n\nzebra dog ran\nThe dog sat on a mat\ndog\n\n" \
+    "a big red dog and a cat sat on the mat with the dog and ran\n  \ncat ran\nred dog\n"
+
+
+def word_seed_generate_stdout(tmp_path, capsys, dtype):
+    """Stdout of a word seed-corpus `arn generate` through a vocabulary file."""
+    vocab = corpus.Vocabulary([corpus.PAD_TOKEN, corpus.UNK_TOKEN, *SEED_WORDS])
+    model = ArnModel.initialized(ArnConfig(vocab_size=len(vocab), dtype=dtype),
+                                 training.rng_streams(5)["init"])
+    for p in model.params.values():
+        p.data *= 25
+    checkpoint, vocab_path = tmp_path / "model.arn", tmp_path / "vocab.txt"
+    words = tmp_path / "words.txt"
+    training.save_checkpoint(str(checkpoint), model)
+    vocab.save(str(vocab_path))
+    words.write_text(SEED_WORD_LINES, encoding="utf-8")
+    assert cli.main(["generate", "--checkpoint", str(checkpoint), "--vocab", str(vocab_path),
+                     "--mode", "decoded-x1", "--seed-corpus", str(words),
+                     "--count", "300", "--seed", "7"]) == 0
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize("dtype", sorted(GENERATE_WORD_SEED_DIGESTS))
+def test_generate_word_seed_corpus_stdout(tmp_path, capsys, dtype):
+    out = word_seed_generate_stdout(tmp_path, capsys, dtype)
+    assert len(out.splitlines()) == 300
+    assert hashlib.sha256(out.encode()).hexdigest() == GENERATE_WORD_SEED_DIGESTS[dtype]
 
 
 def evaluate_corpora(kind):

@@ -26,13 +26,18 @@ def meta_entries(cfg):
             for f in ("seq_len", "vocab_size", "d_emb", "d_hidden", "d_latent")]
 
 
-def checkpoint_bytes(entries):
-    """A checkpoint file of (name, array) entries, written by hand from the documented format."""
-    out = b"ARN1" + struct.pack("<H", 1) + struct.pack("<I", len(entries))
+def checkpoint_bytes(entries, version=2):
+    """A checkpoint file of (name, array) entries, written by hand from the documented format.
+
+    Version 2 pads the manifest with zero bytes to a multiple of 64; version 1 does not.
+    """
+    out = b"ARN1" + struct.pack("<H", version) + struct.pack("<I", len(entries))
     for name, arr in entries:
         out += struct.pack("<H", len(name)) + name.encode("utf-8")
         out += struct.pack("<B", arr.ndim) + b"".join(struct.pack("<Q", e) for e in arr.shape)
         out += struct.pack("<B", {np.float32: 0, np.float64: 1}[arr.dtype.type])
+    if version == 2:
+        out += bytes(-len(out) % 64)
     return out + b"".join(arr.astype(arr.dtype.newbyteorder("<")).tobytes() for _, arr in entries)
 
 
@@ -379,7 +384,10 @@ class TestCheckpoint:
         training.save_checkpoint(str(path), m)
         raw = path.read_bytes()
         assert raw[:4] == b"ARN1"
-        assert int.from_bytes(raw[4:6], "little") == 1
+        assert int.from_bytes(raw[4:6], "little") == 2
+        # zero padding puts the payloads, which end the file, at a multiple of 64
+        payload = 40 + sum(p.data.nbytes for p in m.params.values())
+        assert (len(raw) - payload) % 64 == 0 and raw[-payload - 1] == 0
 
     def test_layout_matches_documented_format(self, tmp_path):
         m = tiny_model(35)
@@ -456,6 +464,84 @@ class TestCheckpoint:
         assert save_peak <= 0.1 * payload
         assert load_peak <= 1.1 * payload
         assert loaded.config == m.config
+
+    def test_version_1_file_loads_to_the_same_parameters(self, tmp_path, capsys):
+        m = tiny_model(43)
+        params = [(name, m.params[name].data) for name in sorted(m.params)]
+        entries = meta_entries(TINY) + params
+        # five f32 sizes (20 bytes) put every f64 payload of a version 2 file off its alignment
+        f32_sizes = [(name, a.astype(np.float32)) for name, a in meta_entries(TINY)] + params
+        files = {"v1": checkpoint_bytes(entries, 1), "v2": checkpoint_bytes(entries),
+                 "v2, f32 sizes": checkpoint_bytes(f32_sizes)}
+        outputs = {}
+        for version, raw in files.items():
+            path = tmp_path / f"model{len(outputs)}.arn"
+            path.write_bytes(raw)
+            loaded = training.load_checkpoint(str(path))
+            assert loaded.config == m.config
+            for name, p in m.params.items():
+                a = loaded.params[name].data
+                assert a.flags.c_contiguous and a.flags.aligned and a.flags.writeable
+                assert a.dtype == p.data.dtype and a.tobytes() == p.data.tobytes()
+            del loaded
+            argv = ["generate", "--checkpoint", str(path), "--count", "20", "--seed", "3"]
+            assert cli.main(argv + ["--mode", "decoded-x1"]) == 0
+            outputs[version] = capsys.readouterr().out
+        assert len(set(outputs.values())) == 1 and len(outputs["v1"].splitlines()) == 20
+
+    def test_version_2_load_maps_the_payload(self, tmp_path):
+        m = ArnModel.initialized(ArnConfig(vocab_size=2000, d_emb=64, d_hidden=64, d_latent=64),
+                                 np.random.default_rng(44))
+        payload = sum(p.data.nbytes for p in m.params.values())
+        path = tmp_path / "model.arn"
+        training.save_checkpoint(str(path), m)
+        tracemalloc.start()
+        try:
+            loaded = training.load_checkpoint(str(path))
+            load_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert load_peak <= 0.01 * payload
+        for name, p in m.params.items():
+            assert loaded.params[name].data.tobytes() == p.data.tobytes()
+
+    def test_writes_to_loaded_params_never_reach_the_file(self, tmp_path):
+        path = tmp_path / "model.arn"
+        training.save_checkpoint(str(path), tiny_model(45))
+        before = path.read_bytes()
+        loaded = training.load_checkpoint(str(path))
+        for p in loaded.params.values():
+            p.data += 1.0
+        assert path.read_bytes() == before
+        reloaded = training.load_checkpoint(str(path))
+        for name, p in tiny_model(45).params.items():
+            assert reloaded.params[name].data.tobytes() == p.data.tobytes()
+            assert not np.array_equal(loaded.params[name].data, p.data)
+
+    def test_bad_padding_is_a_config_error_and_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "model.arn"
+        training.save_checkpoint(str(path), tiny_model(46))
+        raw = path.read_bytes()
+        payload = 40 + sum(p.data.nbytes for p in tiny_model(46).params.values())
+        pad_end = len(raw) - payload
+        assert pad_end % 64 == 0 and raw[pad_end - 1] == 0
+        bad = tmp_path / "bad.arn"
+        for corrupt, message in [(raw[:pad_end - 1] + b"\x01" + raw[pad_end:], "nonzero padding"),
+                                 (raw[:pad_end - 1], "truncated")]:
+            bad.write_bytes(corrupt)
+            with pytest.raises(ConfigError, match=message):
+                training.load_checkpoint(str(bad))
+            assert cli.main(["generate", "--checkpoint", str(bad), "--count", "1"]) == 2
+            assert message in capsys.readouterr().err
+
+    def test_file_cut_after_the_size_check_is_a_config_error(self, tmp_path, monkeypatch):
+        path = tmp_path / "model.arn"
+        training.save_checkpoint(str(path), tiny_model(47))
+        full = os.stat(path)
+        path.write_bytes(path.read_bytes()[:-8])
+        monkeypatch.setattr(training.os, "fstat", lambda fd: full)
+        with pytest.raises(ConfigError, match="truncated"):
+            training.load_checkpoint(str(path))
 
     def test_empty_tensor_with_impossible_extent(self, tmp_path):
         m = tiny_model(38)
