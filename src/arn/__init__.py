@@ -14,7 +14,7 @@ from .errors import (
     TrainingAborted,
     VocabError,
 )
-from .tensor import Tensor, concat, gather_rows, grad_check, lstm_cell, no_grad, pick
+from .tensor import Tensor, concat, gather_rows, grad_check, no_grad, pick
 
 __all__ = [
     "ArnError",
@@ -33,7 +33,6 @@ __all__ = [
     "concat",
     "gather_rows",
     "grad_check",
-    "lstm_cell",
     "no_grad",
     "pick",
 ]

@@ -286,7 +286,7 @@ def main(argv=None):
     try:
         args = _merge_config(args, parser, argv)
         return args.func(args)
-    except OSError as exc:
+    except (OSError, MemoryError) as exc:  # MemoryError: an input size asked for more than the machine has
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (NumericsError, TrainingAborted) as exc:

@@ -18,17 +18,20 @@ UNK_ID = 1
 
 
 def read_lines(path):
-    """Yield the lines of a UTF-8 text file without their line ends.
+    """The list of lines of a UTF-8 text file without their line ends, from one read.
 
-    "\n", "\r\n" and a lone "\r" each end a line. Bytes that are not UTF-8
-    raise EncodingError naming the file.
+    "\n", "\r\n" and a lone "\r" each end a line, and nothing else does, as
+    when iterating the file. Bytes that are not UTF-8 raise EncodingError
+    naming the file.
     """
     try:
         with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                yield line.rstrip("\n")
+            lines = fh.read().split("\n")
     except UnicodeDecodeError as exc:
         raise EncodingError(f"{path}: {exc}") from exc
+    if not lines[-1]:  # the empty piece after a final line end, or of an empty file
+        lines.pop()
+    return lines
 
 
 def tokenize(text):

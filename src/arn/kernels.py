@@ -76,11 +76,12 @@ def log_softmax_rows(x):
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 ADAM_BLOCK = 1 << 15  # 256 KB per float64 array, 128 KB per float32: a block's six arrays stay in cache
 
 
-def adam_update(param, grad, m, v, t, lr, beta1, beta2, eps):
-    """In-place bias-corrected Adam step on flat arrays of one float dtype.
+def adam_update(param, grad, m, v, t, lr):
+    """In-place bias-corrected Adam step on flat arrays of one float dtype, with the ADAM_* constants.
 
     The step is bound by memory bandwidth at paper size (22.9M parameters),
     so it walks the arrays in blocks of ADAM_BLOCK elements with two scratch
@@ -91,8 +92,8 @@ def adam_update(param, grad, m, v, t, lr, beta1, beta2, eps):
     param -= (lr*(m/c1)) / (sqrt(v/c2) + eps),
     so the result equals that rule's bit for bit.
     """
-    c1 = 1.0 - beta1 ** t
-    c2 = 1.0 - beta2 ** t
+    c1 = 1.0 - ADAM_BETA1 ** t
+    c2 = 1.0 - ADAM_BETA2 ** t
     x = np.empty(min(param.size, ADAM_BLOCK), param.dtype)
     y = np.empty_like(x)
     # a parameter of at most one block runs on its whole arrays, without slicing
@@ -100,17 +101,17 @@ def adam_update(param, grad, m, v, t, lr, beta1, beta2, eps):
         [a[lo:lo + ADAM_BLOCK] for a in (param, grad, m, v)] for lo in range(0, param.size, ADAM_BLOCK))
     for p, g, mb, vb in blocks:
         xb, yb = (x, y) if p.size == x.size else (x[:p.size], y[:p.size])
-        mb *= beta1
-        np.multiply(1.0 - beta1, g, out=xb)
+        mb *= ADAM_BETA1
+        np.multiply(1.0 - ADAM_BETA1, g, out=xb)
         mb += xb
-        vb *= beta2
-        np.multiply(1.0 - beta2, g, out=xb)
+        vb *= ADAM_BETA2
+        np.multiply(1.0 - ADAM_BETA2, g, out=xb)
         xb *= g
         vb += xb
         np.divide(mb, c1, out=xb)
         np.divide(vb, c2, out=yb)
         np.sqrt(yb, out=yb)
-        yb += eps
+        yb += ADAM_EPS
         np.multiply(lr, xb, out=xb)
         xb /= yb
         p -= xb

@@ -141,21 +141,20 @@ def sequence_log_likelihood_batch(model: ArnModel, ids, z) -> tuple:
 def generate_batch(model: ArnModel, z: np.ndarray, rng) -> np.ndarray:
     """Sample (B, T) hard token ids given latent draws z (B, d_z).
 
-    Forward only: after the first token, each step is one lstm_cell call on
-    the parameter arrays, so no graph is recorded. Every step's (B, V)
+    Forward only: after the first token, each step is one lstm_cell array
+    step on the parameter arrays, so no graph is recorded. Every step's (B, V)
     logits, laws, running sums and comparisons are written into the same three arrays.
     """
     with no_grad():
         logits = decode_first_token(model, z).data
     p = {name: t.data for name, t in model.params.items()}
-    bsz, hdim = len(logits), model.config.d_hidden
+    bsz = len(logits)
     cum, mask = np.empty(logits.shape, np.float64), np.empty(logits.shape, bool)
     ids = np.empty((bsz, model.config.seq_len), dtype=np.int64)
     ids[:, 0] = sample_rows(kernels.softmax_rows(logits, out=logits), rng, cum, mask)
-    h = c = np.zeros((bsz, hdim), model.config.dtype)
+    h = c = np.zeros((bsz, model.config.d_hidden), model.config.dtype)
     for i in range(1, model.config.seq_len):
-        hc = lstm_cell(p["emb"][ids[:, i - 1]] @ p["gen.wx"] + h @ p["gen.wh"] + p["gen.b"], c).data
-        h, c = hc[:, :hdim], hc[:, hdim:]
+        h, c = lstm_cell(p["emb"][ids[:, i - 1]] @ p["gen.wx"] + h @ p["gen.wh"] + p["gen.b"], c)
         np.matmul(h, p["gen.proj_w"], out=logits)
         logits += p["gen.proj_b"]
         ids[:, i] = sample_rows(kernels.softmax_rows(logits, out=logits), rng, cum, mask)

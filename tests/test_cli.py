@@ -136,6 +136,15 @@ class TestTrain:
         assert run(["train", "--corpus", str(path), "--steps", "1",
                     "--out", str(tmp_path / "m.arn")]) == 2
 
+    def test_unallocatable_batch_is_a_usage_error(self, tmp_path, capsys, markov_corpus_file):
+        # 10^15 rows of int64 ids alone are 8 PB, beyond any address space: the allocation fails at once
+        out = tmp_path / "m.arn"
+        code = run(["train", "--corpus", markov_corpus_file, "--steps", "1",
+                    "--batch-size", str(10**15), "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
 
 class TestGenerate:
     @pytest.fixture
@@ -147,6 +156,11 @@ class TestGenerate:
     def test_count_zero(self, checkpoint, tmp_path, capsys):
         assert run(["generate", "--checkpoint", checkpoint, "--count", "0"]) == 0
         assert capsys.readouterr().out == ""
+
+    def test_unallocatable_count_is_a_usage_error(self, checkpoint, capsys):
+        assert run(["generate", "--checkpoint", checkpoint, "--count", str(10**15)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.out == ""
 
     def test_negative_count(self, checkpoint):
         assert run(["generate", "--checkpoint", checkpoint, "--count", "-1"]) == 2

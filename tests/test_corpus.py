@@ -12,6 +12,7 @@ from arn.corpus import (
     empirical_ngram_distribution,
     encode_fixed,
     load_corpus,
+    read_lines,
     sample_markov,
     source_ngram_distribution,
     tokenize,
@@ -113,6 +114,19 @@ class TestLoadCorpus:
         path.write_bytes(b"a b\ncaf\xe9\n")
         with pytest.raises(EncodingError, match="corpus.txt"):
             load_corpus(str(path), vocab, 2)
+
+
+@pytest.mark.parametrize("raw", [
+    "a b\nc\n", "a b\r\nc\r\n", "a b\rc\r", "a b\n\nc", "", "\n", "\r\n\r\n",
+    "x\x85y\nz\u2028w\n", "\u2028\n\x85",
+], ids=["lf", "crlf", "cr", "no-final-end", "empty", "one-end", "two-crlf", "nel-ls-inside",
+        "ls-nel-lines"])
+def test_read_lines_equals_iterating_the_file(tmp_path, raw):
+    path = tmp_path / "lines.txt"
+    path.write_bytes(raw.encode("utf-8"))
+    with open(path, encoding="utf-8") as fh:
+        want = [line.rstrip("\n") for line in fh]
+    assert read_lines(str(path)) == want
 
 
 class TestMarkov:

@@ -125,7 +125,7 @@ def test_adam_update_matches_written_out_rule(rng):
     ref_p, ref_m, ref_v = param.copy(), np.zeros(64), np.zeros(64)
     for t in range(1, 5):
         grad = rng.standard_normal(64)
-        kernels.adam_update(param, grad, m, v, t, lr, beta1, beta2, eps)
+        kernels.adam_update(param, grad, m, v, t, lr)
         ref_m = beta1 * ref_m + (1 - beta1) * grad
         ref_v = beta2 * ref_v + (1 - beta2) * grad ** 2
         m_hat = ref_m / (1 - beta1 ** t)
@@ -160,7 +160,7 @@ def assert_blocked_adam_is_whole_array_adam(rng, size, dtype):
     ref_p, ref_m, ref_v = param.copy(), m.copy(), v.copy()
     for t in range(1, 5):
         grad = (rng.standard_normal(size) * 10.0 ** rng.integers(-6, 3, size)).astype(dtype)
-        kernels.adam_update(param, grad, m, v, t, lr, beta1, beta2, eps)
+        kernels.adam_update(param, grad, m, v, t, lr)
         whole_array_adam(ref_p, grad, ref_m, ref_v, t, lr, beta1, beta2, eps)
         np.testing.assert_array_equal(m, ref_m)
         np.testing.assert_array_equal(v, ref_v)
@@ -184,7 +184,7 @@ def test_adam_update_makes_no_parameter_size_temporary(rng):
     m, v = np.zeros(size), np.zeros(size)
     tracemalloc.start()
     try:
-        kernels.adam_update(param, grad, m, v, 1, 1e-3, 0.9, 0.999, 1e-8)
+        kernels.adam_update(param, grad, m, v, 1, 1e-3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

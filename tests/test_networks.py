@@ -17,7 +17,7 @@ from arn.networks import (
     one_hot_rows,
     sequence_log_likelihood_batch,
 )
-from arn.tensor import Tensor, gather_rows, grad_check, gumbel_lstm_sequence, lstm_cell, pick
+from arn.tensor import Tensor, gather_rows, grad_check, gumbel_lstm_sequence, pick
 
 TINY = ArnConfig(seq_len=3, vocab_size=4, d_emb=5, d_hidden=6, d_latent=2)
 
@@ -46,11 +46,18 @@ def zeros(bsz):
     return Tensor(np.zeros((bsz, TINY.d_hidden)))
 
 
+def primitive_lstm_cell(pre, c):
+    """(h, c) of an LSTM cell from Tensor slices, sigmoid, tanh, * and +; pre is the (B, 4H) [i|f|o|g]."""
+    hdim = c.shape[1]
+    i, f, o = (pre[:, k * hdim:(k + 1) * hdim].sigmoid() for k in range(3))
+    c = f * c + i * pre[:, 3 * hdim:].tanh()
+    return o * c.tanh(), c
+
+
 def generator_step(model, inp, h, c):
     """One generator step as autodiff nodes: (logits over V, h, c) from the (B, d_emb) input tensor."""
-    p, hdim = model.params, model.config.d_hidden
-    hc = lstm_cell(inp @ p["gen.wx"] + h @ p["gen.wh"] + p["gen.b"], c)
-    h, c = hc[:, :hdim], hc[:, hdim:]
+    p = model.params
+    h, c = primitive_lstm_cell(inp @ p["gen.wx"] + h @ p["gen.wh"] + p["gen.b"], c)
     return h @ p["gen.proj_w"] + p["gen.proj_b"], h, c
 
 
@@ -286,15 +293,13 @@ class TestPerStepReference:
 
         ids = np.random.default_rng(17).integers(0, 4, size=(3, 3))
         scores = discriminator_score_batch(model, ids, rows)
-        p, hdim = model.params, TINY.d_hidden
+        p = model.params
         embedded = [one_hot_rows(ids, 4).data, rows.data]
         inputs = np.concatenate(embedded, axis=1) @ p["disc.emb"].data
-        h, c = np.zeros((7, hdim)), np.zeros((7, hdim))
+        h, c = zeros(7), zeros(7)
         for x in inputs:
-            pre = x @ p["disc.wx"].data + h @ p["disc.wh"].data + p["disc.b"].data
-            hc = lstm_cell(Tensor(pre), Tensor(c)).data
-            h, c = hc[:, :hdim], hc[:, hdim:]
-        ref_scores = (h @ p["disc.head_w"].data + p["disc.head_b"].data).reshape(-1)
+            h, c = primitive_lstm_cell(Tensor(x) @ p["disc.wx"] + h @ p["disc.wh"] + p["disc.b"], c)
+        ref_scores = (h.data @ p["disc.head_w"].data + p["disc.head_b"].data).reshape(-1)
         np.testing.assert_allclose(scores.data, ref_scores, rtol=0, atol=1e-12)
 
 

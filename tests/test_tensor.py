@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from arn import networks, training
+from arn import kernels, networks, training
 from arn.errors import DomainError, RankError, ShapeError
 from arn.networks import ArnConfig, ArnModel
 from arn.tensor import (
@@ -141,25 +141,45 @@ OPS = {
     "gather": lambda x: gather_rows(x.reshape(4, 3), np.array([0, 2, 2, 1])).sum(),
     "pick": lambda x: pick(x.reshape(3, 4), np.array([1, 0, 3])).sum(),
     "bias_broadcast": lambda x: (x.reshape(3, 4) + x.reshape(3, 4).sum(axis=0)).tanh().sum(),
-    "lstm_cell": lambda x: lstm_cell(x.reshape(1, 8), Tensor(np.r_[0.3, -0.4].reshape(1, 2))).sum(),
 }
 
 
 @pytest.mark.parametrize("name", sorted(OPS))
 def test_grad_check_closed_op_set(name):
     rng = np.random.default_rng(hash(name) % 2**32)
-    size = 8 if name == "lstm_cell" else 12
-    x = Tensor(rng.standard_normal(size) * 0.7)
+    x = Tensor(rng.standard_normal(12) * 0.7)
     assert grad_check(OPS[name], x) <= 1e-6
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_lstm_cell_is_the_forward_kernel_on_arrays(dtype):
+    rng = np.random.default_rng(9)
+    pre, c_prev = rng.standard_normal((5, 12)).astype(dtype), rng.standard_normal((5, 3)).astype(dtype)
+    h, c = lstm_cell(pre, c_prev)
+    want_h, want_c, _ = kernels.lstm_cell_forward(pre, c_prev)
+    for got, want in ((h, want_h), (c, want_c)):
+        assert type(got) is np.ndarray and got.dtype == dtype
+        assert got.tobytes() == want.tobytes()
+    bad = [(pre[:, :8], c_prev), (pre, c_prev[:4]), (pre[0], c_prev[0]), (pre[..., None], c_prev)]
+    for bad_pre, bad_c in bad:
+        with pytest.raises(ShapeError):
+            lstm_cell(bad_pre, bad_c)
+
+
+def _primitive_lstm_cell(pre, c):
+    """(h, c) of an LSTM cell from Tensor slices, sigmoid, tanh, * and +; pre is the (B, 4H) [i|f|o|g]."""
+    hdim = c.shape[1]
+    i, f, o = (pre[:, k * hdim:(k + 1) * hdim].sigmoid() for k in range(3))
+    c = f * c + i * pre[:, 3 * hdim:].tanh()
+    return o * c.tanh(), c
+
+
 def _per_step_lstm(x, wx, wh, b):
-    """Reference: one lstm_cell node (and its matmuls) per timestep."""
+    """Reference: one primitive cell (and its matmuls) per timestep."""
     hdim = wh.shape[0]
     h, c, hs = Tensor(np.zeros((x.shape[1], hdim))), Tensor(np.zeros((x.shape[1], hdim))), []
     for t in range(x.shape[0]):
-        hc = lstm_cell(x[t] @ wx + h @ wh + b, c)
-        h, c = hc[:, :hdim], hc[:, hdim:]
+        h, c = _primitive_lstm_cell(x[t] @ wx + h @ wh + b, c)
         hs.append(h.reshape(1, *h.shape))
     return concat(hs, axis=0)
 
@@ -170,8 +190,7 @@ def _per_step_gumbel_lstm(y0, emb, wx, wh, b, proj_w, proj_b, gumbel, tau):
     h, c = Tensor(np.zeros((y0.shape[0], hdim))), Tensor(np.zeros((y0.shape[0], hdim)))
     row, rows = y0, [y0.reshape(1, *y0.shape)]
     for g in gumbel:
-        hc = lstm_cell((row @ emb) @ wx + h @ wh + b, c)
-        h, c = hc[:, :hdim], hc[:, hdim:]
+        h, c = _primitive_lstm_cell((row @ emb) @ wx + h @ wh + b, c)
         row = ((h @ proj_w + proj_b + Tensor(g)) * (1.0 / tau)).softmax()
         rows.append(row.reshape(1, *row.shape))
     return concat(rows, axis=0)

@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from arn import cli, networks, training
-from arn.errors import ConfigError, NumericsError
+from arn.errors import ConfigError, NumericsError, TrainingAborted
 from arn.networks import ArnConfig, ArnModel
 from arn.tensor import Tensor, grad_check, no_grad
 from arn.training import AdamState, TrainConfig, optimizer_step
@@ -71,6 +71,28 @@ def nan_at_second_d_loss(monkeypatch):
         return loss + Tensor(np.nan) if len(calls) == 2 else loss
 
     monkeypatch.setattr(training, "discriminator_loss", nan_at_second_call)
+
+
+def nan_from_second_d_loss(monkeypatch):
+    """Make every discriminator loss after the first NaN; returns the parameters seen at the second."""
+    scored, calls, seen = training.discriminator_loss, [], {}
+
+    def nan_from_second_call(model, real_ids, fake):
+        calls.append(None)
+        loss = scored(model, real_ids, fake)
+        if len(calls) == 2:
+            seen.update((name, p.data.copy()) for name, p in model.params.items())
+        return loss if len(calls) == 1 else loss + Tensor(np.nan)
+
+    monkeypatch.setattr(training, "discriminator_loss", nan_from_second_call)
+    return seen
+
+
+def assert_params_equal(model, arrays):
+    assert model.params.keys() == arrays.keys()
+    for name, data in arrays.items():
+        got = model.params[name].data
+        assert got.dtype == data.dtype and got.shape == data.shape and got.tobytes() == data.tobytes(), name
 
 
 class TestElbo:
@@ -300,6 +322,25 @@ class TestTrainLoop:
 
         lines = path.read_text().splitlines()
         assert [json.loads(line, parse_constant=reject)["step"] for line in lines] == [0, 2, 3]
+
+    def test_second_rejection_aborts_and_saves_the_last_kept_step(self, tmp_path, monkeypatch):
+        seen = nan_from_second_d_loss(monkeypatch)
+        ckpt, trace = tmp_path / "m.arn", tmp_path / "trace.jsonl"
+        with pytest.raises(TrainingAborted):
+            training.train(tiny_model(44), tiny_corpus(45), TrainConfig(batch_size=4, steps=4, seed=44),
+                           checkpoint_path=str(ckpt), trace_path=str(trace))
+        assert [json.loads(line)["step"] for line in trace.read_text().splitlines()] == [0]
+        assert_params_equal(training.load_checkpoint(str(ckpt)), seen)
+
+    def test_second_rejection_exits_3_and_writes_out(self, tmp_path, monkeypatch, capsys):
+        seen = nan_from_second_d_loss(monkeypatch)
+        corpus_file, out = tmp_path / "corpus.txt", tmp_path / "m.arn"
+        corpus_file.write_text("\n".join(" ".join(map(str, row)) for row in tiny_corpus(46)) + "\n")
+        code = cli.main(["train", "--corpus", str(corpus_file), "--steps", "4", "--batch-size", "4",
+                         "--seed", "46", "--out", str(out)])
+        assert code == 3
+        assert capsys.readouterr().err.startswith("numeric abort:")
+        assert_params_equal(training.load_checkpoint(str(out)), seen)
 
     def test_rejected_d_phase_has_drawn_the_g_phase_noise(self, monkeypatch):
         # one generator pass per step draws z_D, the ELBO noise and z_G, then u_D and u_G,
