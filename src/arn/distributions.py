@@ -121,17 +121,21 @@ def _kl_raw(p: np.ndarray, q: np.ndarray) -> float:
     return float(np.sum(p[mask] * np.log(p[mask] / q[mask])))
 
 
-def kl_categorical(p: Categorical, q: Categorical) -> float:
-    """KL(p || q) with 0 log(0/x) = 0; +inf when absolute continuity fails."""
+def check_support(p: Categorical, q: Categorical) -> None:
+    """ShapeError unless p and q have one support size."""
     if len(p) != len(q):
         raise ShapeError(f"support size mismatch: {len(p)} vs {len(q)}")
+
+
+def kl_categorical(p: Categorical, q: Categorical) -> float:
+    """KL(p || q) with 0 log(0/x) = 0; +inf when absolute continuity fails."""
+    check_support(p, q)
     return _kl_raw(p.probs, q.probs)
 
 
 def js_categorical(p: Categorical, q: Categorical) -> float:
     """Jensen-Shannon divergence; symmetric, bounded by ln 2."""
-    if len(p) != len(q):
-        raise ShapeError(f"support size mismatch: {len(p)} vs {len(q)}")
+    check_support(p, q)
     m = 0.5 * (p.probs + q.probs)
     return 0.5 * _kl_raw(p.probs, m) + 0.5 * _kl_raw(q.probs, m)
 

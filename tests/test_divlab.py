@@ -14,7 +14,12 @@ from arn.divlab import (
     solve_nash,
     verify_identity,
 )
-from arn.errors import ConvergenceError, DomainError, NumericsError, SupportError
+from arn.errors import ConvergenceError, DomainError, NumericsError, ShapeError, SupportError
+
+
+def kl_js(p: Categorical, q: np.ndarray) -> float:
+    """The lab's objective KL(p||q) + JS(p||q)."""
+    return kl_categorical(p, Categorical(q)) + js_categorical(p, Categorical(q))
 
 
 class TestGameValue:
@@ -118,6 +123,14 @@ class TestOptimalDiscriminator:
         assert np.isin(again, np.arange(1e-5, 1.0, 1e-5)).all()
         assert again.tobytes() == fine.tobytes()
 
+    def test_support_size_mismatch(self):
+        with pytest.raises(ShapeError, match="support size mismatch: 2 vs 3"):
+            optimal_discriminator(Categorical([0.5, 0.5]), Categorical([0.2, 0.3, 0.5]))
+
+    def test_grid_support_size_mismatch(self):
+        with pytest.raises(ShapeError, match="support size mismatch: 2 vs 3"):
+            grid_search_discriminator(Categorical([0.5, 0.5]), Categorical([0.2, 0.3, 0.5]))
+
     def test_minimizes_over_random_discriminators(self):
         rng = np.random.default_rng(3)
         p, q = random_simplex(rng, 4), random_simplex(rng, 4)
@@ -192,3 +205,55 @@ class TestNash:
     def test_rejects_zero_target(self):
         with pytest.raises(DomainError):
             solve_nash(Categorical([1.0, 0.0]), Categorical([0.5, 0.5]))
+
+    def test_support_size_mismatch(self):
+        with pytest.raises(ShapeError, match="support size mismatch: 2 vs 3"):
+            solve_nash(Categorical([0.5, 0.5]), Categorical([0.2, 0.3, 0.5]))
+
+    def test_direction_times_q_is_the_logit_gradient(self):
+        rng = np.random.default_rng(8)
+        eps = 1e-5
+        for k in rng.integers(2, 17, size=50):
+            p = random_simplex(rng, int(k))
+            logits = rng.normal(0.0, 2.0, size=int(k))
+
+            def objective(x):
+                q = np.exp(x - x.max())
+                return kl_js(p, q / q.sum())
+
+            q = np.exp(logits - logits.max())
+            q /= q.sum()
+            analytic = q * divlab._kl_js_grad(p.probs, q)
+            numeric = np.empty(int(k))
+            for i in range(int(k)):
+                hi, lo = logits.copy(), logits.copy()
+                hi[i] += eps
+                lo[i] -= eps
+                numeric[i] = (objective(hi) - objective(lo)) / (2.0 * eps)
+            # the relative error of tensor.grad_check
+            denom = np.maximum(1.0, np.abs(analytic) + np.abs(numeric))
+            assert np.max(np.abs(analytic - numeric) / denom) <= 1e-6
+
+    def test_stress_converges_fast_and_descends(self, monkeypatch):
+        # random games for K = 2..16, and inits with all mass on one outcome: each solve converges
+        # within 50 steps without a floating-point error, and KL + JS falls from every iterate to the next
+        monkeypatch.setattr(divlab, "NASH_MAX_ITER", 50)
+        iterates = []
+        direction = divlab._kl_js_grad
+
+        def spy(p, q):
+            iterates.append(q.copy())
+            return direction(p, q)
+
+        monkeypatch.setattr(divlab, "_kl_js_grad", spy)
+        rng = np.random.default_rng(9)
+        for k in range(2, 17):
+            games = [(random_simplex(rng, k), random_simplex(rng, k)) for _ in range(200)]
+            games += [(random_simplex(rng, k), Categorical(np.eye(k)[j])) for j in range(k)]
+            for p, init in games:
+                iterates.clear()
+                with np.errstate(all="raise"):
+                    q = solve_nash(p, init)
+                assert 0.5 * np.abs(q.probs - p.probs).sum() <= divlab.NASH_TOL
+                objective = [kl_js(p, r) for r in iterates + [q.probs]]
+                assert all(b < a for a, b in zip(objective, objective[1:]))
