@@ -7,6 +7,7 @@ from .errors import (
     DomainError,
     EmptyInputError,
     EncodingError,
+    GraphReleasedError,
     NumericsError,
     RankError,
     ShapeError,
@@ -23,6 +24,7 @@ __all__ = [
     "DomainError",
     "EmptyInputError",
     "EncodingError",
+    "GraphReleasedError",
     "NumericsError",
     "RankError",
     "ShapeError",

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import Categorical, check_support, entropy, js_categorical, kl_categorical
-from .errors import ConvergenceError, DomainError, SupportError
+from .errors import ConvergenceError, DomainError, ShapeError, SupportError
 
 # the lab's fixed settings, read at call time: D's grid spacing, and the Nash solve's TV bound,
 # mirror-descent step, per-outcome bound on the step's direction, and iteration cap
@@ -33,9 +33,10 @@ class ToyGame:
     d: np.ndarray
 
     def __post_init__(self):
+        check_support(self.p_d, self.p_g)
         self.d = np.asarray(self.d, dtype=np.float64)
-        if not (len(self.p_d) == len(self.p_g) == self.d.size):
-            raise DomainError("p_d, p_g and d must share one support size")
+        if self.d.shape != (len(self.p_d),):
+            raise ShapeError(f"d has shape {self.d.shape}, expected ({len(self.p_d)},)")
         if np.any(self.d <= 0.0) or np.any(self.d >= 1.0):
             raise DomainError("discriminator values must lie strictly in (0, 1)")
 

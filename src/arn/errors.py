@@ -13,6 +13,10 @@ class RankError(ArnError):
     """Tensor rank is wrong for the operation (e.g. non-scalar backward root)."""
 
 
+class GraphReleasedError(ArnError):
+    """Backward reached a graph node that an earlier backward released."""
+
+
 class DomainError(ArnError):
     """Input outside the mathematical domain (log of non-positive, tau <= 0)."""
 

@@ -6,6 +6,7 @@ latents are (B, d_z) arrays, and soft (relaxed) sequences are (T, B, V)
 tensors of rows on the simplex.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,6 +19,7 @@ from .tensor import (
 )
 
 INIT_SCALE = 0.08
+_INIT_BLOCK = 1 << 16  # uniforms per block of ArnModel.initialized's draws
 
 
 @dataclass
@@ -52,12 +54,17 @@ class ArnModel:
     def initialized(config: ArnConfig, rng: np.random.Generator) -> "ArnModel":
         """Uniform [-0.08, 0.08] initialization of every parameter tensor.
 
-        The draws are float64 in any dtype, then cast to config.dtype.
+        The draws are float64 in any dtype, cast to config.dtype. They are
+        made _INIT_BLOCK at a time into the parameter's array, which equals
+        one whole draw bit for bit with no float64 copy of the parameter.
         """
         model = ArnModel(config)
         for name, shape in model.param_shapes().items():
-            draw = rng.uniform(-INIT_SCALE, INIT_SCALE, size=shape)
-            model.params[name] = Tensor(draw.astype(config.dtype, copy=False), requires_grad=True)
+            flat = np.empty(math.prod(shape), config.dtype)
+            for lo in range(0, flat.size, _INIT_BLOCK):
+                n = min(_INIT_BLOCK, flat.size - lo)
+                flat[lo:lo + n] = rng.uniform(-INIT_SCALE, INIT_SCALE, size=n)
+            model.params[name] = Tensor(flat.reshape(shape), requires_grad=True)
         return model
 
     @staticmethod

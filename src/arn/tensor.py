@@ -3,9 +3,11 @@
 Define-by-run: each operation closes over its inputs and appends itself to
 an implicit graph through parent links; ``backward`` on a scalar root does a
 topological sweep and accumulates chain-rule contributions (summing over
-multiple uses). An op computes in the dtype of its array operands, so a
-graph built from float32 parameters stays float32: a Python or 0-d scalar
-operand takes the dtype of the tensor it meets.
+multiple uses). A graph takes one backward: the sweep releases each interior
+node (an op's output) once its chain-rule step has run, so leaves keep their
+gradients and interior nodes do not. An op computes in the dtype of its
+array operands, so a graph built from float32 parameters stays float32: a
+Python or 0-d scalar operand takes the dtype of the tensor it meets.
 """
 
 import contextlib
@@ -13,7 +15,7 @@ import contextlib
 import numpy as np
 
 from . import kernels
-from .errors import DomainError, NumericsError, RankError, ShapeError
+from .errors import DomainError, GraphReleasedError, NumericsError, RankError, ShapeError
 
 _grad_enabled = True
 _BASIC_INDEX = (int, np.integer, slice, type(Ellipsis), type(None))
@@ -57,6 +59,11 @@ def _unbroadcast(grad, shape):
         if extent == 1 and grad.shape[axis] != 1:
             grad = grad.sum(axis=axis, keepdims=True)
     return grad
+
+
+def _released(g=None):
+    """Stands in for the backward of a swept interior node; reaching it raises."""
+    raise GraphReleasedError("backward reached a node an earlier backward released")
 
 
 class Tensor:
@@ -110,6 +117,13 @@ class Tensor:
     # -- backward -------------------------------------------------------------
 
     def backward(self):
+        """Set the gradient of this scalar root in every leaf it reaches, replacing old ones.
+
+        Each interior node is released after its chain-rule step (its grad, its
+        closure with the activations it holds, its parent links; its value
+        stays), so a graph takes one backward: one that reaches a released node
+        raises GraphReleasedError before any gradient changes.
+        """
         if self.data.size != 1:
             raise RankError(f"backward root must be scalar, got shape {self.data.shape}")
         topo = []
@@ -122,6 +136,8 @@ class Tensor:
                 continue
             if node in visited:  # a Tensor hashes by identity
                 continue
+            if node._backward is _released:
+                _released()
             visited.add(node)
             stack.append((node, True))
             for parent in node._prev:
@@ -130,9 +146,13 @@ class Tensor:
         for node in topo:
             node.grad = None
         self.grad = np.ones_like(self.data)
-        for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
+        del visited  # it holds every node too
+        while topo:  # popped, so a swept node is freed once nothing outside the graph holds it
+            node = topo.pop()
+            if node._backward is not None:
+                if node.grad is not None:
+                    node._backward(node.grad)
+                node.grad, node._backward, node._prev = None, _released, ()
 
     def _accum(self, grad, owned=False):
         """Add one chain-rule contribution to self.grad.

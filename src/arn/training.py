@@ -7,6 +7,7 @@ is the standard binary cross-entropy -log D(real) - log(1 - D(fake)).
 """
 
 import contextlib
+import ctypes
 import itertools
 import json
 import math
@@ -129,16 +130,19 @@ class AdamState:
 def optimizer_step(params: dict, state: AdamState, lr: float):
     """Bias-corrected Adam at learning rate lr on every param with a populated grad.
 
-    Raises NumericsError (without touching any parameter) when a gradient is
-    non-finite, so callers can reject the step.
+    Takes each of those gradients from its param, which is left with grad
+    None, so nothing holds a spent gradient until the next backward. Raises
+    NumericsError, with every param's value and the Adam state unchanged,
+    when a gradient is non-finite, so callers can reject the step; its
+    gradients are dropped too.
     """
     grads = {}
     for name, p in params.items():
-        if p.grad is None:
-            continue
-        if not np.isfinite(p.grad).all():
+        if p.grad is not None:
+            grads[name], p.grad = p.grad, None
+    for name, g in grads.items():
+        if not np.isfinite(g).all():
             raise NumericsError(f"non-finite gradient in {name}")
-        grads[name] = p.grad
     state.t += 1
     for name, g in grads.items():
         p = params[name]
@@ -146,6 +150,23 @@ def optimizer_step(params: dict, state: AdamState, lr: float):
             state.m[name] = np.zeros(p.data.size, p.data.dtype)
             state.v[name] = np.zeros(p.data.size, p.data.dtype)
         kernels.adam_update(p.data.reshape(-1), g.reshape(-1), state.m[name], state.v[name], state.t, lr)
+
+
+def _keep_freed_heap():
+    """Have glibc keep the heap a training phase frees for the next phase.
+
+    Each phase frees all it allocated (its graph in backward, its gradients in
+    optimizer_step), and glibc's default hands a free heap top past 128 KiB
+    back to the OS: a desk step then faulted about 600 pages in again. Arrays
+    of 16 MiB and more (the paper preset's (V, D) tables and gradients) stay
+    mapped, so a free returns them. Process-wide; a no-op without mallopt.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):
+        return
+    mallopt(-3, 16 << 20)  # M_MMAP_THRESHOLD
+    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
 
 
 def sample_batch(corpus_ids: np.ndarray, batch_size: int, rng) -> np.ndarray:
@@ -160,11 +181,14 @@ def train(model: ArnModel, corpus_ids: np.ndarray, cfg: TrainConfig,
     corpus_ids is an (N, T) int array. Returns (model, trace) where trace is
     one dict per step: d_loss, generator_loss's fields and tau. With lambda_adv == 0 the
     adversarial machinery (discriminator updates, relaxed sampling) is
-    skipped entirely and training is pure VAE+AR maximum likelihood.
+    skipped entirely and training is pure VAE+AR maximum likelihood. Each
+    backward releases its graph and each optimizer_step drops the gradients
+    it took, so no parameter holds a gradient between phases or after the run.
     """
     corpus_ids = np.asarray(corpus_ids, dtype=np.int64)
     if corpus_ids.size == 0:
         raise ConfigError("empty corpus")
+    _keep_freed_heap()
     rngs = rng_streams(cfg.seed)
     g_state, d_state = AdamState(), AdamState()
     trace = []
@@ -192,13 +216,9 @@ def train(model: ArnModel, corpus_ids: np.ndarray, cfg: TrainConfig,
                     if not np.isfinite(d_loss.data):
                         raise NumericsError("non-finite discriminator loss")
                     d_loss.backward()
-                    d_params = model.discriminator_params()
-                    optimizer_step(d_params, d_state, lr)
+                    optimizer_step(model.discriminator_params(), d_state, lr)
                     d_loss_val = float(d_loss.data)
-                    # the D graph and D's gradients, before the G phase builds its own
-                    del d_loss, fake_d
-                    for p in d_params.values():
-                        p.grad = None
+                    del fake_d  # D's half of the generator pass, before the G phase builds its graph
                 else:
                     noise = rngs["noise"].standard_normal(latent)
                 batch = sample_batch(corpus_ids, cfg.batch_size, rngs["data"])
@@ -207,7 +227,6 @@ def train(model: ArnModel, corpus_ids: np.ndarray, cfg: TrainConfig,
                     raise NumericsError("non-finite generator loss")
                 g_loss.backward()
                 optimizer_step(model.generator_params(), g_state, lr)
-                del g_loss, fake  # the G graph, before the next step builds its own
             except NumericsError as exc:
                 if halved:
                     if checkpoint_path:

@@ -38,6 +38,15 @@ class TestGameValue:
         with pytest.raises(SupportError):
             game_value(ToyGame(Categorical([0.5, 0.5]), Categorical([1.0, 0.0]), np.array([0.5, 0.5])))
 
+    def test_support_size_mismatch(self):
+        with pytest.raises(ShapeError, match="support size mismatch: 2 vs 3"):
+            ToyGame(Categorical([0.5, 0.5]), Categorical([0.2, 0.3, 0.5]), [0.5, 0.5])
+
+    @pytest.mark.parametrize("d", [[0.5], [0.5, 0.5, 0.5], [[0.5], [0.5]]])
+    def test_discriminator_of_wrong_shape(self, d):
+        with pytest.raises(ShapeError):
+            ToyGame(Categorical([0.5, 0.5]), Categorical([0.2, 0.8]), d)
+
     def test_monte_carlo_agreement(self):
         rng = np.random.default_rng(1)
         p, q = random_simplex(rng, 5), random_simplex(rng, 5)

@@ -70,17 +70,39 @@ def test_initialization_casts_the_float64_draws():
         assert np.array_equal(p.data, f64.params[name].data.astype(np.float32))
 
 
+def test_blockwise_initialization_equals_one_whole_draw():
+    cfg = ArnConfig(vocab_size=5000, d_emb=40, d_hidden=4, d_latent=2)
+    assert 5000 * 40 > 3 * networks._INIT_BLOCK and 5000 * 40 % networks._INIT_BLOCK
+    for dtype in ("float32", "float64"):
+        model = ArnModel.initialized(dataclasses.replace(cfg, dtype=dtype), np.random.default_rng(3))
+        rng = np.random.default_rng(3)
+        for name, shape in model.param_shapes().items():
+            want = rng.uniform(-networks.INIT_SCALE, networks.INIT_SCALE, size=shape).astype(dtype)
+            got = model.params[name].data
+            assert got.dtype == want.dtype and got.shape == shape and got.tobytes() == want.tobytes(), name
+
+
 @pytest.mark.parametrize("lambda_adv", [0.0, 1.0])
-def test_training_stays_float32(float64_arrays, adam_states, lambda_adv):
+def test_training_stays_float32(float64_arrays, adam_states, monkeypatch, lambda_adv):
     model = f32_model(1)
+    names = {p.data.ctypes.data: name for name, p in model.params.items()}
+    grad_dtypes = {name: [] for name in model.params}
+    adam_update = kernels.adam_update
+
+    def spy(param, grad, *args):
+        grad_dtypes[names[param.ctypes.data]].append(grad.dtype)
+        return adam_update(param, grad, *args)
+
+    monkeypatch.setattr(kernels, "adam_update", spy)
     ids = np.random.default_rng(2).integers(0, F32.vocab_size, size=(40, F32.seq_len))
     _, trace = training.train(model, ids, TrainConfig(batch_size=4, steps=3, lambda_adv=lambda_adv))
     assert len(trace) == 3
     assert float64_arrays == []
     for p in model.params.values():
         assert p.data.dtype == np.float32
-        assert p.grad is None or p.grad.dtype == np.float32
-    assert all(model.params[name].grad is not None for name in model.generator_params())
+        assert p.grad is None
+    for name in model.generator_params():
+        assert grad_dtypes[name] == [np.float32] * 3, name
     assert len(adam_states) == 2
     arrays = [a for s in adam_states for a in (*s.m.values(), *s.v.values())]
     assert len(arrays) == 2 * len(model.params if lambda_adv else model.generator_params())

@@ -1,8 +1,10 @@
+import weakref
+
 import numpy as np
 import pytest
 
-from arn import kernels, networks, training
-from arn.errors import DomainError, RankError, ShapeError
+from arn import kernels, networks, tensor, training
+from arn.errors import ArnError, DomainError, GraphReleasedError, RankError, ShapeError
 from arn.networks import ArnConfig, ArnModel
 from arn.tensor import (
     Tensor, concat, gather_rows, grad_check, gumbel_lstm_sequence, lstm_cell, lstm_sequence, no_grad,
@@ -261,6 +263,52 @@ def test_no_grad_blocks_recording():
     assert not y.requires_grad and y._backward is None
 
 
+class TestGraphRelease:
+    """backward releases each interior node after its chain-rule step; leaves keep their gradients."""
+
+    def test_closure_activations_are_freed(self, monkeypatch):
+        cells = []
+        init = tensor._LstmTape.__init__
+
+        def spy(self, *args):
+            init(self, *args)
+            cells.append(weakref.ref(self.c))  # held by the tape alone, and the tape by the closure
+
+        monkeypatch.setattr(tensor._LstmTape, "__init__", spy)
+        _, op, reference, tail, weights = SEQUENCE_OPS["lstm_sequence"]
+        args = _sequence_op_inputs("lstm_sequence")
+        hidden = op(*args)
+        loss = (hidden * weights).sum()
+        (cell,) = cells
+        assert cell() is not None
+        loss.backward()
+        assert cell() is None
+        assert loss.grad is None and hidden.grad is None and hidden.data.shape == (3, 2, 2)
+        want = _sequence_op_inputs("lstm_sequence")
+        (reference(*want) * weights).sum().backward()
+        for got, leaf in zip(args, want):
+            np.testing.assert_allclose(got.grad, leaf.grad, rtol=0, atol=1e-12)
+
+    def test_second_backward_raises(self):
+        x = t([1.0, 2.0])
+        loss = (x * x).sum()
+        loss.backward()
+        with pytest.raises(GraphReleasedError):
+            loss.backward()
+        np.testing.assert_array_equal(x.grad, [2.0, 4.0])
+        assert issubclass(GraphReleasedError, ArnError)
+
+    def test_new_graph_on_a_spent_node_raises(self):
+        x, w = t([1.0, 2.0]), t([5.0, 7.0])
+        y = x * 3.0
+        y.sum().backward()
+        np.testing.assert_array_equal(y.data, [3.0, 6.0])
+        with pytest.raises(GraphReleasedError):
+            (y * w).sum().backward()
+        np.testing.assert_array_equal(x.grad, [3.0, 3.0])
+        assert w.grad is None
+
+
 class TestFirstGradientOwnership:
     """The first gradient of a tensor may be stored without a copy; shared arrays may not."""
 
@@ -290,15 +338,25 @@ class TestFirstGradientOwnership:
         np.testing.assert_allclose(x1.grad, c1 @ w.data.T, rtol=1e-14, atol=1e-14)
         np.testing.assert_allclose(x2.grad, c2 @ w.data.T, rtol=1e-14, atol=1e-14)
 
-    def test_tensor_added_to_itself(self):
+    def test_tensor_added_to_itself(self, monkeypatch):
         rng = np.random.default_rng(43)
         a, w = t(rng.standard_normal((3, 2))), t(rng.standard_normal((2, 2)))
         h = a @ w
         c = rng.standard_normal((3, 2))
         s = h + h  # __add__ hands s.grad to h twice: h must not keep it as its own
+        stored = {}  # the gradient array each of s and h holds after each contribution
+        accum = Tensor._accum
+
+        def spy(self, grad, owned=False):
+            accum(self, grad, owned)
+            if self is s or self is h:
+                stored[id(self)] = self.grad
+
+        monkeypatch.setattr(Tensor, "_accum", spy)
         (s * c).sum().backward()
-        np.testing.assert_array_equal(s.grad, c)
-        np.testing.assert_array_equal(h.grad, 2 * c)
+        np.testing.assert_array_equal(stored[id(s)], c)
+        np.testing.assert_array_equal(stored[id(h)], 2 * c)
+        assert not np.shares_memory(stored[id(s)], stored[id(h)])
         np.testing.assert_allclose(a.grad, 2 * c @ w.data.T, rtol=1e-14, atol=1e-14)
         np.testing.assert_allclose(w.grad, a.data.T @ (2 * c), rtol=1e-14, atol=1e-14)
 

@@ -1,9 +1,13 @@
+import ctypes
 import dataclasses
 import io
 import json
 import math
 import os
 import struct
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 
 import numpy as np
@@ -258,6 +262,23 @@ class TestAdam:
             optimizer_step({"p": p}, AdamState(), 1e-3)
         np.testing.assert_array_equal(p.data, before)
 
+    def test_applied_gradients_are_dropped(self):
+        ps = {name: Tensor(np.ones(3), requires_grad=True) for name in "abc"}
+        ps["a"].grad, ps["b"].grad = np.full(3, 0.5), np.full(3, -0.5)
+        state = AdamState()
+        optimizer_step(ps, state, 1e-3)
+        assert all(p.grad is None for p in ps.values())
+        assert set(state.m) == {"a", "b"} and np.all(ps["c"].data == 1.0)
+
+    def test_rejected_gradients_are_dropped(self):
+        ps = {"a": Tensor(np.ones(2), requires_grad=True), "b": Tensor(np.ones(2), requires_grad=True)}
+        ps["a"].grad, ps["b"].grad = np.ones(2), np.array([1.0, np.inf])
+        state = AdamState()
+        with pytest.raises(NumericsError, match="non-finite gradient in b"):
+            optimizer_step(ps, state, 1e-3)
+        assert all(p.grad is None and np.all(p.data == 1.0) for p in ps.values())
+        assert state.t == 0 and not state.m
+
 
 class TestTrainLoop:
     def test_zero_steps(self):
@@ -304,11 +325,34 @@ class TestTrainLoop:
         for k, v in m.discriminator_params().items():
             assert v.data.tobytes() == disc_mid[k].tobytes()
 
-    def test_discriminator_gradients_are_released_after_its_update(self):
+    def test_gradients_are_released_after_training(self):
         m = tiny_model(42)
         training.train(m, tiny_corpus(43), TrainConfig(batch_size=4, steps=2, seed=42))
         assert all(p.grad is None for p in m.discriminator_params().values())
-        assert all(p.grad is not None for p in m.generator_params().values())
+        assert all(p.grad is None for p in m.generator_params().values())
+
+    @pytest.mark.skipif(not hasattr(ctypes.CDLL(None), "mallopt"), reason="the C library has no mallopt")
+    def test_desk_steps_reuse_the_heap(self, tmp_path):
+        """Each phase frees all it allocated; the next must not fault those pages in again."""
+        script = textwrap.dedent(f"""
+            import resource
+            import numpy as np
+            from arn import training
+            from arn.networks import ArnConfig, ArnModel
+            cfg = ArnConfig.preset("desk")
+            ids = np.random.default_rng(0).integers(0, cfg.vocab_size, size=(2000, cfg.seq_len))
+            model = ArnModel.initialized(cfg, np.random.default_rng(1))
+            training.train(model, ids, training.TrainConfig(batch_size=32, steps=10))
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            training.train(model, ids, training.TrainConfig(batch_size=32, steps=40),
+                           trace_path={str(tmp_path / "trace.jsonl")!r})
+            print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+        """)
+        src = os.path.dirname(os.path.dirname(training.__file__))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120,
+                              env=dict(os.environ, PYTHONPATH=src))
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout) < 40 * 20  # glibc's default trimming faulted in about 600 pages a step
 
     def test_nonfinite_discriminator_loss_rejects_the_step(self, tmp_path, monkeypatch):
         nan_at_second_d_loss(monkeypatch)
