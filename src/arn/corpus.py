@@ -98,8 +98,13 @@ def encode_fixed(tokens, vocab: Vocabulary, t_len: int) -> np.ndarray:
 
 
 def load_corpus(path, vocab: Vocabulary, t_len: int) -> np.ndarray:
-    """Encode a one-sentence-per-line UTF-8 file into an (N, T) id array, one row per encode_fixed."""
-    rows = [_fixed_ids(toks, vocab, t_len) for toks in map(tokenize, read_lines(path)) if toks]
+    """Encode a one-sentence-per-line UTF-8 file into an (N, T) id array, one row per encode_fixed.
+
+    A line is split at most t_len times: the first t_len pieces are those
+    of tokenize(line), and the rest of the line stays one unread piece.
+    """
+    pieces = (line.lower().split(None, t_len) for line in read_lines(path))
+    rows = [_fixed_ids(toks, vocab, t_len) for toks in pieces if toks]
     if not rows:
         raise EmptyInputError(f"{path}: no sentences")
     return np.array(rows, dtype=np.int64)

@@ -5,7 +5,9 @@ an implicit graph through parent links; ``backward`` on a scalar root does a
 topological sweep and accumulates chain-rule contributions (summing over
 multiple uses). A graph takes one backward: the sweep releases each interior
 node (an op's output) once its chain-rule step has run, so leaves keep their
-gradients and interior nodes do not. An op computes in the dtype of its
+gradients and interior nodes do not. A weight-gradient product or a row
+scatter that meets a gradient already there is added into it in place, so
+no second table-sized array is made. An op computes in the dtype of its
 array operands, so a graph built from float32 parameters stays float32: a
 Python or 0-d scalar operand takes the dtype of the tensor it meets.
 """
@@ -18,6 +20,7 @@ from . import kernels
 from .errors import DomainError, GraphReleasedError, NumericsError, RankError, ShapeError
 
 _grad_enabled = True
+_ADD_BLOCK = 1 << 18  # elements of each block of a product added into an existing gradient
 _BASIC_INDEX = (int, np.integer, slice, type(Ellipsis), type(None))
 _FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 
@@ -49,6 +52,32 @@ def _as_array(data):
 def _matmul_t(x, w):
     """x @ w.T as a C-contiguous (w @ x.T).T: BLAS reads a C-ordered table w as it is stored."""
     return np.ascontiguousarray((w @ x.T).T)
+
+
+def _accum_product(t, x, y):
+    """Add the weight gradient x.T @ y into t.grad.
+
+    A first contribution is stored as the whole product. A later one is
+    added in near-equal blocks of about _ADD_BLOCK elements along the
+    product's longer axis, so no second array of the gradient's size is
+    made. Each block sums over the same rows of x and y as the whole
+    product; float32 GEMMs round every element alike in any block, while
+    float64 ones may round a block's edge rows differently, as they do
+    between BLAS thread counts.
+    """
+    if not t.requires_grad:
+        return
+    if t.grad is None:
+        t._accum(x.T @ y, owned=True)
+        return
+    grad = t.grad
+    extent, count = max(grad.shape), -(-grad.size // _ADD_BLOCK)
+    for i in range(count):
+        part = slice(extent * i // count, extent * (i + 1) // count)
+        if extent == grad.shape[0]:
+            grad[part] += x[:, part].T @ y
+        else:
+            grad[:, part] += x.T @ y[:, part]
 
 
 def _unbroadcast(grad, shape):
@@ -151,8 +180,14 @@ class Tensor:
             node = topo.pop()
             if node._backward is not None:
                 if node.grad is not None:
-                    node._backward(node.grad)
-                node.grad, node._backward, node._prev = None, _released, ()
+                    # the closure gets the only reference to its g and may free it before it returns
+                    node._backward(node._take_grad())
+                node._backward, node._prev = _released, ()
+
+    def _take_grad(self):
+        """Return self.grad and set it to None."""
+        grad, self.grad = self.grad, None
+        return grad
 
     def _accum(self, grad, owned=False):
         """Add one chain-rule contribution to self.grad.
@@ -241,8 +276,7 @@ class Tensor:
         def backward(g):
             if a.requires_grad:
                 a._accum(_matmul_t(g, b.data), owned=True)
-            if b.requires_grad:
-                b._accum(a.data.T @ g, owned=True)
+            _accum_product(b, a.data, g)
 
         return Tensor._make(data, (a, b), backward)
 
@@ -356,16 +390,38 @@ def concat(tensors, axis=0):
     return Tensor._make(data, tuple(tensors), backward)
 
 
+def _scatter_rows(buf, ids, g):
+    """buf[ids[i]] += g[i] for each i in turn, as one flat add.at over ids * width + column."""
+    width = int(np.prod(buf.shape[1:]))
+    flat = (ids.reshape(-1, 1) * width + np.arange(width)).reshape(-1)
+    np.add.at(buf.reshape(-1), flat, g.reshape(-1))
+
+
 def gather_rows(table, ids):
-    """Row lookup table[ids]; gradient scatter-adds into the table."""
+    """Row lookup table[ids]; gradient scatter-adds into the table.
+
+    Into an existing gradient each touched row adds the sum of its rows of
+    g, made in index order as in a zero table; an untouched -0.0 stays -0.0.
+    """
     table = Tensor._lift(table)
     ids = np.asarray(ids, dtype=np.int64)
 
     def backward(g):
-        if table.requires_grad:
+        if not table.requires_grad:
+            return
+        if table.grad is None:
             buf = np.zeros(table.data.shape, table.data.dtype)  # calloc: no second zero-fill pass
-            np.add.at(buf, ids, g)
+            _scatter_rows(buf, ids, g)
             table._accum(buf, owned=True)
+        else:  # the touched rows in order, and each id's slot among them, without np.unique's sort
+            touched = np.zeros(len(table.data), bool)
+            touched[ids] = True
+            rows = np.flatnonzero(touched)
+            slot = np.empty(len(touched), np.int64)
+            slot[rows] = np.arange(len(rows))
+            sums = np.zeros((len(rows), *table.data.shape[1:]), table.data.dtype)
+            _scatter_rows(sums, slot[ids], g)
+            table.grad[rows] += sums
 
     return Tensor._make(table.data[ids], (table,), backward)
 
@@ -428,8 +484,7 @@ class _LstmTape:
     def accum_weights(self, x, d_pre, wx, wh, b, rows=slice(None)):
         """Weight gradients from the (T*B, 4H) d_pre rows, one GEMM per matrix."""
         for w, inp in ((wx, x), (wh, self.h[:-1, rows])):
-            if w.requires_grad:
-                w._accum(inp.reshape(len(d_pre), inp.shape[-1]).T @ d_pre, owned=True)
+            _accum_product(w, inp.reshape(len(d_pre), inp.shape[-1]), d_pre)
         b._accum(d_pre.sum(axis=0), owned=True)
 
 
@@ -493,43 +548,48 @@ def gumbel_lstm_sequence(y0s, emb, wx, wh, b, proj_w, proj_b, gumbel, tau):
     if stop != bsz:
         raise ShapeError(f"first rows {[y.shape for y in y0s]} need {stop} noise columns, got {bsz}")
     _check_lstm_weights(wx, wh, b, emb.data.shape[1])
-    rows = np.empty((steps + 1, bsz, vocab), dtype)
-    for y0, sl in zip(y0s, slices):
-        rows[0, sl] = y0.data
+    # one C-contiguous array per batch, so a node's backward reads its rows as
+    # they are and a batch's rows are freed with its node; step_rows holds
+    # the current step's rows of all batches for the shared GEMMs
+    rows = [np.empty((steps + 1, sl.stop - sl.start, vocab), dtype) for sl in slices]
+    step_rows = np.empty((bsz, vocab), dtype)
+    for y0, r, sl in zip(y0s, rows, slices):
+        r[0] = step_rows[sl] = y0.data
     x = np.empty((steps, bsz, emb.data.shape[1]), dtype)
     tape = _LstmTape(wh.data, b.data, steps, bsz)
     for t in range(steps):
-        x[t] = rows[t] @ emb.data
+        x[t] = step_rows @ emb.data
         h = tape.step(t, x[t] @ wx.data)
-        rows[t + 1] = kernels.softmax_rows((h @ proj_w.data + proj_b.data + gumbel[t]) * (1.0 / tau))
+        kernels.softmax_rows((h @ proj_w.data + proj_b.data + gumbel[t]) * (1.0 / tau), out=step_rows)
+        for r, sl in zip(rows, slices):
+            r[t + 1] = step_rows[sl]
 
-    def node(y0, sl):
+    def node(y0, rows, sl):
         def backward(g):
             n, hdim = g.shape[1], tape.h.shape[2]
             d_logits, d_x = np.empty((steps, n, vocab), dtype), np.empty((steps, n, x.shape[2]), dtype)
             d_pre = np.empty((steps, n, 4 * hdim), dtype)
             dy, dh_next, dc = g[steps], 0.0, np.zeros((n, hdim), dtype)
             for t in reversed(range(steps)):
-                y = rows[t + 1, sl]
+                y = rows[t + 1]
                 d_logits[t] = (y * (dy - (dy * y).sum(axis=-1, keepdims=True))) * (1.0 / tau)
                 dc = tape.backward_step(t, _matmul_t(d_logits[t], proj_w.data) + dh_next, dc, d_pre[t], sl)
                 dh_next = _matmul_t(d_pre[t], wh.data)
                 d_x[t] = _matmul_t(d_pre[t], wx.data)
                 dy = g[t] + _matmul_t(d_x[t], emb.data)
+            del g  # Tensor.backward handed over its only reference
             y0._accum(dy)
             rows_in = steps * n
             tape.accum_weights(x[:, sl], d_pre.reshape(rows_in, 4 * hdim), wx, wh, b, sl)
             d_logits = d_logits.reshape(rows_in, vocab)
-            if emb.requires_grad:
-                emb._accum(rows[:-1, sl].reshape(rows_in, vocab).T @ d_x.reshape(rows_in, x.shape[2]),
-                           owned=True)
-            if proj_w.requires_grad:
-                proj_w._accum(tape.h[1:, sl].reshape(rows_in, hdim).T @ d_logits, owned=True)
+            _accum_product(proj_w, tape.h[1:, sl].reshape(rows_in, hdim), d_logits)
             proj_b._accum(d_logits.sum(axis=0), owned=True)
+            del d_logits  # spent before the emb product
+            _accum_product(emb, rows[:-1].reshape(rows_in, vocab), d_x.reshape(rows_in, x.shape[2]))
 
-        return Tensor._make(rows[:, sl], (y0, emb, wx, wh, b, proj_w, proj_b), backward)
+        return Tensor._make(rows, (y0, emb, wx, wh, b, proj_w, proj_b), backward)
 
-    return [node(y0, sl) for y0, sl in zip(y0s, slices)]
+    return [node(*args) for args in zip(y0s, rows, slices)]
 
 
 def straight_through_hard(y):

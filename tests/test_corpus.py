@@ -224,3 +224,18 @@ def test_load_corpus_loads_or_raises_arn_error(tmp_path, raw):
         return
     assert ids.dtype == np.int64 and ids.shape[1] == 4 and ids.shape[0] > 0
     assert ids.min() >= 0 and ids.max() < len(vocab)
+    want = [encode_fixed(toks, vocab, 4) for toks in map(tokenize, read_lines(str(path))) if toks]
+    np.testing.assert_array_equal(ids, want)
+
+
+# Unicode whitespace of every kind str.split knows, and characters whose lower case is longer
+SPLIT_PIECES = ["a", "Bc", "\u0130", "\u1e9e", "\u00c9t\u00e9", " ", "\t", "\n", "\x0b", "\x0c", "\x1c", "\x1f",
+                "\x85", "\xa0", "\u1680", "\u2000", "\u2028", "\u2029", "\u202f", "\u3000", "\u200b"]
+
+
+@settings(max_examples=500, deadline=None, database=None)
+@given(text=st.one_of(st.text(), st.lists(st.sampled_from(SPLIT_PIECES), max_size=40).map("".join)),
+       n=st.integers(0, 12))
+def test_bounded_split_keeps_the_first_tokens(text, n):
+    """load_corpus splits a line at most n times: its first n pieces are tokenize's first n tokens."""
+    assert text.lower().split(None, n)[:n] == tokenize(text)[:n]

@@ -17,11 +17,20 @@ build whose log or exp rounds differently may differ in the last digit.
 Their nash_tv figures were recorded again when the Nash solve moved from
 gradient steps on the logits to mirror-descent steps, which stop at another
 iterate within NASH_TOL; the identity and D* figures are the older pins.
+The wide training pin (V = 3000, d = 256, float32) was recorded before a
+gradient contribution that meets an existing gradient was added into it
+in place, in blocks; its (V, d) products span several blocks, where the
+desk pins fit in one. It trains with one BLAS thread, since how OpenBLAS
+splits a product of that size over threads moves its last bits.
 """
 
 import dataclasses
 import hashlib
 import json
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -238,3 +247,32 @@ def training_digests(dtype, lambda_adv):
 @pytest.mark.parametrize("dtype, lambda_adv", sorted(TRAIN_DIGESTS))
 def test_training_digests(dtype, lambda_adv):
     assert training_digests(dtype, lambda_adv) == TRAIN_DIGESTS[dtype, lambda_adv]
+
+
+# (trace digest, parameter digest) of 3 float32 steps at V = 3000, d = 256, lambda_adv 1, one BLAS thread
+WIDE_TRAIN_DIGESTS = ("99d36779e16a0e06c840d821692983040accdec1371e3cc770b207c99d8785e8",
+                      "ce6751bb1d5840bf3e155ad4a3dc7fbceaa01997ef16d6addee68d2d99e1ff46")
+
+
+def test_wide_training_digests():
+    script = textwrap.dedent("""
+        import hashlib, json
+        import numpy as np
+        from arn import training
+        from arn.networks import ArnConfig, ArnModel
+        cfg = ArnConfig(seq_len=8, vocab_size=3000, d_emb=256, d_hidden=256, d_latent=16, dtype="float32")
+        rng = np.random.default_rng(24)
+        ids = np.minimum(rng.zipf(1.3, size=(300, cfg.seq_len)), cfg.vocab_size) - 1
+        model = ArnModel.initialized(cfg, training.rng_streams(5)["init"])
+        _, trace = training.train(model, ids, training.TrainConfig(batch_size=8, steps=3, lambda_adv=1.0, seed=5))
+        params = hashlib.sha256()
+        for name, p in sorted(model.params.items()):
+            params.update(name.encode() + p.data.tobytes())
+        records = "".join(json.dumps(record) + "\\n" for record in trace)
+        print(hashlib.sha256(records.encode()).hexdigest(), params.hexdigest())
+    """)
+    src = os.path.dirname(os.path.dirname(training.__file__))
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=300, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert tuple(proc.stdout.split()) == WIDE_TRAIN_DIGESTS

@@ -1,3 +1,4 @@
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -289,6 +290,28 @@ class TestGraphRelease:
         for got, leaf in zip(args, want):
             np.testing.assert_allclose(got.grad, leaf.grad, rtol=0, atol=1e-12)
 
+    def test_closure_holds_the_only_reference_to_its_gradient(self):
+        x, freed = t([1.0, 2.0]), []
+
+        def backward(g):
+            x._accum(g * 3.0, owned=True)
+            ref = weakref.ref(g)
+            del g
+            freed.append(ref() is None)
+
+        (Tensor._make(x.data * 3.0, (x,), backward) * 2.0).sum().backward()
+        assert freed == [True]
+        np.testing.assert_array_equal(x.grad, [6.0, 6.0])
+
+    def test_each_relaxed_batch_has_its_own_rows(self):
+        rng = np.random.default_rng(46)
+        args = _sequence_op_inputs("gumbel_lstm_sequence")
+        y0s = [args[0], Tensor(rng.random((3, 3)), requires_grad=True)]
+        fakes = gumbel_lstm_sequence(y0s, *args[1:], rng.gumbel(size=(2, 5, 3)), 0.7)
+        assert [f.shape for f in fakes] == [(3, 2, 3), (3, 3, 3)]
+        assert all(f.data.flags.c_contiguous for f in fakes)
+        assert not np.shares_memory(fakes[0].data, fakes[1].data)
+
     def test_second_backward_raises(self):
         x = t([1.0, 2.0])
         loss = (x * x).sum()
@@ -377,6 +400,86 @@ class TestFirstGradientOwnership:
             assert not np.shares_memory(ga, m.params[name_a].data), name_a
             for name_b, gb in grads[i + 1:]:
                 assert not np.shares_memory(ga, gb), (name_a, name_b)
+
+
+class TestInPlaceAccumulation:
+    """A contribution that meets an existing gradient is added into it, with no second table-sized array.
+
+    In loss = (A + B) + C the sweep runs A's nodes, then B's, then C's, so
+    a leaf that A reaches holds a gradient when B and C reach it.
+    """
+
+    @staticmethod
+    def dense_scatter(shape, dtype, ids, g):
+        buf = np.zeros(shape, dtype)
+        np.add.at(buf, ids, g)
+        return buf
+
+    @pytest.mark.parametrize("first", ["product", "gather"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_gather_into_existing_gradient_equals_dense_reference(self, dtype, first):
+        rng = np.random.default_rng(61)
+        table = Tensor(rng.standard_normal((40, 6)).astype(dtype), requires_grad=True)
+        c = rng.standard_normal((40, 6)).astype(dtype)
+        ids_a = rng.integers(0, 40, size=50)  # repeats and untouched rows
+        ids_b = np.array([[3, 3, 7], [7, 39, 3]])
+        wa, wb = rng.standard_normal((50, 6)).astype(dtype), rng.standard_normal((2, 3, 6)).astype(dtype)
+        if first == "product":
+            head, want = (table * c).sum(), c
+        else:
+            head, want = (gather_rows(table, ids_a) * wa).sum(), self.dense_scatter(table.shape, dtype, ids_a, wa)
+        ((head + (gather_rows(table, ids_a) * wa).sum()) + (gather_rows(table, ids_b) * wb).sum()).backward()
+        want = (want + self.dense_scatter(table.shape, dtype, ids_a, wa)
+                + self.dense_scatter(table.shape, dtype, ids_b, wb))
+        assert table.grad.dtype == dtype and table.grad.tobytes() == want.tobytes()
+
+    @staticmethod
+    def transient_peak(loss, leaves):
+        """Traced bytes that loss.backward() holds at its peak beyond the leaf gradients it leaves."""
+        tracemalloc.start()
+        try:
+            loss.backward()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak - sum(leaf.grad.nbytes for leaf in leaves if leaf.grad is not None)
+
+    def test_gather_adds_no_table_sized_temporary(self):
+        rng = np.random.default_rng(62)
+        table = Tensor(rng.standard_normal((8192, 256)).astype(np.float32), requires_grad=True)
+        ids_a, ids_b = rng.integers(0, 8192, size=300), rng.integers(0, 500, size=(20, 10))
+        loss = ((gather_rows(table, ids_a) * 0.5).sum() + (gather_rows(table, ids_b) * 2.0).sum())
+        assert self.transient_peak(loss, [table]) < table.data.nbytes / 4
+
+    def test_relaxed_node_adds_no_table_sized_temporary(self):
+        rng = np.random.default_rng(63)
+        vocab, dim, steps, n = 8192, 256, 3, 2
+        shapes = {"emb": (vocab, dim), "wx": (dim, 4 * dim), "wh": (dim, 4 * dim), "b": (4 * dim,),
+                  "proj_w": (dim, vocab), "proj_b": (vocab,)}
+        p = {k: Tensor((rng.standard_normal(s) * 0.05).astype(np.float32), requires_grad=True)
+             for k, s in shapes.items()}
+        y0 = Tensor(kernels.softmax_rows(rng.standard_normal((n, vocab)).astype(np.float32)))
+        (fake,) = gumbel_lstm_sequence([y0], *p.values(), rng.gumbel(size=(steps, n, vocab)), 0.5)
+        loss = ((gather_rows(p["emb"], rng.integers(0, vocab, size=16)) * 0.5).sum()
+                + (Tensor(rng.standard_normal((4, dim)).astype(np.float32)) @ p["proj_w"]).sum()
+                + (fake * 3.0).sum())
+        assert self.transient_peak(loss, list(p.values())) < p["emb"].data.nbytes / 4
+
+    @pytest.mark.parametrize("shape", [(1500, 400), (400, 1500)])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_weight_gradient_added_in_blocks(self, shape, dtype):
+        """float32 GEMMs round each element alike whatever block it is in; float64 ones may not."""
+        assert shape[0] * shape[1] > 2 * tensor._ADD_BLOCK
+        rng = np.random.default_rng(64)
+        w = Tensor(rng.standard_normal(shape).astype(dtype), requires_grad=True)
+        x1, x2 = (rng.standard_normal((k, shape[0])).astype(dtype) for k in (30, 45))
+        c1, c2 = (rng.standard_normal((k, shape[1])).astype(dtype) for k in (30, 45))
+        (((Tensor(x1) @ w) * c1).sum() + ((Tensor(x2) @ w) * c2).sum()).backward()
+        want = x1.T @ c1 + x2.T @ c2
+        if dtype == np.float32:
+            assert w.grad.tobytes() == want.tobytes()
+        else:
+            np.testing.assert_allclose(w.grad, want, rtol=1e-12, atol=1e-12)
 
 
 class TestSubtraction:
