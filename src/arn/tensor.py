@@ -57,20 +57,19 @@ def _matmul_t(x, w):
 def _accum_product(t, x, y):
     """Add the weight gradient x.T @ y into t.grad.
 
-    A first contribution is stored as the whole product. A later one is
-    added in near-equal blocks of about _ADD_BLOCK elements along the
-    product's longer axis, so no second array of the gradient's size is
-    made. Each block sums over the same rows of x and y as the whole
-    product; float32 GEMMs round every element alike in any block, while
-    float64 ones may round a block's edge rows differently, as they do
-    between BLAS thread counts.
+    A later float32 contribution is added in near-equal blocks of about
+    _ADD_BLOCK elements along the product's longer axis, so no second array
+    of the gradient's size is made; float32 GEMMs round every element alike
+    in any block. float64 GEMMs may round a block's edge rows differently
+    (OpenBLAS dgemm does), so a float64 one, like any first contribution,
+    is added as the whole product.
     """
     if not t.requires_grad:
         return
-    if t.grad is None:
+    grad = t.grad
+    if grad is None or grad.dtype != np.float32:
         t._accum(x.T @ y, owned=True)
         return
-    grad = t.grad
     extent, count = max(grad.shape), -(-grad.size // _ADD_BLOCK)
     for i in range(count):
         part = slice(extent * i // count, extent * (i + 1) // count)
@@ -185,7 +184,11 @@ class Tensor:
                 node._backward, node._prev = _released, ()
 
     def _take_grad(self):
-        """Return self.grad and set it to None."""
+        """Return self.grad and set it to None, leaving no reference in the caller's frame.
+
+        Inlined as ``g, node.grad = node.grad, None; node._backward(g)``, the
+        local g would keep the array alive until the closure returns.
+        """
         grad, self.grad = self.grad, None
         return grad
 
@@ -390,18 +393,12 @@ def concat(tensors, axis=0):
     return Tensor._make(data, tuple(tensors), backward)
 
 
-def _scatter_rows(buf, ids, g):
-    """buf[ids[i]] += g[i] for each i in turn, as one flat add.at over ids * width + column."""
-    width = int(np.prod(buf.shape[1:]))
-    flat = (ids.reshape(-1, 1) * width + np.arange(width)).reshape(-1)
-    np.add.at(buf.reshape(-1), flat, g.reshape(-1))
-
-
 def gather_rows(table, ids):
     """Row lookup table[ids]; gradient scatter-adds into the table.
 
-    Into an existing gradient each touched row adds the sum of its rows of
-    g, made in index order as in a zero table; an untouched -0.0 stays -0.0.
+    Each touched row of the gradient adds the sum of its rows of g, made in
+    index order by one flat add.at over slot * width + column; a first
+    gradient starts as a zero table, and an untouched -0.0 stays -0.0.
     """
     table = Tensor._lift(table)
     ids = np.asarray(ids, dtype=np.int64)
@@ -410,18 +407,17 @@ def gather_rows(table, ids):
         if not table.requires_grad:
             return
         if table.grad is None:
-            buf = np.zeros(table.data.shape, table.data.dtype)  # calloc: no second zero-fill pass
-            _scatter_rows(buf, ids, g)
-            table._accum(buf, owned=True)
-        else:  # the touched rows in order, and each id's slot among them, without np.unique's sort
-            touched = np.zeros(len(table.data), bool)
-            touched[ids] = True
-            rows = np.flatnonzero(touched)
-            slot = np.empty(len(touched), np.int64)
-            slot[rows] = np.arange(len(rows))
-            sums = np.zeros((len(rows), *table.data.shape[1:]), table.data.dtype)
-            _scatter_rows(sums, slot[ids], g)
-            table.grad[rows] += sums
+            table.grad = np.zeros(table.data.shape, table.data.dtype)  # calloc: untouched rows fault no pages
+        # the touched rows in order, and each id's slot among them, without np.unique's sort
+        touched = np.zeros(len(table.data), bool)
+        touched[ids] = True
+        rows = np.flatnonzero(touched)
+        slot = np.empty(len(touched), np.int64)
+        slot[rows] = np.arange(len(rows))
+        width = int(np.prod(table.data.shape[1:]))
+        sums = np.zeros(len(rows) * width, table.data.dtype)
+        np.add.at(sums, (slot[ids].reshape(-1, 1) * width + np.arange(width)).reshape(-1), g.reshape(-1))
+        table.grad[rows] += sums.reshape(len(rows), *table.data.shape[1:])
 
     return Tensor._make(table.data[ids], (table,), backward)
 

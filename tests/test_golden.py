@@ -17,11 +17,13 @@ build whose log or exp rounds differently may differ in the last digit.
 Their nash_tv figures were recorded again when the Nash solve moved from
 gradient steps on the logits to mirror-descent steps, which stop at another
 iterate within NASH_TOL; the identity and D* figures are the older pins.
-The wide training pin (V = 3000, d = 256, float32) was recorded before a
-gradient contribution that meets an existing gradient was added into it
-in place, in blocks; its (V, d) products span several blocks, where the
-desk pins fit in one. It trains with one BLAS thread, since how OpenBLAS
-splits a product of that size over threads moves its last bits.
+The wide training pins (V = 3000, d = 256 in float32; V = 2999, d = 250 in
+float64) were recorded before a gradient contribution that meets an
+existing gradient was added into it in place; their (V, d) products span
+several blocks, where the desk pins fit in one. Blocked float64 sums move
+the last bits of the float64 pin, which is why float64 products are added
+whole. They train with one BLAS thread, since how OpenBLAS splits a product
+of that size over threads moves its last bits.
 """
 
 import dataclasses
@@ -249,18 +251,23 @@ def test_training_digests(dtype, lambda_adv):
     assert training_digests(dtype, lambda_adv) == TRAIN_DIGESTS[dtype, lambda_adv]
 
 
-# (trace digest, parameter digest) of 3 float32 steps at V = 3000, d = 256, lambda_adv 1, one BLAS thread
-WIDE_TRAIN_DIGESTS = ("99d36779e16a0e06c840d821692983040accdec1371e3cc770b207c99d8785e8",
-                      "ce6751bb1d5840bf3e155ad4a3dc7fbceaa01997ef16d6addee68d2d99e1ff46")
+# (trace digest, parameter digest) of 3 steps at lambda_adv 1 with one BLAS thread, by (dtype, V, d)
+WIDE_TRAIN_DIGESTS = {
+    ("float32", 3000, 256): ("99d36779e16a0e06c840d821692983040accdec1371e3cc770b207c99d8785e8",
+                             "ce6751bb1d5840bf3e155ad4a3dc7fbceaa01997ef16d6addee68d2d99e1ff46"),
+    ("float64", 2999, 250): ("82e878819069171813cb6d777c1d5b02033e3cac9dfb65560c6982063139f8a5",
+                             "f3b7d955e2863da1017a3ab1ce608b867af85ff579028f438dea8a78645f63ad"),
+}
 
 
-def test_wide_training_digests():
-    script = textwrap.dedent("""
+@pytest.mark.parametrize("dtype, vocab, dim", sorted(WIDE_TRAIN_DIGESTS))
+def test_wide_training_digests(dtype, vocab, dim):
+    script = textwrap.dedent(f"""
         import hashlib, json
         import numpy as np
         from arn import training
         from arn.networks import ArnConfig, ArnModel
-        cfg = ArnConfig(seq_len=8, vocab_size=3000, d_emb=256, d_hidden=256, d_latent=16, dtype="float32")
+        cfg = ArnConfig(seq_len=8, vocab_size={vocab}, d_emb={dim}, d_hidden={dim}, d_latent=16, dtype="{dtype}")
         rng = np.random.default_rng(24)
         ids = np.minimum(rng.zipf(1.3, size=(300, cfg.seq_len)), cfg.vocab_size) - 1
         model = ArnModel.initialized(cfg, training.rng_streams(5)["init"])
@@ -275,4 +282,4 @@ def test_wide_training_digests():
     env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=300, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert tuple(proc.stdout.split()) == WIDE_TRAIN_DIGESTS
+    assert tuple(proc.stdout.split()) == WIDE_TRAIN_DIGESTS[dtype, vocab, dim]
