@@ -9,6 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import kernels
 from .distributions import Categorical, check_support, entropy, js_categorical, kl_categorical
 from .errors import ConvergenceError, DomainError, ShapeError, SupportError
 
@@ -143,8 +144,7 @@ def solve_nash(p_d: Categorical, init: Categorical):
     p = p_d.probs
     logits = np.log(np.clip(init.probs, 1e-12, None))
     for _ in range(NASH_MAX_ITER):
-        q = np.exp(logits - logits.max())
-        q /= q.sum()
+        q = kernels.softmax_rows(logits)
         tv = 0.5 * float(np.abs(q - p).sum())
         if tv <= NASH_TOL:
             return Categorical(q)

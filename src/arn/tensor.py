@@ -5,11 +5,12 @@ an implicit graph through parent links; ``backward`` on a scalar root does a
 topological sweep and accumulates chain-rule contributions (summing over
 multiple uses). A graph takes one backward: the sweep releases each interior
 node (an op's output) once its chain-rule step has run, so leaves keep their
-gradients and interior nodes do not. A weight-gradient product or a row
-scatter that meets a gradient already there is added into it in place, so
-no second table-sized array is made. An op computes in the dtype of its
-array operands, so a graph built from float32 parameters stays float32: a
-Python or 0-d scalar operand takes the dtype of the tensor it meets.
+gradients and interior nodes do not. A backward rule hands each input its
+contribution and makes no further use of it: a first one is stored as that
+array and a later one is added into it in place, so no second table-sized
+array is made. An op computes in the dtype of its array operands, so a graph
+built from float32 parameters stays float32: a Python or 0-d scalar operand
+takes the dtype of the tensor it meets.
 """
 
 import contextlib
@@ -68,7 +69,7 @@ def _accum_product(t, x, y):
         return
     grad = t.grad
     if grad is None or grad.dtype != np.float32:
-        t._accum(x.T @ y, owned=True)
+        t._accum(x.T @ y)
         return
     extent, count = max(grad.shape), -(-grad.size // _ADD_BLOCK)
     for i in range(count):
@@ -134,6 +135,8 @@ class Tensor:
         return self.data.size
 
     def item(self):
+        if self.data.size != 1:
+            raise RankError(f"item needs a one-element tensor, got shape {self.data.shape}")
         return float(self.data.reshape(-1)[0])
 
     def detach(self):
@@ -192,35 +195,33 @@ class Tensor:
         grad, self.grad = self.grad, None
         return grad
 
-    def _accum(self, grad, owned=False):
-        """Add one chain-rule contribution to self.grad.
+    def _accum(self, grad):
+        """Add one chain-rule contribution to self.grad; the caller hands grad over.
 
-        owned=True says the backward closure has just made grad and holds
-        it nowhere else, so a first contribution is stored without a copy.
-        Anything that is or may be shared (an upstream g, a view, a slice)
-        is copied, since a later contribution adds into self.grad in place.
+        The caller makes no further use of grad, and no other gradient shares
+        its memory, so a first contribution is stored as that array (cast
+        only where its dtype differs) and a later one is added into it in place.
         """
         if self.requires_grad:
             if grad.shape != self.data.shape:
                 grad = _unbroadcast(grad, self.data.shape)
             if self.grad is None:
-                self.grad = np.asarray(grad, self.data.dtype) if owned else np.array(grad, self.data.dtype)
+                self.grad = np.asarray(grad, self.data.dtype)
             else:
                 self.grad += grad
 
     # -- arithmetic -----------------------------------------------------------
 
     def __add__(self, other):
-        other = Tensor._lift(other, self)
-        a, b = self, other
+        a, b = self, Tensor._lift(other, self)
         try:
             data = a.data + b.data
         except ValueError as exc:
             raise ShapeError(str(exc)) from exc
 
-        def backward(g):
-            a._accum(g)
+        def backward(g):  # x @ W + bias copies nothing: the bias keeps a sum of g, x gets g
             b._accum(g)
+            a._accum(g.copy() if b.grad is g else g)
 
         return Tensor._make(data, (a, b), backward)
 
@@ -228,7 +229,7 @@ class Tensor:
 
     def __neg__(self):
         a = self
-        return Tensor._make(-a.data, (a,), lambda g: a._accum(-g, owned=True))
+        return Tensor._make(-a.data, (a,), lambda g: a._accum(-g))
 
     def __sub__(self, other):
         """a - b as one node; equal bit for bit to a + (-b)."""
@@ -241,7 +242,7 @@ class Tensor:
         def backward(g):
             a._accum(g)
             if b.requires_grad:
-                b._accum(-g, owned=True)
+                b._accum(-g)
 
         return Tensor._make(data, (a, b), backward)
 
@@ -249,16 +250,15 @@ class Tensor:
         return Tensor._lift(other, self) - self
 
     def __mul__(self, other):
-        other = Tensor._lift(other, self)
-        a, b = self, other
+        a, b = self, Tensor._lift(other, self)
         try:
             data = a.data * b.data
         except ValueError as exc:
             raise ShapeError(str(exc)) from exc
 
         def backward(g):
-            a._accum(g * b.data, owned=True)
-            b._accum(g * a.data, owned=True)
+            a._accum(g * b.data)
+            b._accum(g * a.data)
 
         return Tensor._make(data, (a, b), backward)
 
@@ -270,15 +270,14 @@ class Tensor:
         return self * (1.0 / other)
 
     def __matmul__(self, other):
-        other = Tensor._lift(other)
-        a, b = self, other
+        a, b = self, Tensor._lift(other)
         if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
             raise ShapeError(f"matmul needs (m,k)@(k,n), got {a.data.shape} @ {b.data.shape}")
         data = a.data @ b.data
 
         def backward(g):
             if a.requires_grad:
-                a._accum(_matmul_t(g, b.data), owned=True)
+                a._accum(_matmul_t(g, b.data))
             _accum_product(b, a.data, g)
 
         return Tensor._make(data, (a, b), backward)
@@ -297,7 +296,7 @@ class Tensor:
                     buf[key] += g
                 else:
                     np.add.at(buf, key, g)
-                a._accum(buf, owned=True)
+                a._accum(buf)
 
         return Tensor._make(data, (a,), backward)
 
@@ -310,8 +309,8 @@ class Tensor:
         a = self
         data = a.data.sum(axis=axis)
 
-        def backward(g):  # _accum copies the broadcast view
-            a._accum(np.broadcast_to(g if axis is None else np.expand_dims(g, axis), a.data.shape))
+        def backward(g):  # materialised: a broadcast view is read-only
+            a._accum(np.array(np.broadcast_to(g if axis is None else np.expand_dims(g, axis), a.data.shape)))
 
         return Tensor._make(data, (a,), backward)
 
@@ -324,31 +323,31 @@ class Tensor:
     def exp(self):
         a = self
         data = np.exp(a.data)
-        return Tensor._make(data, (a,), lambda g: a._accum(g * data, owned=True))
+        return Tensor._make(data, (a,), lambda g: a._accum(g * data))
 
     def log(self):
         a = self
         if np.any(a.data <= 0.0):
             raise DomainError("log requires strictly positive input")
         data = np.log(a.data)
-        return Tensor._make(data, (a,), lambda g: a._accum(g / a.data, owned=True))
+        return Tensor._make(data, (a,), lambda g: a._accum(g / a.data))
 
     def tanh(self):
         a = self
         data = np.tanh(a.data)
-        return Tensor._make(data, (a,), lambda g: a._accum(g * (1.0 - data * data), owned=True))
+        return Tensor._make(data, (a,), lambda g: a._accum(g * (1.0 - data * data)))
 
     def sigmoid(self):
         a = self
         data = kernels.sigmoid(a.data)
-        return Tensor._make(data, (a,), lambda g: a._accum(g * data * (1.0 - data), owned=True))
+        return Tensor._make(data, (a,), lambda g: a._accum(g * data * (1.0 - data)))
 
     def log_sigmoid(self):
         """log(sigmoid(x)) as min(x, 0) - log1p(exp(-|x|)): exp never overflows, in any dtype."""
         a = self
         data = np.minimum(a.data, 0.0) - np.log1p(np.exp(-np.abs(a.data)))
         sig = kernels.sigmoid(a.data)
-        return Tensor._make(data, (a,), lambda g: a._accum(g * (1.0 - sig), owned=True))
+        return Tensor._make(data, (a,), lambda g: a._accum(g * (1.0 - sig)))
 
     def softmax(self):
         """Softmax over the last axis (max-subtracted)."""
@@ -357,7 +356,7 @@ class Tensor:
 
         def backward(g):
             dot = (g * data).sum(axis=-1, keepdims=True)
-            a._accum(data * (g - dot), owned=True)
+            a._accum(data * (g - dot))
 
         return Tensor._make(data, (a,), backward)
 
@@ -367,7 +366,7 @@ class Tensor:
 
         def backward(g):
             soft = np.exp(data)
-            a._accum(g - soft * g.sum(axis=-1, keepdims=True), owned=True)
+            a._accum(g - soft * g.sum(axis=-1, keepdims=True))
 
         return Tensor._make(data, (a,), backward)
 
@@ -434,7 +433,7 @@ def pick(x, ids):
         if x.requires_grad:
             buf = np.zeros_like(x.data)
             buf[rows, ids] = g
-            x._accum(buf, owned=True)
+            x._accum(buf)
 
     return Tensor._make(x.data[rows, ids], (x,), backward)
 
@@ -473,15 +472,16 @@ class _LstmTape:
         return self.h[t + 1]
 
     def backward_step(self, t, dh, dc, d_pre, rows=slice(None)):
-        """dL/dc[t] of step t from dL/dh[t + 1] and dL/dc[t + 1]; the step's d_pre goes into d_pre."""
+        """(dL/dc[t], dL/dh[t]) from dL/dh[t + 1] and dL/dc[t + 1]; step t's d_pre goes into d_pre."""
         ifo, g, tc = self.saved[t]
-        return kernels.lstm_cell_backward(dh, dc, self.c[t, rows], ifo[:, rows], g[rows], tc[rows], d_pre)[1]
+        dc = kernels.lstm_cell_backward(dh, dc, self.c[t, rows], ifo[:, rows], g[rows], tc[rows], d_pre)[1]
+        return dc, _matmul_t(d_pre, self.wh)
 
     def accum_weights(self, x, d_pre, wx, wh, b, rows=slice(None)):
         """Weight gradients from the (T*B, 4H) d_pre rows, one GEMM per matrix."""
         for w, inp in ((wx, x), (wh, self.h[:-1, rows])):
             _accum_product(w, inp.reshape(len(d_pre), inp.shape[-1]), d_pre)
-        b._accum(d_pre.sum(axis=0), owned=True)
+        b._accum(d_pre.sum(axis=0))
 
 
 def _check_lstm_weights(wx, wh, b, d_in):
@@ -511,11 +511,10 @@ def lstm_sequence(x, wx, wh, b):
         d_pre = xw  # the input projections are spent once the tape has run; d_pre reuses their buffer
         dh_next, dc = 0.0, np.zeros_like(tape.h[0])
         for t in reversed(range(tlen)):
-            dc = tape.backward_step(t, g[t] + dh_next, dc, d_pre[t])
-            dh_next = _matmul_t(d_pre[t], wh.data)
+            dc, dh_next = tape.backward_step(t, g[t] + dh_next, dc, d_pre[t])
         d_pre = d_pre.reshape(tlen * bsz, xw.shape[2])
         if x.requires_grad:
-            x._accum((d_pre @ wx.data.T).reshape(x.data.shape), owned=True)
+            x._accum((d_pre @ wx.data.T).reshape(x.data.shape))
         tape.accum_weights(x.data, d_pre, wx, wh, b)
 
     return Tensor._make(tape.h[1:], (x, wx, wh, b), backward)
@@ -569,8 +568,8 @@ def gumbel_lstm_sequence(y0s, emb, wx, wh, b, proj_w, proj_b, gumbel, tau):
             for t in reversed(range(steps)):
                 y = rows[t + 1]
                 d_logits[t] = (y * (dy - (dy * y).sum(axis=-1, keepdims=True))) * (1.0 / tau)
-                dc = tape.backward_step(t, _matmul_t(d_logits[t], proj_w.data) + dh_next, dc, d_pre[t], sl)
-                dh_next = _matmul_t(d_pre[t], wh.data)
+                dh = _matmul_t(d_logits[t], proj_w.data) + dh_next
+                dc, dh_next = tape.backward_step(t, dh, dc, d_pre[t], sl)
                 d_x[t] = _matmul_t(d_pre[t], wx.data)
                 dy = g[t] + _matmul_t(d_x[t], emb.data)
             del g  # Tensor.backward handed over its only reference
@@ -579,7 +578,7 @@ def gumbel_lstm_sequence(y0s, emb, wx, wh, b, proj_w, proj_b, gumbel, tau):
             tape.accum_weights(x[:, sl], d_pre.reshape(rows_in, 4 * hdim), wx, wh, b, sl)
             d_logits = d_logits.reshape(rows_in, vocab)
             _accum_product(proj_w, tape.h[1:, sl].reshape(rows_in, hdim), d_logits)
-            proj_b._accum(d_logits.sum(axis=0), owned=True)
+            proj_b._accum(d_logits.sum(axis=0))
             del d_logits  # spent before the emb product
             _accum_product(emb, rows[:-1].reshape(rows_in, vocab), d_x.reshape(rows_in, x.shape[2]))
 
@@ -604,9 +603,8 @@ def grad_check(f, x, eps=1e-5):
     |analytic - numeric| / max(1, |analytic| + |numeric|).
     """
     probe = Tensor(x.data.copy(), requires_grad=True)
-    out = f(probe)
-    out.backward()
-    analytic = probe.grad.copy()
+    f(probe).backward()
+    analytic = probe.grad
 
     flat = x.data.reshape(-1).copy()
     numeric = np.zeros_like(flat)

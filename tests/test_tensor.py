@@ -3,6 +3,8 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from arn import kernels, networks, tensor, training
 from arn.errors import ArnError, DomainError, GraphReleasedError, RankError, ShapeError
@@ -52,6 +54,12 @@ class TestForward:
         out = Tensor(x).log_sigmoid().data
         assert out.dtype == dtype
         np.testing.assert_allclose(out, -np.logaddexp(0.0, -x.astype(np.float64)), rtol=1e-6, atol=1e-40)
+
+    def test_item_needs_one_element(self):
+        assert Tensor([[2.5]]).item() == 2.5
+        for shape in [(2,), (0,), (1, 3)]:
+            with pytest.raises(RankError):
+                Tensor(np.ones(shape)).item()
 
     def test_scalar_operands_keep_float32(self):
         x = Tensor(np.ones(3, np.float32))
@@ -294,7 +302,7 @@ class TestGraphRelease:
         x, freed = t([1.0, 2.0]), []
 
         def backward(g):
-            x._accum(g * 3.0, owned=True)
+            x._accum(g * 3.0)
             ref = weakref.ref(g)
             del g
             freed.append(ref() is None)
@@ -332,8 +340,33 @@ class TestGraphRelease:
         assert w.grad is None
 
 
+def _graph_nodes(root):
+    """Every tensor the graph under root reaches, root included."""
+    nodes, stack = {}, [root]
+    while stack:
+        node = stack.pop()
+        if id(node) not in nodes:
+            nodes[id(node)] = node
+            stack.extend(node._prev)
+    return list(nodes.values())
+
+
+def _check_no_shared_gradients(mp, nodes):
+    """Patch Tensor._accum to assert after every contribution that no two gradients held by nodes share memory."""
+    accum = Tensor._accum
+
+    def spy(self, grad):
+        accum(self, grad)
+        held = [n.grad for n in nodes if n.grad is not None]
+        for i, x in enumerate(held):
+            for y in held[i + 1:]:
+                assert not np.shares_memory(x, y)
+
+    mp.setattr(Tensor, "_accum", spy)
+
+
 class TestFirstGradientOwnership:
-    """The first gradient of a tensor may be stored without a copy; shared arrays may not."""
+    """Each contribution is handed over and a first one is stored as it is, so no two gradients share an array."""
 
     def test_table_gathered_twice_and_multiplied(self):
         rng = np.random.default_rng(41)
@@ -366,22 +399,57 @@ class TestFirstGradientOwnership:
         a, w = t(rng.standard_normal((3, 2))), t(rng.standard_normal((2, 2)))
         h = a @ w
         c = rng.standard_normal((3, 2))
-        s = h + h  # __add__ hands s.grad to h twice: h must not keep it as its own
-        stored = {}  # the gradient array each of s and h holds after each contribution
-        accum = Tensor._accum
+        s = h + h  # __add__ hands s's gradient to h, then a copy of it (g += g in place would be right too)
+        k = t(rng.standard_normal((3, 2)))
+        loss = (s * c).sum() + (k * c).sum()  # two inputs handed one array would share it
+        stored = {id(s): [], id(h): []}  # the gradient of s and of h after each contribution, read then
+        _check_no_shared_gradients(monkeypatch, _graph_nodes(loss))
+        checked = Tensor._accum
 
-        def spy(self, grad, owned=False):
-            accum(self, grad, owned)
-            if self is s or self is h:
-                stored[id(self)] = self.grad
+        def spy(self, grad):
+            checked(self, grad)
+            if id(self) in stored:
+                stored[id(self)].append(self.grad.copy())
 
         monkeypatch.setattr(Tensor, "_accum", spy)
-        (s * c).sum().backward()
-        np.testing.assert_array_equal(stored[id(s)], c)
-        np.testing.assert_array_equal(stored[id(h)], 2 * c)
-        assert not np.shares_memory(stored[id(s)], stored[id(h)])
+        loss.backward()
+        np.testing.assert_array_equal(stored[id(s)], [c])
+        np.testing.assert_array_equal(stored[id(h)], [c, 2 * c])
         np.testing.assert_allclose(a.grad, 2 * c @ w.data.T, rtol=1e-14, atol=1e-14)
         np.testing.assert_allclose(w.grad, a.data.T @ (2 * c), rtol=1e-14, atol=1e-14)
+        np.testing.assert_array_equal(k.grad, c)
+
+    @pytest.mark.parametrize("preset, batch_size", [("desk", 32), ("paper", 8)])
+    def test_adversarial_step_makes_at_most_nine_copies(self, monkeypatch, preset, batch_size):
+        """Each first contribution is stored as the array handed in.
+
+        The copies left are __add__'s, where its right input kept g, and a
+        NumPy scalar (a 0-d product) stored as a 0-d array.
+        """
+        cfg = ArnConfig.preset(preset)
+        model = ArnModel.initialized(cfg, np.random.default_rng(47))
+        ids = np.random.default_rng(48).integers(0, cfg.vocab_size, (64, cfg.seq_len))
+        take, accum = Tensor._take_grad, Tensor._accum
+        running, copies = [None, None], []  # the closure now running and its g
+
+        def take_spy(self):
+            running[:] = self._backward.__qualname__, self.grad
+            return take(self)
+
+        def accum_spy(self, grad):
+            first = self.requires_grad and self.grad is None
+            accum(self, grad)
+            if first and not isinstance(grad, np.ndarray):
+                copies.append(grad)
+            elif first and grad.shape == self.data.shape:
+                assert self.grad is grad, running[0]
+            if running[0] == "Tensor.__add__.<locals>.backward" and grad is not running[1]:
+                copies.append(grad)
+
+        monkeypatch.setattr(Tensor, "_take_grad", take_spy)
+        monkeypatch.setattr(Tensor, "_accum", accum_spy)
+        training.train(model, ids, training.TrainConfig(batch_size=batch_size, steps=1, seed=49))
+        assert len(copies) <= 9
 
     def test_desk_generator_loss_grads_share_no_memory(self):
         cfg = ArnConfig.preset("desk")
@@ -400,6 +468,62 @@ class TestFirstGradientOwnership:
             assert not np.shares_memory(ga, m.params[name_a].data), name_a
             for name_b, gb in grads[i + 1:]:
                 assert not np.shares_memory(ga, gb), (name_a, name_b)
+
+
+GRAPH_LEAVES = {"x": (2, 3), "y": (2, 3), "w": (3, 3), "bias": (3,)}
+GRAPH_OPS = {  # each maps two (2, 3) tensors p, q of the pool and the leaves to a new (2, 3) tensor
+    "add": lambda p, q, leaf: p + q,
+    "sub": lambda p, q, leaf: p - q,
+    "mul": lambda p, q, leaf: p * q,
+    "matmul": lambda p, q, leaf: p @ leaf["w"],
+    "bias": lambda p, q, leaf: p + leaf["bias"],
+    "reshape": lambda p, q, leaf: p.reshape(3, 2)[::-1].reshape(2, 3),
+    "concat_rows": lambda p, q, leaf: concat([p, q])[1:3],
+    "concat_cols": lambda p, q, leaf: concat([p, q], axis=1)[:, 2:5],
+    "sum": lambda p, q, leaf: q + p.sum(axis=0),
+    "mean": lambda p, q, leaf: p.mean(axis=1).reshape(2, 1) * q,
+}
+GRAPH_PROGRAMS = st.lists(st.tuples(st.sampled_from(sorted(GRAPH_OPS)), st.integers(0, 9), st.integers(0, 9)),
+                          min_size=1, max_size=6)
+
+
+def _run_program(program, arrays):
+    """(loss, leaves) of a program over fresh leaves: each step appends an op of two pool tensors to the pool."""
+    leaf = {name: Tensor(a, requires_grad=True) for name, a in arrays.items()}
+    pool = [leaf["x"], leaf["y"]]
+    for op, i, j in program:
+        pool.append(GRAPH_OPS[op](pool[i % len(pool)], pool[j % len(pool)], leaf))
+    weights = np.random.default_rng(64).standard_normal((2, 2, 3))
+    return (pool[-1] * weights[0]).sum() + (pool[-2] * weights[1]).sum(), leaf
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(program=GRAPH_PROGRAMS, seed=st.integers(0, 2**32 - 1))
+@example(program=[("add", 0, 0)], seed=0)  # x + x
+@example(program=[("sub", 1, 1)], seed=0)  # y - y
+@example(program=[("concat_rows", 0, 0)], seed=0)  # concat([x, x])
+@example(program=[("add", 0, 1), ("mul", 0, 2)], seed=0)  # p + q, with p used again
+def test_random_graph_gradients_match_differences_and_share_no_memory(program, seed):
+    rng = np.random.default_rng(seed)
+    arrays = {name: rng.uniform(-1.0, 1.0, shape) for name, shape in GRAPH_LEAVES.items()}
+    loss, leaf = _run_program(program, arrays)
+    with pytest.MonkeyPatch.context() as mp:
+        _check_no_shared_gradients(mp, _graph_nodes(loss))
+        loss.backward()
+    eps = 1e-6
+    for name, a in arrays.items():
+        numeric = np.zeros_like(a)
+        with no_grad():
+            for k in np.ndindex(a.shape):
+                probes = []
+                for step in (eps, -eps):
+                    moved = {**arrays, name: a.copy()}
+                    moved[name][k] += step
+                    probes.append(float(_run_program(program, moved)[0].data))
+                numeric[k] = (probes[0] - probes[1]) / (2 * eps)
+        analytic = np.zeros_like(a) if leaf[name].grad is None else leaf[name].grad
+        rel = np.abs(analytic - numeric) / np.maximum(1.0, np.abs(analytic) + np.abs(numeric))
+        assert rel.max() <= 1e-6, name
 
 
 class TestInPlaceAccumulation:
