@@ -32,9 +32,9 @@ GENERATE_CHUNK = 256
 def _merge_config(args, parser, argv):
     """Overlay JSON config-file values under explicitly passed flags.
 
-    The file's keys become the subcommand's defaults and argv is parsed
-    again, so argparse itself decides which flags were given; values go in
-    as strings, so each is converted and rejected by its flag's type.
+    Each key becomes the token --key=value (a non-string value as its JSON
+    text) right after the subcommand, and argv is parsed again: explicit
+    flags come later and win, and each key and value meets its flag's checks.
     """
     if not getattr(args, "config", None):
         return args
@@ -47,12 +47,11 @@ def _merge_config(args, parser, argv):
         raise ConfigError(f"{args.config}: {exc}") from exc
     if not isinstance(file_cfg, dict):
         raise ConfigError(f"{args.config}: config must be a JSON object")
-    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    sub_parser = sub.choices[args.command]
-    dests = {action.dest for action in sub_parser._actions}
-    sub_parser.set_defaults(**{k: v if isinstance(v, str) else json.dumps(v)
-                               for k, v in file_cfg.items() if k in dests})
-    return parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    at = argv.index(args.command) + 1
+    flags = [f"--{k.replace('_', '-')}={v if isinstance(v, str) else json.dumps(v)}"
+             for k, v in file_cfg.items()]
+    return parser.parse_args(argv[:at] + flags + argv[at:])
 
 
 def _read_token_lines(path):

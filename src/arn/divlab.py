@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
+from . import kernels, training
 from .distributions import Categorical, check_support, entropy, js_categorical, kl_categorical
 from .errors import ConvergenceError, DomainError, ShapeError, SupportError
 
@@ -160,7 +160,7 @@ def random_simplex(rng, k: int) -> Categorical:
 
 def run_lab(trials: int, k: int, seed: int) -> dict:
     """Full verification suite; returns the CLI-facing report dict."""
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 17])))
+    rng = training.rng_streams(seed)["lab"]
     identity_max_gap = 0.0
     dstar_max_err = 0.0
     nash_tv = 0.0

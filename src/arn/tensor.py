@@ -221,7 +221,7 @@ class Tensor:
 
         def backward(g):  # x @ W + bias copies nothing: the bias keeps a sum of g, x gets g
             b._accum(g)
-            a._accum(g.copy() if b.grad is g else g)
+            a._accum(g.copy() if b.grad is g and a.requires_grad else g)
 
         return Tensor._make(data, (a, b), backward)
 
@@ -475,7 +475,7 @@ class _LstmTape:
         """(dL/dc[t], dL/dh[t]) from dL/dh[t + 1] and dL/dc[t + 1]; step t's d_pre goes into d_pre."""
         ifo, g, tc = self.saved[t]
         dc = kernels.lstm_cell_backward(dh, dc, self.c[t, rows], ifo[:, rows], g[rows], tc[rows], d_pre)[1]
-        return dc, _matmul_t(d_pre, self.wh)
+        return dc, _matmul_t(d_pre, self.wh) if t else None  # h[0], the zero state, takes no gradient
 
     def accum_weights(self, x, d_pre, wx, wh, b, rows=slice(None)):
         """Weight gradients from the (T*B, 4H) d_pre rows, one GEMM per matrix."""

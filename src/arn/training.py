@@ -28,11 +28,14 @@ CHECKPOINT_MAGIC = b"ARN1"
 CHECKPOINT_VERSION = 2
 PAYLOAD_ALIGN = 64  # version 2 pads the manifest with zero bytes to this; version 1 does not
 
-# fixed sub-stream ids so every source of randomness hangs off one seed
-_STREAMS = {"init": 0, "noise": 1, "gumbel": 2, "data": 3}
+# fixed sub-stream ids so every source of randomness hangs off one seed; divlab's "lab" keeps its old 17
+_STREAMS = {"init": 0, "noise": 1, "gumbel": 2, "data": 3, "lab": 17}
 
 
 def rng_streams(seed: int) -> dict:
+    """One generator per named stream; the package's only place a seed becomes generators."""
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     return {
         name: np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, sid])))
         for name, sid in _STREAMS.items()

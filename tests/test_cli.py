@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import json
 import os
@@ -392,6 +393,107 @@ class TestDivlab:
         monkeypatch.setattr(divlab, "solve_nash", no_convergence)
         assert run(["divlab", "--trials", "5", "--outcomes", "4"]) == 3
         assert "numeric abort: no convergence" in capsys.readouterr().err
+
+
+def _options():
+    """(subcommand, option action) for every option of build_parser() but --help."""
+    (sub,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return [(cmd, action) for cmd, p in sub.choices.items() for action in p._actions
+            if action.option_strings and not isinstance(action, argparse._HelpAction)]
+
+
+def _valid_value(action):
+    """A value the flag accepts that is not its default."""
+    if action.choices:
+        return next(c for c in action.choices if c != action.default)
+    return {int: "3", float: "0.5"}.get(action.type, "x.txt")
+
+
+# each option under its dest and, where that holds a "_", its flag spelling
+CONFIG_CASES = [pytest.param(cmd, action, key, id=f"{cmd}-{key}") for cmd, action in _options()
+                for key in sorted({action.dest, action.dest.replace("_", "-")})]
+
+
+@pytest.fixture
+def zero_step_checkpoint(tmp_path, markov_corpus_file):
+    out = tmp_path / "init.arn"
+    assert run(["train", "--corpus", markov_corpus_file, "--steps", "0", "--out", str(out)]) == 0
+    return str(out)
+
+
+class TestConfigFlagParity:
+    """A config key is read as the flag it names: the same name, type and choices checks."""
+
+    @pytest.mark.parametrize("cmd, action, key", CONFIG_CASES)
+    def test_config_key_parses_as_its_flag(self, tmp_path, monkeypatch, cmd, action, key):
+        seen = []
+        monkeypatch.setattr(cli, f"cmd_{cmd}", lambda args: seen.append(vars(args)) or 0)
+        cfg = tmp_path / "run.json"
+        # the required flags, given explicitly as main's first parse needs them; they win in both runs
+        rest = [tok for cmd2, a in _options() if cmd2 == cmd and a.required
+                for tok in (a.option_strings[-1], f"given-{a.dest}")]
+        value = _valid_value(action)
+        for argv, file_cfg in (([cmd, *rest], {key: value}),
+                               ([cmd, action.option_strings[-1], value, *rest], {})):
+            cfg.write_text(json.dumps(file_cfg))
+            assert run(argv + ["--config", str(cfg)]) == 0
+        via_config, via_flag = seen
+        assert via_config == via_flag
+        if action.dest != "config" and not action.required:
+            assert via_config[action.dest] != action.default
+
+    @pytest.mark.parametrize("argv, file_cfg, named", [
+        (["generate", "--checkpoint", "{ckpt}"], {"mode": "bogus"}, "bogus"),
+        (["divlab", "--trials", "2"], {"trails": 3}, "trails"),
+        (["train", "--corpus", "{corpus}", "--steps", "0", "--out", "{out}"], {"lamda_adv": 0}, "lamda"),
+        (["train", "--corpus", "{corpus}", "--steps", "0", "--out", "{out}"], {"seed": -1}, "seed"),
+        (["generate", "--checkpoint", "{ckpt}"], {"seed": -1}, "seed"),
+        (["gradcheck"], {"seed": -1}, "seed"),
+        (["divlab", "--trials", "2"], {"seed": -1}, "seed"),
+    ], ids=["bad-choice", "misspelled-key", "misspelled-dest", "train-seed", "generate-seed",
+            "gradcheck-seed", "divlab-seed"])
+    def test_bad_config_key_or_value_exits_2(self, tmp_path, capsys, markov_corpus_file,
+                                             zero_step_checkpoint, argv, file_cfg, named):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(file_cfg))
+        paths = {"ckpt": zero_step_checkpoint, "corpus": markov_corpus_file, "out": str(tmp_path / "m.arn")}
+        capsys.readouterr()  # the fixture's training line
+        try:
+            code = run([a.format(**paths) for a in argv] + ["--config", str(cfg)])
+        except SystemExit as exc:  # argparse's own usage error
+            code = exc.code
+        assert code == 2
+        err = capsys.readouterr()
+        assert named in err.err and err.out == ""
+
+    def test_flag_spelled_key_trains_maximum_likelihood(self, tmp_path, markov_corpus_file):
+        cfg, trace = tmp_path / "run.json", tmp_path / "trace.jsonl"
+        cfg.write_text(json.dumps({"lambda-adv": 0}))
+        assert run(["train", "--corpus", markov_corpus_file, "--steps", "3", "--batch-size", "4",
+                    "--out", str(tmp_path / "m.arn"), "--trace", str(trace), "--config", str(cfg)]) == 0
+        records = [json.loads(line) for line in trace.read_text().splitlines()]
+        assert len(records) == 3 and all(r["d_loss"] == 0.0 for r in records)
+
+
+def test_usage_errors_exit_2_without_a_traceback(tmp_path, markov_corpus_file, zero_step_checkpoint):
+    """What the console shows: exit 2 and a message, never a traceback."""
+    bogus_mode, unknown_key = tmp_path / "mode.json", tmp_path / "key.json"
+    bogus_mode.write_text(json.dumps({"mode": "bogus"}))
+    unknown_key.write_text(json.dumps({"lamda_adv": 0}))
+    train = ["train", "--corpus", markov_corpus_file, "--steps", "0", "--out", str(tmp_path / "m.arn")]
+    generate = ["generate", "--checkpoint", zero_step_checkpoint]
+    for argv, named in ((train + ["--seed", "-1"], "seed"),
+                        (generate + ["--seed", "-1"], "seed"),
+                        (["gradcheck", "--seed", "-1"], "seed"),
+                        (["divlab", "--trials", "2", "--seed", "-1"], "seed"),
+                        (generate + ["--config", str(bogus_mode)], "bogus"),
+                        (train + ["--config", str(unknown_key)], "lamda-adv")):
+        proc = subprocess.run(
+            [sys.executable, "-m", "arn.cli", *argv], capture_output=True, text=True, timeout=60,
+            env=dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__))))
+        assert proc.returncode == 2, (argv, proc.stderr)
+        assert "Traceback" not in proc.stderr and named in proc.stderr, (argv, proc.stderr)
+        assert not (tmp_path / "m.arn").exists()
 
 
 # byte pieces that make raw-id corpora of every kind: ids in and out of range,

@@ -253,6 +253,21 @@ def test_sequence_op_matches_per_step_composition(name):
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
+def test_lstm_reverse_loop_makes_no_initial_state_gradient(monkeypatch):
+    """The recurrent product dL/dh[t] runs for t = T-1..1; h[0] is the zero state and takes none."""
+    calls, matmul_t = [], tensor._matmul_t
+
+    def counting(x, w):
+        calls.append(x.shape)
+        return matmul_t(x, w)
+
+    monkeypatch.setattr(tensor, "_matmul_t", counting)
+    _, op, _, _, weights = SEQUENCE_OPS["lstm_sequence"]
+    out = op(*_sequence_op_inputs("lstm_sequence"))
+    (out * weights).sum().backward()
+    assert len(calls) == out.shape[0] - 1
+
+
 def test_backward_replaces_gradient_of_shared_parameter():
     w = t([1.0, -2.0])
     (w * w).sum().backward()
@@ -418,6 +433,22 @@ class TestFirstGradientOwnership:
         np.testing.assert_allclose(a.grad, 2 * c @ w.data.T, rtol=1e-14, atol=1e-14)
         np.testing.assert_allclose(w.grad, a.data.T @ (2 * c), rtol=1e-14, atol=1e-14)
         np.testing.assert_array_equal(k.grad, c)
+
+    def test_constant_left_input_gets_no_copy(self, monkeypatch):
+        a = t(np.random.default_rng(50).standard_normal((1000, 100)))
+        const, b = Tensor(np.zeros((1000, 100))), a.tanh()
+        handed, accum = {}, Tensor._accum
+
+        def spy(self, grad):
+            handed.setdefault(id(self), []).append(grad)
+            accum(self, grad)
+
+        monkeypatch.setattr(Tensor, "_accum", spy)
+        (const + b).sum().backward()
+        (to_const,), (to_b,) = handed[id(const)], handed[id(b)]
+        assert to_const is to_b  # not an 800 KB copy the constant drops
+        assert const.grad is None
+        np.testing.assert_allclose(a.grad, 1.0 - np.tanh(a.data) ** 2, rtol=1e-14, atol=0)
 
     @pytest.mark.parametrize("preset, batch_size", [("desk", 32), ("paper", 8)])
     def test_adversarial_step_makes_at_most_nine_copies(self, monkeypatch, preset, batch_size):
