@@ -6,6 +6,7 @@ file may be supplied with --config; explicit flags win over its keys.
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -82,6 +83,17 @@ def _read_ids(path, vocab, t_len, vocab_size):
     return _read_raw_ids(path, vocab_size)
 
 
+def _check_draw_size(flag, size, shape):
+    """Reject a size whose float64 draw of this shape passes NumPy's byte limit.
+
+    NumPy raises ValueError for such an array, where a size that only exceeds
+    the machine's memory raises MemoryError, which main reports as usage.
+    """
+    if math.prod(shape) * 8 > np.iinfo(np.intp).max:
+        raise ConfigError(f"{flag} {size} is too large: a float64 array of shape {shape} "
+                          f"passes NumPy's limit of {np.iinfo(np.intp).max} bytes")
+
+
 def _emit(line, out_path):
     """Write one report line to out_path when it is given, then print it."""
     if out_path:
@@ -101,6 +113,9 @@ def cmd_train(args):
         model_cfg.vocab_size = len(vocab)
     ids = _read_ids(args.corpus, vocab, model_cfg.seq_len, model_cfg.vocab_size)
     model_cfg.seq_len = ids.shape[1]
+    # the largest draw of a step: its (T, B, V) Gumbel uniforms
+    _check_draw_size("--batch-size", args.batch_size,
+                     (model_cfg.seq_len, args.batch_size, model_cfg.vocab_size))
     train_cfg = training.TrainConfig(
         batch_size=args.batch_size,
         steps=args.steps,
@@ -125,6 +140,7 @@ def cmd_generate(args):
     if vocab is not None and len(vocab) != model.config.vocab_size:
         raise VocabError(f"{args.vocab}: {len(vocab)} tokens, but the checkpoint was "
                          f"trained on {model.config.vocab_size}")
+    _check_draw_size("--count", args.count, (args.count, model.config.d_latent))  # the latents
     rng = training.rng_streams(args.seed)["noise"]
     # all seed tokens, then all latents, then the samples in chunks of rows
     seed_tokens = None

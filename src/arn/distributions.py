@@ -60,7 +60,7 @@ def kl_gauss_std(q: GaussianPosterior) -> Tensor:
     Returns a scalar Tensor for a 1-D posterior and a per-row vector for a
     batched 2-D posterior.
     """
-    if not (np.all(np.isfinite(q.mu.data)) and np.all(np.isfinite(q.log_var.data))):
+    if not (np.isfinite(q.mu.data).all() and np.isfinite(q.log_var.data).all()):
         raise NumericsError("non-finite posterior parameters")
     axis = q.mu.data.ndim - 1
     term = q.mu * q.mu + q.log_var.exp() - q.log_var

@@ -105,7 +105,7 @@ class ArnModel:
 
 def _check_ids(model, ids):
     ids = np.asarray(ids, dtype=np.int64)
-    if np.any(ids < 0) or np.any(ids >= model.config.vocab_size):
+    if ids.size and (ids.min() < 0 or ids.max() >= model.config.vocab_size):
         raise VocabError("token id out of vocabulary range")
     return ids
 

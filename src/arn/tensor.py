@@ -14,6 +14,7 @@ takes the dtype of the tensor it meets.
 """
 
 import contextlib
+import math
 
 import numpy as np
 
@@ -310,7 +311,9 @@ class Tensor:
         data = a.data.sum(axis=axis)
 
         def backward(g):  # materialised: a broadcast view is read-only
-            a._accum(np.array(np.broadcast_to(g if axis is None else np.expand_dims(g, axis), a.data.shape)))
+            out = np.empty(a.data.shape, g.dtype)
+            out[...] = g if axis is None else np.expand_dims(g, axis)
+            a._accum(out)
 
         return Tensor._make(data, (a,), backward)
 
@@ -413,7 +416,7 @@ def gather_rows(table, ids):
         rows = np.flatnonzero(touched)
         slot = np.empty(len(touched), np.int64)
         slot[rows] = np.arange(len(rows))
-        width = int(np.prod(table.data.shape[1:]))
+        width = math.prod(table.data.shape[1:])
         sums = np.zeros(len(rows) * width, table.data.dtype)
         np.add.at(sums, (slot[ids].reshape(-1, 1) * width + np.arange(width)).reshape(-1), g.reshape(-1))
         table.grad[rows] += sums.reshape(len(rows), *table.data.shape[1:])

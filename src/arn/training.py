@@ -125,9 +125,17 @@ def generator_loss(model: ArnModel, real_ids: np.ndarray, noise: np.ndarray, fak
 
 @dataclass
 class AdamState:
+    """Adam's step count and each parameter's flat first and second moments, by name.
+
+    groups maps a (param dtype, grad dtype) pair to (names, m, v): the flat
+    moments of the small parameters optimizer_step updates in one call, of
+    which m[name] and v[name] are views. m and v stay the record: a name
+    bound to another array makes the next step rebuild its group from them.
+    """
     t: int = 0
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
+    groups: dict = field(default_factory=dict)
 
 
 def optimizer_step(params: dict, state: AdamState, lr: float):
@@ -135,24 +143,66 @@ def optimizer_step(params: dict, state: AdamState, lr: float):
 
     Takes each of those gradients from its param, which is left with grad
     None, so nothing holds a spent gradient until the next backward. Raises
-    NumericsError, with every param's value and the Adam state unchanged,
-    when a gradient is non-finite, so callers can reject the step; its
-    gradients are dropped too.
+    NumericsError, naming the first such param in params order whose
+    gradient is non-finite, with every param's value and the Adam state
+    unchanged, so callers can reject the step; its gradients are dropped too.
+    Params of at most kernels.ADAM_BLOCK elements share one adam_update call
+    per dtype over their concatenated values and gradients, which saves the
+    fixed cost of a call per param; Adam is elementwise, so each element gets
+    the bits of a call of its own. A larger param keeps its own call.
     """
     grads = {}
     for name, p in params.items():
         if p.grad is not None:
             grads[name], p.grad = p.grad, None
+    groups, large = {}, []
     for name, g in grads.items():
-        if not np.isfinite(g).all():
-            raise NumericsError(f"non-finite gradient in {name}")
+        if g.size <= kernels.ADAM_BLOCK:
+            groups.setdefault((params[name].data.dtype, g.dtype), []).append(name)
+        else:
+            large.append(name)
+    flat_grads = {key: np.concatenate([grads[n] for n in names], axis=None) for key, names in groups.items()}
+    if not all(np.isfinite(g).all() for g in (*flat_grads.values(), *(grads[n] for n in large))):
+        bad = next(name for name, g in grads.items() if not np.isfinite(g).all())
+        raise NumericsError(f"non-finite gradient in {bad}")
     state.t += 1
-    for name, g in grads.items():
-        p = params[name]
+    for name in large:
+        p, g = params[name], grads[name]
         if name not in state.m:
             state.m[name] = np.zeros(p.data.size, p.data.dtype)
             state.v[name] = np.zeros(p.data.size, p.data.dtype)
         kernels.adam_update(p.data.reshape(-1), g.reshape(-1), state.m[name], state.v[name], state.t, lr)
+    for key, names in groups.items():
+        data = [params[n].data for n in names]
+        m, v = _group_moments(state, key, names, data)
+        flat = np.concatenate(data, axis=None)
+        kernels.adam_update(flat, flat_grads[key], m, v, state.t, lr)
+        lo = 0
+        for d in data:
+            d.reshape(-1)[:] = flat[lo:lo + d.size]
+            lo += d.size
+
+
+def _group_moments(state: AdamState, key, names: list, data: list):
+    """The flat m and v of one group of small params, remade when its names change.
+
+    They are also remade when m[name] or v[name] is no longer a view of
+    them. A remade pair starts from each name's moments so far, zeros for a
+    name new to the state, and m[name] and v[name] become views of it. A
+    name that left the group keeps its moments, untouched until it returns.
+    """
+    known = state.groups.get(key)
+    if known is not None and known[0] == names and all(
+            state.m[n].base is known[1] and state.v[n].base is known[2] for n in names):
+        return known[1], known[2]
+    m, v = (np.concatenate([moments.get(n, np.zeros(d.size, d.dtype)) for n, d in zip(names, data)])
+            for moments in (state.m, state.v))
+    lo = 0
+    for n, d in zip(names, data):
+        state.m[n], state.v[n] = m[lo:lo + d.size], v[lo:lo + d.size]
+        lo += d.size
+    state.groups[key] = (names, m, v)
+    return m, v
 
 
 def _keep_freed_heap():

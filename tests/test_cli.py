@@ -487,7 +487,14 @@ def test_usage_errors_exit_2_without_a_traceback(tmp_path, markov_corpus_file, z
                         (["gradcheck", "--seed", "-1"], "seed"),
                         (["divlab", "--trials", "2", "--seed", "-1"], "seed"),
                         (generate + ["--config", str(bogus_mode)], "bogus"),
-                        (train + ["--config", str(unknown_key)], "lamda-adv")):
+                        (train + ["--config", str(unknown_key)], "lamda-adv"),
+                        # sizes past NumPy's byte limit, which NumPy itself rejects with ValueError
+                        (train + ["--batch-size", str(10**20)], "--batch-size"),
+                        (train + ["--batch-size", str(2**62)], "--batch-size"),
+                        (generate + ["--count", str(10**20)], "--count"),
+                        (generate + ["--count", str(2**62)], "--count"),
+                        # a size within the limit that no memory holds
+                        (generate + ["--count", str(2**56)], "Unable to allocate")):
         proc = subprocess.run(
             [sys.executable, "-m", "arn.cli", *argv], capture_output=True, text=True, timeout=60,
             env=dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__))))

@@ -14,7 +14,7 @@ from arn.distributions import (
     reparam_sample,
     sample_rows,
 )
-from arn.errors import DomainError, ShapeError
+from arn.errors import DomainError, NumericsError, ShapeError
 from arn.tensor import Tensor, grad_check
 
 
@@ -77,6 +77,14 @@ class TestGaussKL:
     def test_batched_rows(self):
         q = posterior([[0.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]])
         np.testing.assert_allclose(kl_gauss_std(q).data, [0.0, 0.5])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", ["mu", "log_var"])
+    def test_nonfinite_posterior_is_a_numeric_error(self, field, bad):
+        values = {"mu": np.zeros((2, 3)), "log_var": np.zeros((2, 3))}
+        values[field][1, 2] = bad
+        with pytest.raises(NumericsError):
+            kl_gauss_std(posterior(values["mu"], values["log_var"]))
 
 
 class TestGumbel:

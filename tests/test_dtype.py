@@ -85,15 +85,22 @@ def test_blockwise_initialization_equals_one_whole_draw():
 @pytest.mark.parametrize("lambda_adv", [0.0, 1.0])
 def test_training_stays_float32(float64_arrays, adam_states, monkeypatch, lambda_adv):
     model = f32_model(1)
-    names = {p.data.ctypes.data: name for name, p in model.params.items()}
     grad_dtypes = {name: [] for name in model.params}
-    adam_update = kernels.adam_update
+    updated = []  # (dtype, size) of each adam_update call's gradient
+    optimizer_step, adam_update = training.optimizer_step, kernels.adam_update
 
-    def spy(param, grad, *args):
-        grad_dtypes[names[param.ctypes.data]].append(grad.dtype)
+    def step_spy(params, *args):
+        for name, p in params.items():
+            if p.grad is not None:
+                grad_dtypes[name].append(p.grad.dtype)
+        return optimizer_step(params, *args)
+
+    def adam_spy(param, grad, *args):
+        updated.append((grad.dtype, grad.size))
         return adam_update(param, grad, *args)
 
-    monkeypatch.setattr(kernels, "adam_update", spy)
+    monkeypatch.setattr(training, "optimizer_step", step_spy)
+    monkeypatch.setattr(kernels, "adam_update", adam_spy)
     ids = np.random.default_rng(2).integers(0, F32.vocab_size, size=(40, F32.seq_len))
     _, trace = training.train(model, ids, TrainConfig(batch_size=4, steps=3, lambda_adv=lambda_adv))
     assert len(trace) == 3
@@ -103,6 +110,10 @@ def test_training_stays_float32(float64_arrays, adam_states, monkeypatch, lambda
         assert p.grad is None
     for name in model.generator_params():
         assert grad_dtypes[name] == [np.float32] * 3, name
+    # Adam ran over every element of every gradient taken, each once, in float32
+    assert {dtype for dtype, _ in updated} == {np.dtype(np.float32)}
+    assert sum(size for _, size in updated) == 3 * sum(
+        p.data.size for name, p in model.params.items() if grad_dtypes[name])
     assert len(adam_states) == 2
     arrays = [a for s in adam_states for a in (*s.m.values(), *s.v.values())]
     assert len(arrays) == 2 * len(model.params if lambda_adv else model.generator_params())

@@ -5,6 +5,7 @@ import pytest
 
 from arn.distributions import gumbel_softmax, kl_gauss_std
 from arn.errors import ShapeError, VocabError
+from arn import networks
 from arn.networks import (
     ArnConfig,
     ArnModel,
@@ -73,6 +74,15 @@ class TestEncoderDecoder:
     def test_out_of_range_token(self, model):
         with pytest.raises(VocabError):
             encode_first_token(model, np.array([7]))
+
+    def test_id_check_takes_an_empty_batch_and_rejects_ids_just_out_of_range(self, model):
+        empty = networks._check_ids(model, np.zeros((0, TINY.seq_len), int))
+        assert empty.shape == (0, TINY.seq_len) and empty.dtype == np.int64
+        for bad in (-1, TINY.vocab_size):
+            ids = np.zeros((2, TINY.seq_len), int)
+            ids[1, 2] = bad
+            with pytest.raises(VocabError):
+                networks._check_ids(model, ids)
 
     def test_zero_decoder_uniform(self, zero_model):
         logits = decode_first_token(zero_model, np.zeros((1, 2)))

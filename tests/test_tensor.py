@@ -275,6 +275,19 @@ def test_backward_replaces_gradient_of_shared_parameter():
     np.testing.assert_array_equal(w.grad, [3.0, 3.0])
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("axis", [None, 0, 1, -1])
+def test_sum_backward_gives_a_writable_contiguous_broadcast(axis, dtype):
+    rng = np.random.default_rng(6)
+    x = Tensor(rng.standard_normal((2, 3, 4)).astype(dtype), requires_grad=True)
+    s = x.sum(axis=axis)
+    w = rng.standard_normal(s.shape).astype(dtype)
+    (s * w).sum().backward()
+    want = np.broadcast_to(w if axis is None else np.expand_dims(w, axis), x.shape)
+    assert x.grad.dtype == dtype and x.grad.flags.writeable and x.grad.flags.c_contiguous
+    assert x.grad.tobytes() == np.ascontiguousarray(want).tobytes()
+
+
 def test_grad_check_constant_gradient():
     x = Tensor(np.random.default_rng(5).standard_normal(7))
     assert grad_check(lambda v: v.sum(), x) < 1e-10

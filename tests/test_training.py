@@ -15,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from arn import cli, networks, training
+from arn import cli, kernels, networks, training
 from arn.errors import ConfigError, NumericsError, TrainingAborted
 from arn.networks import ArnConfig, ArnModel
 from arn.tensor import Tensor, grad_check, no_grad
@@ -278,6 +278,115 @@ class TestAdam:
             optimizer_step(ps, state, 1e-3)
         assert all(p.grad is None and np.all(p.data == 1.0) for p in ps.values())
         assert state.t == 0 and not state.m
+
+
+    # small (at most ADAM_BLOCK elements) and large params, interleaved in params order
+    MIXED_SIZES = {"a": (3,), "big": (kernels.ADAM_BLOCK + 5,), "b": (4, 7), "edge": (kernels.ADAM_BLOCK,),
+                   "bigger": (2 * kernels.ADAM_BLOCK + 3,), "c": (1,)}
+
+    @staticmethod
+    def mixed_params(dtype, seed=0):
+        rng = np.random.default_rng(seed)
+        return {name: Tensor(rng.standard_normal(shape).astype(dtype), requires_grad=True)
+                for name, shape in TestAdam.MIXED_SIZES.items()}
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_grouped_update_equals_one_call_per_param(self, dtype):
+        ps, ref = self.mixed_params(dtype), self.mixed_params(dtype)
+        ref_m = {n: np.zeros(p.data.size, dtype) for n, p in ref.items()}
+        ref_v = {n: np.zeros(p.data.size, dtype) for n, p in ref.items()}
+        rng, state = np.random.default_rng(1), AdamState()
+        for t in range(1, 4):
+            for name, p in ps.items():
+                p.grad = rng.standard_normal(p.data.shape).astype(dtype)
+                kernels.adam_update(ref[name].data.reshape(-1), p.grad.reshape(-1), ref_m[name], ref_v[name],
+                                    t, 1e-2)
+            optimizer_step(ps, state, 1e-2)
+            assert state.t == t and set(state.m) == set(state.v) == set(ps)
+            for name, p in ps.items():
+                assert p.data.tobytes() == ref[name].data.tobytes(), (t, name)
+                assert state.m[name].shape == state.v[name].shape == (p.data.size,)
+                assert state.m[name].tobytes() == ref_m[name].tobytes(), (t, name)
+                assert state.v[name].tobytes() == ref_v[name].tobytes(), (t, name)
+
+    def test_small_param_without_gradient_keeps_its_moments(self):
+        ps, ref = self.mixed_params(np.float64), self.mixed_params(np.float64)
+        ref_m = {n: np.zeros(p.data.size) for n, p in ref.items()}
+        ref_v = {n: np.zeros(p.data.size) for n, p in ref.items()}
+        rng, state = np.random.default_rng(2), AdamState()
+        for t in range(1, 4):
+            for name, p in ps.items():
+                if t == 2 and name == "b":
+                    continue
+                p.grad = rng.standard_normal(p.data.shape)
+                kernels.adam_update(ref[name].data.reshape(-1), p.grad.reshape(-1), ref_m[name], ref_v[name],
+                                    t, 1e-2)
+            b_before = [a.tobytes() for a in (ps["b"].data, state.m.get("b"), state.v.get("b")) if a is not None]
+            optimizer_step(ps, state, 1e-2)
+            if t == 2:
+                assert [a.tobytes() for a in (ps["b"].data, state.m["b"], state.v["b"])] == b_before
+            for name, p in ps.items():
+                assert p.data.tobytes() == ref[name].data.tobytes(), (t, name)
+                assert state.m[name].tobytes() == ref_m[name].tobytes(), (t, name)
+                assert state.v[name].tobytes() == ref_v[name].tobytes(), (t, name)
+
+    def test_moments_bound_by_name_are_the_ones_used(self):
+        # what a resume that restores m and v by name does
+        ps, ref = self.mixed_params(np.float64), self.mixed_params(np.float64)
+        state = AdamState()
+        for p in ps.values():
+            p.grad = np.ones(p.data.shape)
+        optimizer_step(ps, state, 1e-2)
+        rng = np.random.default_rng(3)
+        for name, p in ps.items():
+            ref[name].data[...] = p.data
+            state.m[name], state.v[name] = rng.standard_normal(p.data.size), rng.random(p.data.size)
+        ref_m = {n: a.copy() for n, a in state.m.items()}
+        ref_v = {n: a.copy() for n, a in state.v.items()}
+        for name, p in ps.items():
+            p.grad = rng.standard_normal(p.data.shape)
+            kernels.adam_update(ref[name].data.reshape(-1), p.grad.reshape(-1), ref_m[name], ref_v[name], 2, 1e-2)
+        optimizer_step(ps, state, 1e-2)
+        for name, p in ps.items():
+            assert p.data.tobytes() == ref[name].data.tobytes(), name
+            assert state.m[name].tobytes() == ref_m[name].tobytes(), name
+            assert state.v[name].tobytes() == ref_v[name].tobytes(), name
+
+    def test_nonfinite_small_gradient_rejects_the_whole_step(self):
+        ps = self.mixed_params(np.float64)
+        for p in ps.values():
+            p.grad = np.ones(p.data.shape)
+        state = AdamState()
+        optimizer_step(ps, state, 1e-2)
+        before = {n: (p.data.tobytes(), state.m[n].tobytes(), state.v[n].tobytes()) for n, p in ps.items()}
+        for p in ps.values():
+            p.grad = np.ones(p.data.shape)
+        ps["b"].grad[1, 2] = np.nan
+        ps["bigger"].grad[-1] = np.inf  # non-finite too, but later in params order
+        with pytest.raises(NumericsError, match="non-finite gradient in b$"):
+            optimizer_step(ps, state, 1e-2)
+        assert state.t == 1 and set(state.m) == set(state.v) == set(ps)
+        assert {n: (p.data.tobytes(), state.m[n].tobytes(), state.v[n].tobytes()) for n, p in ps.items()} == before
+        assert all(p.grad is None for p in ps.values())
+
+    @pytest.mark.parametrize("lambda_adv", [0.0, 1.0])
+    def test_desk_step_makes_one_adam_call_per_optimizer_step(self, monkeypatch, lambda_adv):
+        # every desk parameter has at most ADAM_BLOCK elements, so each phase's update is one call
+        sizes, adam_update = [], kernels.adam_update
+
+        def spy(param, *args):
+            sizes.append(param.size)
+            return adam_update(param, *args)
+
+        monkeypatch.setattr(kernels, "adam_update", spy)
+        cfg = ArnConfig.preset("desk")
+        model = ArnModel.initialized(cfg, training.rng_streams(3)["init"])
+        ids = np.random.default_rng(3).integers(0, cfg.vocab_size, size=(40, cfg.seq_len))
+        _, trace = training.train(model, ids, TrainConfig(batch_size=8, steps=4, lambda_adv=lambda_adv, seed=3))
+        assert len(trace) == 4
+        g_size = sum(p.data.size for p in model.generator_params().values())
+        d_size = sum(p.data.size for p in model.discriminator_params().values())
+        assert sizes == ([d_size, g_size] if lambda_adv else [g_size]) * 4
 
 
 class TestTrainLoop:
