@@ -96,11 +96,9 @@ def adam_update(param, grad, m, v, t, lr):
     c2 = 1.0 - ADAM_BETA2 ** t
     x = np.empty(min(param.size, ADAM_BLOCK), param.dtype)
     y = np.empty_like(x)
-    # a parameter of at most one block runs on its whole arrays, without slicing
-    blocks = [(param, grad, m, v)] if param.size <= ADAM_BLOCK else (
-        [a[lo:lo + ADAM_BLOCK] for a in (param, grad, m, v)] for lo in range(0, param.size, ADAM_BLOCK))
-    for p, g, mb, vb in blocks:
-        xb, yb = (x, y) if p.size == x.size else (x[:p.size], y[:p.size])
+    for lo in range(0, param.size, ADAM_BLOCK):
+        p, g, mb, vb = (a[lo:lo + ADAM_BLOCK] for a in (param, grad, m, v))
+        xb, yb = x[:p.size], y[:p.size]
         mb *= ADAM_BETA1
         np.multiply(1.0 - ADAM_BETA1, g, out=xb)
         mb += xb

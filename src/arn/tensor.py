@@ -292,7 +292,7 @@ class Tensor:
 
         def backward(g):
             if a.requires_grad:
-                buf = np.zeros_like(a.data)
+                buf = np.zeros(a.data.shape, a.data.dtype)
                 if basic:  # a view: no index repeats
                     buf[key] += g
                 else:
@@ -434,7 +434,7 @@ def pick(x, ids):
 
     def backward(g):
         if x.requires_grad:
-            buf = np.zeros_like(x.data)
+            buf = np.zeros(x.data.shape, x.data.dtype)
             buf[rows, ids] = g
             x._accum(buf)
 
@@ -465,7 +465,7 @@ class _LstmTape:
     def __init__(self, wh, b, tlen, bsz):
         self.wh, self.b = wh, b
         self.h = np.zeros((tlen + 1, bsz, wh.shape[0]), wh.dtype)
-        self.c = np.zeros_like(self.h)
+        self.c = np.zeros(self.h.shape, wh.dtype)
         self.saved = []
 
     def step(self, t, xw):
@@ -512,7 +512,7 @@ def lstm_sequence(x, wx, wh, b):
 
     def backward(g):
         d_pre = xw  # the input projections are spent once the tape has run; d_pre reuses their buffer
-        dh_next, dc = 0.0, np.zeros_like(tape.h[0])
+        dh_next, dc = 0.0, np.zeros(tape.h.shape[1:], tape.h.dtype)
         for t in reversed(range(tlen)):
             dc, dh_next = tape.backward_step(t, g[t] + dh_next, dc, d_pre[t])
         d_pre = d_pre.reshape(tlen * bsz, xw.shape[2])

@@ -127,15 +127,13 @@ def generator_loss(model: ArnModel, real_ids: np.ndarray, noise: np.ndarray, fak
 class AdamState:
     """Adam's step count and each parameter's flat first and second moments, by name.
 
-    groups maps a (param dtype, grad dtype) pair to (names, m, v): the flat
-    moments of the small parameters optimizer_step updates in one call, of
-    which m[name] and v[name] are views. m and v stay the record: a name
-    bound to another array makes the next step rebuild its group from them.
+    Each m[name] and v[name] is an array of its own, made at zero on the
+    parameter's first update; a state built from t and copies of m and v
+    continues as the one it was copied from.
     """
     t: int = 0
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
-    groups: dict = field(default_factory=dict)
 
 
 def optimizer_step(params: dict, state: AdamState, lr: float):
@@ -147,9 +145,9 @@ def optimizer_step(params: dict, state: AdamState, lr: float):
     gradient is non-finite, with every param's value and the Adam state
     unchanged, so callers can reject the step; its gradients are dropped too.
     Params of at most kernels.ADAM_BLOCK elements share one adam_update call
-    per dtype over their concatenated values and gradients, which saves the
-    fixed cost of a call per param; Adam is elementwise, so each element gets
-    the bits of a call of its own. A larger param keeps its own call.
+    per dtype over their concatenated values, moments and gradients, and the
+    values and moments are copied back: this saves the fixed cost of a call
+    per param, and as Adam is elementwise, each element gets the same bits.
     """
     grads = {}
     for name, p in params.items():
@@ -166,43 +164,20 @@ def optimizer_step(params: dict, state: AdamState, lr: float):
         bad = next(name for name, g in grads.items() if not np.isfinite(g).all())
         raise NumericsError(f"non-finite gradient in {bad}")
     state.t += 1
+    for name in [n for n in grads if n not in state.m]:
+        p = params[name].data
+        state.m[name], state.v[name] = np.zeros(p.size, p.dtype), np.zeros(p.size, p.dtype)
     for name in large:
-        p, g = params[name], grads[name]
-        if name not in state.m:
-            state.m[name] = np.zeros(p.data.size, p.data.dtype)
-            state.v[name] = np.zeros(p.data.size, p.data.dtype)
-        kernels.adam_update(p.data.reshape(-1), g.reshape(-1), state.m[name], state.v[name], state.t, lr)
+        kernels.adam_update(params[name].data.reshape(-1), grads[name].reshape(-1), state.m[name], state.v[name],
+                            state.t, lr)
     for key, names in groups.items():
-        data = [params[n].data for n in names]
-        m, v = _group_moments(state, key, names, data)
-        flat = np.concatenate(data, axis=None)
+        parts = ([params[n].data for n in names], [state.m[n] for n in names], [state.v[n] for n in names])
+        flat, m, v = (np.concatenate(arrays, axis=None) for arrays in parts)
         kernels.adam_update(flat, flat_grads[key], m, v, state.t, lr)
-        lo = 0
-        for d in data:
-            d.reshape(-1)[:] = flat[lo:lo + d.size]
-            lo += d.size
-
-
-def _group_moments(state: AdamState, key, names: list, data: list):
-    """The flat m and v of one group of small params, remade when its names change.
-
-    They are also remade when m[name] or v[name] is no longer a view of
-    them. A remade pair starts from each name's moments so far, zeros for a
-    name new to the state, and m[name] and v[name] become views of it. A
-    name that left the group keeps its moments, untouched until it returns.
-    """
-    known = state.groups.get(key)
-    if known is not None and known[0] == names and all(
-            state.m[n].base is known[1] and state.v[n].base is known[2] for n in names):
-        return known[1], known[2]
-    m, v = (np.concatenate([moments.get(n, np.zeros(d.size, d.dtype)) for n, d in zip(names, data)])
-            for moments in (state.m, state.v))
-    lo = 0
-    for n, d in zip(names, data):
-        state.m[n], state.v[n] = m[lo:lo + d.size], v[lo:lo + d.size]
-        lo += d.size
-    state.groups[key] = (names, m, v)
-    return m, v
+        ends = list(itertools.accumulate(params[n].data.size for n in names))
+        for arrays, whole in zip(parts, (flat, m, v)):
+            for a, lo, hi in zip(arrays, [0, *ends], ends):
+                a.reshape(-1)[:] = whole[lo:hi]
 
 
 def _keep_freed_heap():
@@ -356,7 +331,7 @@ def load_checkpoint(path) -> ArnModel:
         def unpack(fmt):
             return struct.unpack(fmt, fh.read(struct.calcsize(fmt)))
 
-        manifest = []
+        manifest = {}  # name -> (shape, dtype), in file order
         try:
             version, count = unpack("<HI")
             if version not in (1, CHECKPOINT_VERSION):
@@ -372,13 +347,15 @@ def load_checkpoint(path) -> ArnModel:
                 # the size check below bounds the extents of non-empty tensors only
                 if math.prod(shape) == 0:
                     raise ConfigError(f"{path}: {name!r} has empty shape {shape}")
-                manifest.append((name, shape, _TAG_DTYPES[tag]))
+                if name in manifest:
+                    raise ConfigError(f"{path}: tensor {name!r} is listed twice")
+                manifest[name] = shape, _TAG_DTYPES[tag]
         except UnicodeDecodeError as exc:
             raise ConfigError(f"{path}: tensor name is not UTF-8") from exc
         except struct.error as exc:
             raise ConfigError(f"{path}: truncated checkpoint") from exc
         offsets = list(itertools.accumulate(
-            (math.prod(shape) * dtype.itemsize for _, shape, dtype in manifest), initial=0))
+            (math.prod(shape) * dtype.itemsize for shape, dtype in manifest.values()), initial=0))
         head = fh.tell()
         start = head + (-head % PAYLOAD_ALIGN if version == CHECKPOINT_VERSION else 0)
         file_size = os.fstat(fh.fileno()).st_size
@@ -394,7 +371,7 @@ def load_checkpoint(path) -> ArnModel:
             raise ConfigError(f"{path}: truncated checkpoint") from exc
     region = np.frombuffer(mapped, np.uint8, offsets[-1], start)
     tensors = {name: region[lo:hi].view(dtype).reshape(shape)
-               for (name, shape, dtype), lo, hi in zip(manifest, offsets, offsets[1:])}
+               for (name, (shape, dtype)), lo, hi in zip(manifest.items(), offsets, offsets[1:])}
     missing = [f for f in _META_FIELDS if _META_PREFIX + f not in tensors]
     if missing:
         raise ConfigError(f"{path}: missing model sizes {missing}")

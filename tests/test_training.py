@@ -369,6 +369,33 @@ class TestAdam:
         assert {n: (p.data.tobytes(), state.m[n].tobytes(), state.v[n].tobytes()) for n, p in ps.items()} == before
         assert all(p.grad is None for p in ps.values())
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_state_rebuilt_from_copies_continues_bit_identically(self, dtype):
+        # the record a resumable checkpoint saves and restores: t and each name's m and v, in params order
+        assert [f.name for f in dataclasses.fields(AdamState)] == ["t", "m", "v"]
+        ps, resumed = self.mixed_params(dtype), self.mixed_params(dtype)
+        rng, state = np.random.default_rng(4), AdamState()
+        grads = [{n: rng.standard_normal(shape).astype(dtype) for n, shape in self.MIXED_SIZES.items()}
+                 for _ in range(5)]
+        for t, step in enumerate(grads):
+            if t == 2:
+                saved = AdamState(state.t, m={n: a.copy() for n, a in state.m.items()},
+                                  v={n: a.copy() for n, a in state.v.items()})
+                for name, p in resumed.items():
+                    p.data = ps[name].data.copy()
+            for name, p in ps.items():
+                p.grad = step[name].copy()
+            optimizer_step(ps, state, 1e-2)
+            if t >= 2:
+                for name, p in resumed.items():
+                    p.grad = step[name].copy()
+                optimizer_step(resumed, saved, 1e-2)
+        assert saved.t == state.t == 5 and list(saved.m) == list(state.m) == list(self.MIXED_SIZES)
+        for name, p in ps.items():
+            assert resumed[name].data.tobytes() == p.data.tobytes(), name
+            assert saved.m[name].tobytes() == state.m[name].tobytes(), name
+            assert saved.v[name].tobytes() == state.v[name].tobytes(), name
+
     @pytest.mark.parametrize("lambda_adv", [0.0, 1.0])
     def test_desk_step_makes_one_adam_call_per_optimizer_step(self, monkeypatch, lambda_adv):
         # every desk parameter has at most ADAM_BLOCK elements, so each phase's update is one call
@@ -624,6 +651,21 @@ class TestCheckpoint:
         path.write_bytes(checkpoint_bytes(entries))
         assert cli.main(["generate", "--checkpoint", str(path), "--count", "1"]) == 2
         assert "parameters mix dtypes ['float32', 'float64']" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("repeated", ["dec.b", "meta.d_emb"])
+    def test_repeated_tensor_name_is_rejected(self, tmp_path, repeated):
+        m = tiny_model(43)
+        entries = meta_entries(TINY) + [(name, p.data) for name, p in sorted(m.params.items())]
+        entries.append((repeated, dict(entries)[repeated]))  # an exact second copy, which is still malformed
+        path = tmp_path / "model.arn"
+        path.write_bytes(checkpoint_bytes(entries))
+        with pytest.raises(ConfigError, match=f"tensor '{repeated}' is listed twice"):
+            training.load_checkpoint(str(path))
+        proc = subprocess.run(
+            [sys.executable, "-m", "arn.cli", "generate", "--checkpoint", str(path)], capture_output=True,
+            text=True, timeout=60, env=dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__))))
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert "Traceback" not in proc.stderr and repeated in proc.stderr
 
     def test_loaded_params_are_updated_in_place(self, tmp_path):
         path = tmp_path / "model.arn"
