@@ -123,8 +123,9 @@ class MarkovSource:
         k = self.pi.size
         if self.transition.shape != (k, k):
             raise ConfigError("transition matrix must be K x K")
-        if abs(self.pi.sum() - 1.0) > 1e-9 or np.any(np.abs(self.transition.sum(axis=1) - 1.0) > 1e-9):
-            raise ConfigError("pi and every transition row must sum to 1")
+        laws = np.vstack([self.pi, self.transition])
+        if not (np.all(laws >= 0.0) and np.all(np.abs(laws.sum(axis=1) - 1.0) <= 1e-9)):
+            raise ConfigError("pi and every transition row must be nonnegative and sum to 1")
 
     @property
     def k(self):
@@ -147,8 +148,8 @@ def source_ngram_distribution(src: MarkovSource, n: int, t_len: int) -> dict:
 
     Returns {gram tuple: probability}; probabilities sum to 1.
     """
-    if n > t_len:
-        raise ConfigError(f"n = {n} exceeds sequence length {t_len}")
+    if not 1 <= n <= t_len:
+        raise ConfigError(f"n = {n} is not in 1..{t_len}, the sequence length")
     k = src.k
     marginals = [src.pi]
     for _ in range(t_len - 1):

@@ -38,7 +38,7 @@ class Categorical:
 
     def __post_init__(self):
         self.probs = np.asarray(self.probs, dtype=np.float64)
-        if np.any(self.probs < -1e-12) or abs(self.probs.sum() - 1.0) > 1e-9:
+        if not (np.all(self.probs >= -1e-12) and abs(self.probs.sum() - 1.0) <= 1e-9):
             raise DomainError("probs must be nonnegative and sum to 1")
         self.probs = np.clip(self.probs, 0.0, None)
 

@@ -174,6 +174,32 @@ class TestMarkov:
         with pytest.raises(ConfigError):
             source_ngram_distribution(self.cycle(), 4, 3)
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_order_below_one(self, n):
+        with pytest.raises(ConfigError, match=f"n = {n} is not in 1..3"):
+            source_ngram_distribution(self.cycle(), n, 3)
+
+    @pytest.mark.parametrize("pi, transition", [
+        ([1.5, -0.5], np.eye(2)),
+        ([np.nan, 1.0], np.eye(2)),
+        ([1.0, 0.0], [[2.0, -1.0], [0.0, 1.0]]),
+        ([1.0, 0.0], [[1.0, 0.0], [np.nan, 1.0]]),
+        ([-np.inf, 1.0], np.eye(2)),
+    ])
+    def test_rejects_negative_or_nan_entries(self, pi, transition):
+        with pytest.raises(ConfigError, match="must be nonnegative and sum to 1"):
+            MarkovSource(pi, transition)
+
+    @pytest.mark.parametrize("pi, transition", [
+        ([np.inf, 0.0], np.eye(2)),
+        ([1.0, 0.0], [[np.inf, 0.0], [0.0, 1.0]]),
+        ([0.5, 0.6], np.eye(2)),
+        ([1.0, 0.0], [[0.5, 0.4], [0.0, 1.0]]),
+    ])
+    def test_rejects_laws_that_do_not_sum_to_one(self, pi, transition):
+        with pytest.raises(ConfigError, match="must be nonnegative and sum to 1"):
+            MarkovSource(pi, transition)
+
     def test_empirical_matches_exact(self):
         rng = np.random.default_rng(2)
         a = rng.dirichlet(np.ones(5) * 2, size=5)

@@ -145,6 +145,13 @@ class TestGumbel:
         assert np.all(np.isfinite(got))
 
 
+@pytest.mark.parametrize("probs", [[math.nan, 1.0], [0.5, math.nan], [math.nan, math.nan], [math.inf, 0.0],
+                                   [-math.inf, 1.0], [1.5, -0.5], [0.5, 0.6], []])
+def test_categorical_rejects_what_is_not_a_law(probs):
+    with pytest.raises(DomainError, match="nonnegative and sum to 1"):
+        Categorical(probs)
+
+
 class TestCategoricalDivergences:
     def test_kl_zero_at_equality(self):
         p = Categorical([0.2, 0.3, 0.5])

@@ -1,7 +1,10 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from arn import divlab
 from arn.distributions import Categorical, js_categorical, kl_categorical
@@ -47,6 +50,11 @@ class TestGameValue:
         with pytest.raises(ShapeError):
             ToyGame(Categorical([0.5, 0.5]), Categorical([0.2, 0.8]), d)
 
+    @pytest.mark.parametrize("d", [[math.nan, 0.5], [0.5, math.nan], [0.0, 0.5], [0.5, 1.0], [-math.inf, 0.5]])
+    def test_discriminator_outside_the_open_interval(self, d):
+        with pytest.raises(DomainError, match=r"strictly in \(0, 1\)"):
+            ToyGame(Categorical([0.5, 0.5]), Categorical([0.2, 0.8]), d)
+
     def test_monte_carlo_agreement(self):
         rng = np.random.default_rng(1)
         p, q = random_simplex(rng, 5), random_simplex(rng, 5)
@@ -87,38 +95,107 @@ class TestOptimalDiscriminator:
         return np.array([grid[np.argmin(-a * np.log(grid) - b * np.log(1.0 - grid))]
                          for a, b in zip(p_d.probs, p_g.probs)])
 
-    def test_blocked_scan_equals_one_argmin(self):
+    def test_scan_equals_one_argmin(self):
         rng = np.random.default_rng(6)
         for k in rng.integers(2, 17, size=40):
             p, q = random_simplex(rng, int(k)), random_simplex(rng, int(k))
             assert grid_search_discriminator(p, q).tobytes() == self.unblocked_grid_search(p, q).tobytes()
 
-    def test_minimum_on_a_block_boundary(self):
-        # grid point i is (i + 1) * step; aim D* at the last point of each block, the first of the
-        # next, and their neighbours. Each target g comes with an outcome aimed at 1 - g of the
-        # same weight, so p_d and p_g share one normalizer and p_d / (p_d + p_g) is g itself.
-        step, block = divlab.GRID_STEP, divlab._GRID_BLOCK
+    @staticmethod
+    def aimed_at(g):
+        """Laws whose D* is g: each target comes with an outcome aimed at 1 - g of the same weight,
+        so p_d and p_g share one normalizer and p_d / (p_d + p_g) is g itself."""
+        g = np.concatenate([g, 1.0 - g])
+        w = np.tile(np.random.default_rng(7).uniform(1.0, 2.0, size=len(g) // 2), 2)
+        return Categorical(g * w / (g * w).sum()), Categorical((1.0 - g) * w / ((1.0 - g) * w).sum())
+
+    def test_minimum_near_a_coarse_point_or_a_window_end(self):
+        # grid point i is step + i step; aim D* at coarse points, at the midpoints between two,
+        # where either can be the coarse minimum, at the ends of the windows clipped to the grid's
+        # first and last points, and at the neighbours of each
+        step, stride = divlab.GRID_STEP, divlab._STRIDE
         grid = np.arange(step, 1.0, step)
-        edges = np.arange(block, len(grid), block)
-        targets = np.concatenate([edges + d for d in (-2, -1, 0, 1)])
-        g = np.concatenate([grid[targets], 1.0 - grid[targets]])
-        w = np.tile(np.random.default_rng(7).uniform(1.0, 2.0, size=len(targets)), 2)
-        p, q = Categorical(g * w / (g * w).sum()), Categorical((1.0 - g) * w / ((1.0 - g) * w).sum())
+        coarse = np.arange(0, len(grid), stride)
+        centres = np.concatenate([coarse[[1, 2, 62, 195, -2, -1]], coarse[[1, 62, 195, -2]] + stride // 2,
+                                  [1, 2 * stride - 1, len(grid) - 2 * stride, len(grid) - 2]])
+        targets = np.concatenate([centres + d for d in (-1, 0, 1)])
+        p, q = self.aimed_at(grid[targets])
         found = grid_search_discriminator(p, q)
         assert found.tobytes() == self.unblocked_grid_search(p, q).tobytes()
         hit = np.rint(found[:len(targets)] / step).astype(int) - 1
         assert np.abs(hit - targets).max() <= 1 and np.mean(hit == targets) >= 0.5
 
-    def test_tie_across_a_block_boundary_keeps_the_first(self):
-        # found by search: this outcome's objective is equal, to the bit, at the last point of one
-        # block and the first of the next, and smaller nowhere else
-        a, b = 0.15992373740985288, 0.17324724499535313
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_minimum_on_a_coarse_point_or_a_neighbour(self, offset):
+        grid = np.arange(divlab.GRID_STEP, 1.0, divlab.GRID_STEP)
+        targets = divlab._STRIDE * np.array([1, 100, 300]) + offset
+        p, q = self.aimed_at(grid[targets])
+        found = grid_search_discriminator(p, q)
+        assert found.tobytes() == self.unblocked_grid_search(p, q).tobytes()
+        assert found[:3].tobytes() == grid[targets].tobytes()
+
+    @pytest.mark.parametrize("below", [True, False])
+    def test_minimum_outside_the_grid(self, below):
+        # D* within half a step of 0 or 1: the first or the last grid point wins
+        step = divlab.GRID_STEP
+        g = np.array([0.4 * step, 1e-9, 1e-300]) if below else 1.0 - np.array([0.4 * step, 1e-9, 1e-16])
+        p, q = self.aimed_at(g)
+        found = grid_search_discriminator(p, q)
+        assert found.tobytes() == self.unblocked_grid_search(p, q).tobytes()
+        grid = np.arange(step, 1.0, step)
+        assert (found[:3] == (grid[0] if below else grid[-1])).all()
+
+    @pytest.mark.parametrize("a, b, offset", [
+        # midway between two coarse points, where the coarse minimum can be either
+        (0.15992373740985288, 0.17324724499535313, divlab._STRIDE // 2),
+        # across a coarse point: the point before it, the first of the tie, only the window sees
+        (0.1505772195406697, 0.7980900954963174, 0),
+    ])
+    def test_tie_near_a_coarse_point_keeps_the_first(self, a, b, offset):
+        # found by search: this outcome's objective is equal, to the bit, at two adjacent points,
+        # the second offset from a coarse point, and smaller nowhere else
         p, q = Categorical([a, 1.0 - a]), Categorical([b, 1.0 - b])
         grid = np.arange(divlab.GRID_STEP, 1.0, divlab.GRID_STEP)
         obj = -p.probs[0] * np.log(grid) - q.probs[0] * np.log(1.0 - grid)
         first, second = np.flatnonzero(obj == obj.min())
-        assert second == first + 1 and second % divlab._GRID_BLOCK == 0
+        assert second == first + 1 and second % divlab._STRIDE == offset
         assert grid_search_discriminator(p, q)[0] == grid[first]
+
+    @pytest.mark.parametrize("a, b", [(1e-320, 7e-321), (5e-324, 5e-324), (1e-300, 3e-310)])
+    def test_subnormal_d_terms(self, a, b):
+        # weights this small make the D-terms subnormal, with plateaus and bumps far wider than one
+        # stride: the first of these pairs has a minimum that the coarse points miss
+        p, q = Categorical([a, 1.0 - a]), Categorical([b, 1.0 - b])
+        assert grid_search_discriminator(p, q).tobytes() == self.unblocked_grid_search(p, q).tobytes()
+
+    @pytest.mark.parametrize("step", [1e-5, 1e-3, 1e-2])
+    def test_scanned_points_are_the_grid(self, monkeypatch, step):
+        # every point the scan evaluates is np.arange's point of that index: the coarse points,
+        # then windows that reach the grid's first and last points; and with a subnormal D-term,
+        # the whole grid for every outcome
+        monkeypatch.setattr(divlab, "GRID_STEP", step)
+        rows = []
+        d_terms = divlab._d_terms
+
+        def spy(a, b, g):
+            rows.append(np.atleast_2d(g))
+            return d_terms(a, b, g)
+
+        monkeypatch.setattr(divlab, "_d_terms", spy)
+        grid = np.arange(step, 1.0, step)
+        p, q = Categorical([0.0, 0.5, 0.5]), Categorical([0.5, 0.0, 0.5])
+        found = grid_search_discriminator(p, q)
+        assert found[0] == grid[0] and found[1] == grid[-1]
+        coarse, windows = rows
+        assert coarse.tobytes() == grid[::divlab._STRIDE].tobytes()
+        for row in windows:
+            i = int(np.rint(row[0] / step)) - 1
+            assert row.tobytes() == grid[i:i + len(row)].tobytes()
+        assert windows[0][0] == grid[0] and windows[1][-1] == grid[-1]
+        assert len(windows[0]) == min(2 * divlab._STRIDE + 1, len(grid))
+        rows.clear()
+        grid_search_discriminator(Categorical([0.5, 1e-320, 0.5]), q)
+        assert all(row.tobytes() == grid.tobytes() for row in rows[1])
 
     def test_grid_step_is_read_at_each_call(self, monkeypatch):
         p, q = random_simplex(np.random.default_rng(4), 6), random_simplex(np.random.default_rng(5), 6)
@@ -148,6 +225,36 @@ class TestOptimalDiscriminator:
         samples = rng.uniform(1e-3, 1 - 1e-3, size=(10_000, 4))
         for d in samples:
             assert game_value(ToyGame(p, q, d)) >= best - 1e-12
+
+
+@st.composite
+def dirichlet_games(draw):
+    """Two Dirichlet laws on K = 2..16 outcomes, with an optional zero entry in either law, or one
+    outcome of subnormal weight in both, and the grid step to scan them at."""
+    k = draw(st.integers(2, 16))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    concentration = draw(st.sampled_from([0.01, 0.1, 1.0, 10.0]))
+    laws = [rng.dirichlet(np.full(k, concentration)) for _ in range(2)]
+    i, edit = draw(st.integers(0, k - 1)), draw(st.sampled_from(["none", "zero p_d", "zero p_g", "tiny"]))
+    for j, law in enumerate(laws):
+        if edit == "tiny":
+            law[(i + 1) % k] += law[i]
+            law[i] = draw(st.one_of(st.integers(1, 2 ** 20).map(lambda m: m * 5e-324),
+                                    st.floats(min_value=5e-324, max_value=divlab._NORMAL_WEIGHT)))
+        elif edit == ("zero p_d", "zero p_g")[j]:
+            law[i] = 0.0
+            assume(law.sum() > 0)
+            law /= law.sum()
+    return Categorical(laws[0]), Categorical(laws[1]), draw(st.sampled_from([1e-5, 1e-3, 1e-2]))
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(game=dirichlet_games())
+def test_scan_equals_one_argmin_on_dirichlet_games(game):
+    p, q, step = game
+    with mock.patch.object(divlab, "GRID_STEP", step):
+        found = grid_search_discriminator(p, q)
+        assert found.tobytes() == TestOptimalDiscriminator.unblocked_grid_search(p, q).tobytes()
 
 
 class TestIdentity:

@@ -47,6 +47,10 @@ DIVLAB_STDOUT = {
                       '"nash_tv": 0.0008885983460245042, "trials": 10}\n',
     ("15", "3", "7"): '{"identity_max_gap": 8.881784197001252e-16, "dstar_max_err": 4.972131531832957e-06, '
                       '"nash_tv": 0.0004641073009646543, "trials": 15}\n',
+    ("10", "16", "3"): '{"identity_max_gap": 4.440892098500626e-16, "dstar_max_err": 4.913479133894505e-06, '
+                       '"nash_tv": 0.0007084577481696005, "trials": 10}\n',
+    ("20", "2", "1"): '{"identity_max_gap": 8.881784197001252e-16, "dstar_max_err": 4.99151162575151e-06, '
+                      '"nash_tv": 0.000327154175330413, "trials": 20}\n',
 }
 
 GENERATE_DIGESTS = {
