@@ -301,13 +301,10 @@ def main(argv=None):
     try:
         args = _merge_config(args, parser, argv)
         return args.func(args)
-    except (OSError, MemoryError) as exc:  # MemoryError: an input size asked for more than the machine has
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except (NumericsError, TrainingAborted) as exc:
         print(f"numeric abort: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except ArnError as exc:
+    except (ArnError, OSError, MemoryError) as exc:  # MemoryError: a size asked for more than the machine has
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

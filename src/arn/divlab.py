@@ -11,7 +11,7 @@ import numpy as np
 
 from . import kernels, training
 from .distributions import Categorical, check_support, entropy, js_categorical, kl_categorical
-from .errors import ConvergenceError, DomainError, ShapeError, SupportError
+from .errors import ConfigError, ConvergenceError, DomainError, ShapeError, SupportError
 
 # the lab's fixed settings, read at call time: D's grid spacing, and the Nash solve's TV bound,
 # mirror-descent step, per-outcome bound on the step's direction, and iteration cap
@@ -93,6 +93,8 @@ def grid_search_discriminator(p_d: Categorical, p_g: Categorical) -> np.ndarray:
     """
     check_support(p_d, p_g)
     step = GRID_STEP
+    if not 0.0 < step < 1.0:
+        raise ConfigError(f"GRID_STEP must lie in (0, 1) for the grid to hold a point, got {step}")
     n = math.ceil((1.0 - step) / step)  # the length of np.arange(step, 1.0, step)
     weights = np.stack([p_d.probs, p_g.probs])
     width = n if np.any((weights > 0) & (weights < _NORMAL_WEIGHT)) else min(2 * _STRIDE + 1, n)

@@ -37,12 +37,12 @@ def lstm_cell_forward(pre, c_prev):
     return o * tc, c_new, (ifo, g, tc)
 
 
-def lstm_cell_backward(dh, dc, c_prev, ifo, g, tc, d_pre=None):
+def lstm_cell_backward(dh, dc, c_prev, ifo, g, tc, d_pre):
     """Backward of the fused cell, given lstm_cell_forward's saved (ifo, g, tc).
 
     dh, dc: (B, H) gradients w.r.t. h_new and c_new; ifo may be the rows
     ifo[:, rows] of the saved block, with g[rows] and tc[rows]. Returns
-    (d_pre, d_c_prev), d_pre written into a given C-contiguous (B, 4H) array.
+    (d_pre, d_c_prev), d_pre written into the given C-contiguous (B, 4H) array.
     """
     bsz, hdim = c_prev.shape
     i, f, o = ifo
@@ -54,7 +54,6 @@ def lstm_cell_backward(dh, dc, c_prev, ifo, g, tc, d_pre=None):
     np.multiply(dh, tc, out=d_ifo[2])
     d_ifo *= ifo
     d_ifo *= 1.0 - ifo
-    d_pre = np.empty((bsz, 4 * hdim), dh.dtype) if d_pre is None else d_pre
     d_pre.reshape(bsz, 4, hdim)[:, :3] = d_ifo.transpose(1, 0, 2)
     d_pre[:, 3 * hdim:] = dc * i * (1.0 - g * g)
     return d_pre, dc * f

@@ -37,8 +37,8 @@ _Order = namedtuple("_Order", "clipped totals grams distinct covered")
 
 
 def _order(counts, n):
-    """Order n of _count's list; EmptyInputError where the generated corpus has no n-gram."""
-    if not 1 <= n <= len(counts):
+    """Order n >= 1 of _count's list; EmptyInputError where the generated corpus has no n-gram."""
+    if n > len(counts):
         raise EmptyInputError(f"no {n}-grams in generated corpus")
     return counts[n - 1]
 
@@ -110,9 +110,13 @@ def _mean_bleus(generated, test, counts, orders):
     return [sum(scores) / len(generated) for scores in zip(*rows)]
 
 
-def _check_inputs(orders, generated, test):
+def _check_orders(orders):
     if min(orders) < 1:
         raise ConfigError(f"n-gram orders must be positive integers, got {tuple(orders)}")
+
+
+def _check_inputs(orders, generated, test):
+    _check_orders(orders)
     if len(generated) == 0:
         raise EmptyInputError("empty generated corpus")
     if len(test) == 0:
@@ -120,11 +124,13 @@ def _check_inputs(orders, generated, test):
 
 
 def diversity_n(generated, n, pad_id=None) -> float:
+    _check_orders((n,))
     order = _order(_count(generated, [], n, pad_id), n)
     return 100.0 * order.distinct / order.grams
 
 
 def fc_n(generated, test, n, pad_id=None) -> float:
+    _check_orders((n,))
     if len(test) == 0:
         raise EmptyInputError("empty test corpus")
     order = _order(_count(generated, test, n, pad_id), n)

@@ -91,6 +91,14 @@ def _unbroadcast(grad, shape):
     return grad
 
 
+def _shaped(op, *operands):
+    """op(*operands), its ValueError (operands that do not broadcast or join) raised as ShapeError."""
+    try:
+        return op(*operands)
+    except ValueError as exc:
+        raise ShapeError(str(exc)) from exc
+
+
 def _released(g=None):
     """Stands in for the backward of a swept interior node; reaching it raises."""
     raise GraphReleasedError("backward reached a node an earlier backward released")
@@ -215,10 +223,7 @@ class Tensor:
 
     def __add__(self, other):
         a, b = self, Tensor._lift(other, self)
-        try:
-            data = a.data + b.data
-        except ValueError as exc:
-            raise ShapeError(str(exc)) from exc
+        data = _shaped(np.add, a.data, b.data)
 
         def backward(g):  # x @ W + bias copies nothing: the bias keeps a sum of g, x gets g
             b._accum(g)
@@ -235,10 +240,7 @@ class Tensor:
     def __sub__(self, other):
         """a - b as one node; equal bit for bit to a + (-b)."""
         a, b = self, Tensor._lift(other, self)
-        try:
-            data = a.data - b.data
-        except ValueError as exc:
-            raise ShapeError(str(exc)) from exc
+        data = _shaped(np.subtract, a.data, b.data)
 
         def backward(g):
             a._accum(g)
@@ -252,10 +254,7 @@ class Tensor:
 
     def __mul__(self, other):
         a, b = self, Tensor._lift(other, self)
-        try:
-            data = a.data * b.data
-        except ValueError as exc:
-            raise ShapeError(str(exc)) from exc
+        data = _shaped(np.multiply, a.data, b.data)
 
         def backward(g):
             a._accum(g * b.data)
@@ -291,13 +290,12 @@ class Tensor:
         basic = all(isinstance(k, _BASIC_INDEX) for k in (key if isinstance(key, tuple) else (key,)))
 
         def backward(g):
-            if a.requires_grad:
-                buf = np.zeros(a.data.shape, a.data.dtype)
-                if basic:  # a view: no index repeats
-                    buf[key] += g
-                else:
-                    np.add.at(buf, key, g)
-                a._accum(buf)
+            buf = np.zeros(a.data.shape, a.data.dtype)
+            if basic:  # a view: no index repeats
+                buf[key] += g
+            else:
+                np.add.at(buf, key, g)
+            a._accum(buf)
 
         return Tensor._make(data, (a,), backward)
 
@@ -378,10 +376,7 @@ class Tensor:
 
 def concat(tensors, axis=0):
     tensors = [Tensor._lift(t) for t in tensors]
-    try:
-        data = np.concatenate([t.data for t in tensors], axis=axis)
-    except ValueError as exc:
-        raise ShapeError(str(exc)) from exc
+    data = _shaped(np.concatenate, [t.data for t in tensors], axis)
     extents = [t.data.shape[axis] for t in tensors]
 
     def backward(g):
@@ -433,10 +428,9 @@ def pick(x, ids):
     rows = np.arange(x.data.shape[0])
 
     def backward(g):
-        if x.requires_grad:
-            buf = np.zeros(x.data.shape, x.data.dtype)
-            buf[rows, ids] = g
-            x._accum(buf)
+        buf = np.zeros(x.data.shape, x.data.dtype)
+        buf[rows, ids] = g
+        x._accum(buf)
 
     return Tensor._make(x.data[rows, ids], (x,), backward)
 

@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from arn import cli, corpus, divlab, networks, training
-from arn.errors import ArnError, ConfigError, ConvergenceError
+from arn.errors import ArnError, ConfigError, ConvergenceError, NumericsError, TrainingAborted
 from arn.networks import ArnConfig, ArnModel
 from arn.tensor import Tensor
 
@@ -501,6 +501,28 @@ def test_usage_errors_exit_2_without_a_traceback(tmp_path, markov_corpus_file, z
         assert proc.returncode == 2, (argv, proc.stderr)
         assert "Traceback" not in proc.stderr and named in proc.stderr, (argv, proc.stderr)
         assert not (tmp_path / "m.arn").exists()
+
+
+SUBCOMMAND_ERRORS = [
+    (OSError("disk full"), 2, "error: "),
+    (MemoryError("Unable to allocate 8.00 EiB"), 2, "error: "),
+    (ConfigError("--count must be >= 0, got -1"), 2, "error: "),
+    (NumericsError("non-finite values in gradient check"), 3, "numeric abort: "),
+    (ConvergenceError("no convergence to TV <= 0.001 in 1 iterations"), 3, "numeric abort: "),
+    (TrainingAborted("non-finite loss at step 3"), 3, "numeric abort: "),
+]
+
+
+@pytest.mark.parametrize("exc, code, prefix", SUBCOMMAND_ERRORS,
+                         ids=[type(exc).__name__ for exc, *_ in SUBCOMMAND_ERRORS])
+def test_subcommand_error_exits_with_its_code(monkeypatch, capsys, exc, code, prefix):
+    """A numeric abort exits 3 although its base class ArnError is a usage error."""
+    def fail(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "cmd_divlab", fail)
+    assert run(["divlab"]) == code
+    assert capsys.readouterr() == ("", f"{prefix}{exc}\n")
 
 
 # byte pieces that make raw-id corpora of every kind: ids in and out of range,

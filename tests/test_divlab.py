@@ -1,4 +1,5 @@
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -17,7 +18,7 @@ from arn.divlab import (
     solve_nash,
     verify_identity,
 )
-from arn.errors import ConvergenceError, DomainError, NumericsError, ShapeError, SupportError
+from arn.errors import ConfigError, ConvergenceError, DomainError, NumericsError, ShapeError, SupportError
 
 
 def kl_js(p: Categorical, q: np.ndarray) -> float:
@@ -208,6 +209,13 @@ class TestOptimalDiscriminator:
         again = grid_search_discriminator(p, q)
         assert np.isin(again, np.arange(1e-5, 1.0, 1e-5)).all()
         assert again.tobytes() == fine.tobytes()
+
+    @pytest.mark.parametrize("step", [1.5, 1.0, 0.0, -1e-3, math.nan])
+    def test_grid_step_without_a_grid_point_is_a_config_error(self, monkeypatch, step):
+        monkeypatch.setattr(divlab, "GRID_STEP", step)
+        message = re.escape(f"GRID_STEP must lie in (0, 1) for the grid to hold a point, got {step}")
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            grid_search_discriminator(Categorical([0.5, 0.5]), Categorical([0.25, 0.75]))
 
     def test_support_size_mismatch(self):
         with pytest.raises(ShapeError, match="support size mismatch: 2 vs 3"):

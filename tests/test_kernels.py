@@ -66,7 +66,7 @@ def test_lstm_backward_equals_the_gate_by_gate_form_bit_for_bit(rng, dtype):
     pre = (rng.standard_normal((9, 24)) * 3).astype(dtype)
     c, dh, dc = rng.standard_normal((3, 9, 6)).astype(dtype)
     _, _, (ifo, g, tc) = kernels.lstm_cell_forward(pre, c)
-    got = kernels.lstm_cell_backward(dh, dc, c, ifo, g, tc)
+    got = kernels.lstm_cell_backward(dh, dc, c, ifo, g, tc, np.empty((9, 24), dtype))
     want = gate_by_gate_backward(dh, dc, c, *ifo, g, tc)
     for a, b in zip(got, want):
         assert a.dtype == dtype and a.tobytes() == b.tobytes()
@@ -78,8 +78,9 @@ def test_lstm_backward_on_a_row_subset_equals_those_rows_of_the_full_batch(rng, 
     c = rng.standard_normal((6, 5))
     dh, dc = rng.standard_normal((2, 6, 5))
     _, _, (ifo, g, tc) = kernels.lstm_cell_forward(pre, c)
-    d_pre, d_c = kernels.lstm_cell_backward(dh, dc, c, ifo, g, tc)
-    sub_pre, sub_c = kernels.lstm_cell_backward(dh[rows], dc[rows], c[rows], ifo[:, rows], g[rows], tc[rows])
+    d_pre, d_c = kernels.lstm_cell_backward(dh, dc, c, ifo, g, tc, np.empty((6, 20)))
+    sub_pre, sub_c = kernels.lstm_cell_backward(dh[rows], dc[rows], c[rows], ifo[:, rows], g[rows], tc[rows],
+                                                np.empty((rows.stop - rows.start, 20)))
     np.testing.assert_array_equal(sub_pre, d_pre[rows])
     np.testing.assert_array_equal(sub_c, d_c[rows])
 
@@ -94,7 +95,7 @@ def test_lstm_backward_matches_central_differences(rng):
         return float(np.sum(w_h * h) + np.sum(w_c * cn))
 
     *_, saved = kernels.lstm_cell_forward(pre, c)
-    d_pre, d_c = kernels.lstm_cell_backward(w_h, w_c, c, *saved)
+    d_pre, d_c = kernels.lstm_cell_backward(w_h, w_c, c, *saved, np.empty((3, 8)))
     eps = 1e-6
     for arr, grad in ((pre, d_pre), (c, d_c)):
         numeric = np.empty_like(arr)

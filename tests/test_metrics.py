@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -269,11 +270,16 @@ class TestOnePassReport:
     @pytest.mark.parametrize("orders", [(0,), (-1,), (2, 0)])
     def test_non_positive_order_is_a_config_error(self, orders):
         gen = [["a", "b"]]
-        with pytest.raises(ConfigError):
+        message = f"^{re.escape(f'n-gram orders must be positive integers, got {orders}')}$"
+        with pytest.raises(ConfigError, match=message):
             full_report(gen, gen, orders=orders)
         if len(orders) == 1:
-            with pytest.raises(ConfigError):
-                corpus_bleu_n(gen, gen, orders[0])
+            # every entry point checks n by the one rule, before it looks at the corpora
+            (n,) = orders
+            for score in (lambda: corpus_bleu_n(gen, gen, n), lambda: diversity_n(gen, n),
+                          lambda: fc_n(gen, gen, n), lambda: diversity_n([], n), lambda: fc_n(gen, [], n)):
+                with pytest.raises(ConfigError, match=message):
+                    score()
 
 
 class TestDifferential:

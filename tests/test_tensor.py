@@ -705,6 +705,53 @@ class TestSubtraction:
             t(np.zeros((2, 3))) - t(np.zeros((4,)))
 
 
+def _reduce_to(g, shape):
+    """g summed down to shape over the axes that broadcasting spread it along."""
+    lead = g.ndim - len(shape)
+    spread = [lead + i for i, extent in enumerate(shape) if extent == 1 and g.shape[lead + i] != 1]
+    axes = (*range(lead), *spread)
+    return g.sum(axis=axes, keepdims=True).reshape(shape) if axes else g
+
+
+# op: (NumPy's value of the pair, the Tensor op, the (broadcast) gradients of sum(op(a, b) * c))
+SHAPE_RULE_OPS = {
+    "+": (lambda a, b, axis: np.add(a, b), lambda a, b, axis: a + b, lambda c, a, b, axis: (c, c)),
+    "-": (lambda a, b, axis: np.subtract(a, b), lambda a, b, axis: a - b, lambda c, a, b, axis: (c, -c)),
+    "*": (lambda a, b, axis: np.multiply(a, b), lambda a, b, axis: a * b,
+          lambda c, a, b, axis: (c * b, c * a)),
+    "concat": (lambda a, b, axis: np.concatenate([a, b], axis), lambda a, b, axis: concat([a, b], axis),
+               lambda c, a, b, axis: np.split(c, [a.shape[axis]], axis)),
+}
+
+
+@settings(max_examples=400, deadline=None)
+@given(op=st.sampled_from(sorted(SHAPE_RULE_OPS)), dtype=st.sampled_from([np.float32, np.float64]),
+       shapes=st.tuples(*[st.lists(st.integers(0, 3), max_size=3).map(tuple)] * 2),
+       axis=st.integers(-3, 2), seed=st.integers(0, 2**32 - 1))
+def test_shape_rule_ops_follow_numpy(op, dtype, shapes, axis, seed):
+    """+, -, * and concat: NumPy's value and gradients byte for byte, or ShapeError with NumPy's message."""
+    numpy_op, tensor_op, grads = SHAPE_RULE_OPS[op]
+    rng = np.random.default_rng(seed)
+    # integer values: every gradient sum is exact, so its order of summation cannot change a bit
+    arrays = [rng.integers(-4, 5, shape).astype(dtype) for shape in shapes]
+    leaves = [Tensor(a, requires_grad=True) for a in arrays]
+    try:
+        want = numpy_op(*arrays, axis)
+    except ValueError as exc:
+        with pytest.raises(ShapeError) as err:
+            tensor_op(*leaves, axis)
+        assert str(err.value) == str(exc)
+        return
+    out = tensor_op(*leaves, axis)
+    assert out.data.dtype == dtype and out.data.shape == want.shape and out.data.tobytes() == want.tobytes()
+    c = rng.integers(-4, 5, want.shape).astype(dtype)
+    (out * Tensor(c)).sum().backward()
+    for leaf, a, g in zip(leaves, arrays, grads(c, *arrays, axis)):
+        want_grad = _reduce_to(g, a.shape)
+        assert leaf.grad.dtype == dtype and leaf.grad.shape == a.shape
+        assert leaf.grad.tobytes() == want_grad.tobytes()
+
+
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 def test_full_sum_is_a_0d_array_of_the_dtype(dtype):
     s = Tensor(np.arange(6, dtype=dtype).reshape(2, 3), requires_grad=True).sum()
