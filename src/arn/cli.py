@@ -171,8 +171,6 @@ def cmd_evaluate(args):
     orders = tuple(int(o) for o in parts)
     generated = _read_token_lines(args.generated)
     test = _read_token_lines(args.test)
-    if not generated or not test:
-        raise EmptyInputError("empty generated or test corpus")
     report = metrics.full_report(generated, test, orders=orders, pad_id=corpus_mod.PAD_TOKEN)
     _emit(report.to_json(), args.out)
     return EXIT_OK

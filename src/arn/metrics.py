@@ -36,13 +36,6 @@ def ngrams(seq, n):
 _Order = namedtuple("_Order", "clipped totals grams distinct covered")
 
 
-def _order(counts, n):
-    """Order n >= 1 of _count's list; EmptyInputError where the generated corpus has no n-gram."""
-    if n > len(counts):
-        raise EmptyInputError(f"no {n}-grams in generated corpus")
-    return counts[n - 1]
-
-
 def _count(generated, test, top, pad_id=None):
     """The _Order of each k = 1..top, up to the first order with no generated k-gram.
 
@@ -110,13 +103,9 @@ def _mean_bleus(generated, test, counts, orders):
     return [sum(scores) / len(generated) for scores in zip(*rows)]
 
 
-def _check_orders(orders):
+def _check_inputs(orders, generated, test):
     if min(orders) < 1:
         raise ConfigError(f"n-gram orders must be positive integers, got {tuple(orders)}")
-
-
-def _check_inputs(orders, generated, test):
-    _check_orders(orders)
     if len(generated) == 0:
         raise EmptyInputError("empty generated corpus")
     if len(test) == 0:
@@ -124,17 +113,13 @@ def _check_inputs(orders, generated, test):
 
 
 def diversity_n(generated, n, pad_id=None) -> float:
-    _check_orders((n,))
-    order = _order(_count(generated, [], n, pad_id), n)
-    return 100.0 * order.distinct / order.grams
+    """Diversity-n, full_report's entry; it reads no reference, so one generated sentence serves as one."""
+    return _scores(generated, generated[:1], (n,), pad_id)[0].diversity[n]
 
 
 def fc_n(generated, test, n, pad_id=None) -> float:
-    _check_orders((n,))
-    if len(test) == 0:
-        raise EmptyInputError("empty test corpus")
-    order = _order(_count(generated, test, n, pad_id), n)
-    return 100.0 * order.covered / order.grams
+    """FC-n, full_report's entry."""
+    return _scores(generated, test, (n,), pad_id)[0].fc[n]
 
 
 def corpus_bleu_n(generated, test, n, pad_id=None) -> float:
@@ -164,20 +149,28 @@ class MetricsReport:
         )
 
 
+def _scores(generated, test, orders, pad_id):
+    """full_report without BLEU: its checks, Diversity-n and FC-n, and the counts BLEU reads."""
+    _check_inputs(orders, generated, test)
+    report = MetricsReport(sample_count=len(generated))
+    counts = _count(generated, test, max(orders), pad_id)
+    for n in orders:
+        if n > len(counts):
+            raise EmptyInputError(f"no {n}-grams in generated corpus")
+        order = counts[n - 1]
+        report.diversity[n] = 100.0 * order.distinct / order.grams
+        report.fc[n] = 100.0 * order.covered / order.grams
+    return report, counts
+
+
 def full_report(generated, test, orders=(2, 3), pad_id=None) -> MetricsReport:
-    """BLEU-n, FC-n and Diversity-n for each n in orders, equal to the one-order functions.
+    """BLEU-n, FC-n and Diversity-n for each n in orders.
 
     Each corpus's k-grams are counted once for k = 1 up to the highest order asked.
     """
-    report = MetricsReport(sample_count=len(generated))
     if not orders:
-        return report
-    _check_inputs(orders, generated, test)
-    counts = _count(generated, test, max(orders), pad_id)
-    for n in orders:
-        order = _order(counts, n)
-        report.diversity[n] = 100.0 * order.distinct / order.grams
-        report.fc[n] = 100.0 * order.covered / order.grams
+        return MetricsReport(sample_count=len(generated))
+    report, counts = _scores(generated, test, orders, pad_id)
     bleu_orders = list(dict.fromkeys(orders))
     report.bleu.update(zip(bleu_orders, _mean_bleus(generated, test, counts, bleu_orders)))
     return report

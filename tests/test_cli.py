@@ -362,6 +362,12 @@ class TestGradcheck:
             run(["gradcheck", "--preset", "paper"])
         assert dtypes == [np.float64]
 
+    def test_one_probe_over_the_threshold_exits_3(self, monkeypatch, capsys):
+        errors = iter([2e-4])
+        monkeypatch.setattr(cli, "grad_check", lambda f, x, eps=1e-5: next(errors, 0.0))
+        assert run(["gradcheck"]) == 3
+        assert json.loads(capsys.readouterr().out) == {"elbo": 2e-4, "discriminator": 0.0, "generator": 0.0}
+
 
 class TestDivlab:
     def test_small_run_passes(self, capsys):

@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+from arn import cli
 from arn.errors import ConfigError, EmptyInputError
 from arn.metrics import corpus_bleu_n, diversity_n, fc_n, full_report
 
@@ -255,9 +256,25 @@ class TestOnePassReport:
         ([["a", "b", "c", "d"]], [], "empty reference corpus"),
         ([[]], [], "empty reference corpus"),
     ])
-    def test_empty_corpus_errors(self, orders, gen, test, message):
+    def test_empty_corpus_errors(self, orders, gen, test, message, tmp_path, capsys):
         with pytest.raises(EmptyInputError, match=f"^{message}$"):
             full_report(gen, test, orders=orders, pad_id="<PAD>")
+        # each empty corpus has one name, whichever entry point meets it
+        for n in orders:
+            scores = [lambda: fc_n(gen, test, n, "<PAD>"), lambda: corpus_bleu_n(gen, test, n, "<PAD>")]
+            if message == "empty generated corpus":
+                scores.append(lambda: diversity_n(gen, n, "<PAD>"))
+            for score in scores:
+                with pytest.raises(EmptyInputError, match=f"^{message}$"):
+                    score()
+        if all(gen):  # evaluate skips blank lines, so a file cannot hold an empty sentence
+            paths = [tmp_path / "gen.txt", tmp_path / "test.txt"]
+            for path, corpus in zip(paths, (gen, test)):
+                path.write_text("".join(" ".join(s) + "\n" for s in corpus))
+            argv = ["evaluate", "--generated", str(paths[0]), "--test", str(paths[1]),
+                    "--orders", ",".join(map(str, orders))]
+            assert cli.main(argv) == 2
+            assert capsys.readouterr().err == f"error: {message}\n"
 
     @pytest.mark.parametrize("orders, n", [((2, 4, 3), 4), ((3, 4, 2), 3), ((2, 2, 5, 4), 5),
                                            ((1, 9), 9)])

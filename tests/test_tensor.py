@@ -293,6 +293,47 @@ def test_grad_check_constant_gradient():
     assert grad_check(lambda v: v.sum(), x) < 1e-10
 
 
+def test_division_by_a_scalar_is_multiplication_by_its_reciprocal():
+    x = t(np.random.default_rng(8).standard_normal(5))
+    out = x / 4.0
+    assert out.data.tobytes() == (x.data * 0.25).tobytes()
+    out.sum().backward()
+    assert x.grad.tobytes() == np.full(5, 0.25).tobytes()
+
+
+def test_grad_check_reports_a_wrong_backward():
+    # the node computes 3x but passes back 3.03 g: a = 3.03 and n = 3 in every coordinate
+    def scaled(v):
+        return Tensor._make(v.data * 3.0, (v,), lambda g: v._accum(g * 3.03)).sum()
+
+    x = Tensor(np.random.default_rng(9).standard_normal(4))
+    assert abs(grad_check(scaled, x) - 0.03 / max(1.0, 3.03 + 3.0)) < 1e-9
+
+
+def test_grad_check_finds_a_broken_lstm_gate(monkeypatch):
+    """A backward that drops the forget gate's gradient fails the desk audit's threshold."""
+    backward = kernels.lstm_cell_backward
+
+    def no_forget_gate(dh, dc, c_prev, ifo, g, tc, d_pre):
+        d_pre, d_c_prev = backward(dh, dc, c_prev, ifo, g, tc, d_pre)
+        hdim = c_prev.shape[1]
+        d_pre[:, hdim:2 * hdim] = 0.0
+        return d_pre, d_c_prev
+
+    cfg = ArnConfig.preset("desk")
+    rng = np.random.default_rng(10)
+    model = ArnModel.initialized(cfg, rng)
+    ids = rng.integers(0, cfg.vocab_size, size=(2, cfg.seq_len))
+    noise = rng.standard_normal((2, cfg.d_latent))
+
+    def loss(b):
+        return training.generator_loss(ArnModel(cfg, {**model.params, "gen.b": b}), ids, noise, None, 1.0)[0]
+
+    assert grad_check(loss, model.params["gen.b"]) <= 1e-6
+    monkeypatch.setattr(kernels, "lstm_cell_backward", no_forget_gate)
+    assert grad_check(loss, model.params["gen.b"]) > 1e-4
+
+
 def test_no_grad_blocks_recording():
     x = t([1.0, 2.0])
     with no_grad():
