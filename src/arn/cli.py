@@ -30,7 +30,7 @@ EXIT_NUMERIC = 3
 GENERATE_CHUNK = 256
 
 
-def _merge_config(args, parser, argv):
+def _merge_config(args, argv):
     """Overlay JSON config-file values under explicitly passed flags.
 
     Each key becomes the token --key=value (a non-string value as its JSON
@@ -52,7 +52,7 @@ def _merge_config(args, parser, argv):
     at = argv.index(args.command) + 1
     flags = [f"--{k.replace('_', '-')}={v if isinstance(v, str) else json.dumps(v)}"
              for k, v in file_cfg.items()]
-    return parser.parse_args(argv[:at] + flags + argv[at:])
+    return PARSER.parse_args(argv[:at] + flags + argv[at:])
 
 
 def _read_token_lines(path):
@@ -256,7 +256,6 @@ def build_parser():
     p_train.add_argument("--out", required=True)
     p_train.add_argument("--trace", default=None)
     p_train.add_argument("--config", default=None)
-    p_train.set_defaults(func=cmd_train)
 
     p_gen = sub.add_parser("generate", help="sample sequences from a checkpoint")
     p_gen.add_argument("--checkpoint", required=True)
@@ -267,7 +266,6 @@ def build_parser():
     p_gen.add_argument("--seed-corpus", default=None)
     p_gen.add_argument("--out", default=None)
     p_gen.add_argument("--config", default=None)
-    p_gen.set_defaults(func=cmd_generate)
 
     p_eval = sub.add_parser("evaluate", help="BLEU/FC/Diversity report")
     p_eval.add_argument("--generated", required=True)
@@ -275,13 +273,11 @@ def build_parser():
     p_eval.add_argument("--orders", default="2,3")
     p_eval.add_argument("--out", default=None)
     p_eval.add_argument("--config", default=None)
-    p_eval.set_defaults(func=cmd_evaluate)
 
     p_grad = sub.add_parser("gradcheck", help="finite-difference loss gradients")
     p_grad.add_argument("--preset", default="desk", choices=["desk", "paper"])
     p_grad.add_argument("--seed", type=int, default=0)
     p_grad.add_argument("--config", default=None)
-    p_grad.set_defaults(func=cmd_gradcheck)
 
     p_div = sub.add_parser("divlab", help="divergence-equivalence verification")
     p_div.add_argument("--trials", type=int, default=100)
@@ -289,16 +285,18 @@ def build_parser():
     p_div.add_argument("--seed", type=int, default=0)
     p_div.add_argument("--out", default=None)
     p_div.add_argument("--config", default=None)
-    p_div.set_defaults(func=cmd_divlab)
     return parser
 
 
+# one parser per process; main looks cmd_<subcommand> up at each call, so a replaced one runs
+PARSER = build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = PARSER.parse_args(argv)
     try:
-        args = _merge_config(args, parser, argv)
-        return args.func(args)
+        args = _merge_config(args, argv)
+        return globals()[f"cmd_{args.command}"](args)
     except (NumericsError, TrainingAborted) as exc:
         print(f"numeric abort: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

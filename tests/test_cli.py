@@ -401,6 +401,39 @@ class TestDivlab:
         assert "numeric abort: no convergence" in capsys.readouterr().err
 
 
+class TestParserOncePerProcess:
+    ARGV = ["divlab", "--trials", "2", "--outcomes", "4", "--seed", "5"]
+
+    def test_a_call_builds_no_parser(self, monkeypatch, capsys):
+        assert run(self.ARGV) == 0
+        unpatched = capsys.readouterr().out
+
+        def no_parser(*args, **kwargs):
+            raise AssertionError("a parser was built during a call")
+
+        monkeypatch.setattr(cli, "build_parser", no_parser)
+        monkeypatch.setattr(argparse, "ArgumentParser", no_parser)
+        assert run(self.ARGV) == 0
+        assert capsys.readouterr().out == unpatched
+
+    def test_back_to_back_calls_share_no_state(self, tmp_path, capsys):
+        argv = ["divlab", "--trials", "2", "--outcomes", "4"]
+        assert cli.cmd_divlab(cli.build_parser().parse_args(argv)) == 0
+        fresh = capsys.readouterr().out
+        cfg = tmp_path / "seed7.json"
+        cfg.write_text(json.dumps({"seed": 7}))
+        assert run(argv + ["--config", str(cfg)]) == 0
+        seeded = capsys.readouterr().out
+        with pytest.raises(SystemExit) as usage:
+            run(["divlab", "--trials", "two"])
+        assert usage.value.code == 2
+        capsys.readouterr()
+        assert run(argv) == 0
+        last = capsys.readouterr().out
+        assert last == fresh
+        assert last != seeded
+
+
 def _options():
     """(subcommand, option action) for every option of build_parser() but --help."""
     (sub,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]

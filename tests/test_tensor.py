@@ -310,6 +310,24 @@ def test_grad_check_reports_a_wrong_backward():
     assert abs(grad_check(scaled, x) - 0.03 / max(1.0, 3.03 + 3.0)) < 1e-9
 
 
+def test_grad_check_reports_a_dropped_term():
+    # the node computes x * x but passes back only g * x, one of its two terms: a = x and n = 2x
+    def squared(v):
+        return Tensor._make(v.data * v.data, (v,), lambda g: v._accum(g * v.data)).sum()
+
+    x = Tensor(np.random.default_rng(11).standard_normal(4))
+    ax = np.abs(x.data)
+    assert grad_check(squared, x) >= np.max(ax / np.maximum(1.0, 3.0 * ax)) - 1e-9
+
+
+def test_grad_check_of_an_exact_pair():
+    # at zero every finite-difference step doubles exactly, so n = 2.0 to the bit against a = 2.5
+    def doubled(v):
+        return Tensor._make(v.data * 2.0, (v,), lambda g: v._accum(g * 2.5)).sum()
+
+    assert grad_check(doubled, Tensor(np.zeros(4))) == 0.5 / 4.5
+
+
 def test_grad_check_finds_a_broken_lstm_gate(monkeypatch):
     """A backward that drops the forget gate's gradient fails the desk audit's threshold."""
     backward = kernels.lstm_cell_backward
