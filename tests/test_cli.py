@@ -402,10 +402,9 @@ class TestDivlab:
 
 
 class TestParserOncePerProcess:
-    ARGV = ["divlab", "--trials", "2", "--outcomes", "4", "--seed", "5"]
-
     def test_a_call_builds_no_parser(self, monkeypatch, capsys):
-        assert run(self.ARGV) == 0
+        argv = ["divlab", "--trials", "2", "--outcomes", "4", "--seed", "5"]
+        assert run(argv) == 0
         unpatched = capsys.readouterr().out
 
         def no_parser(*args, **kwargs):
@@ -413,7 +412,7 @@ class TestParserOncePerProcess:
 
         monkeypatch.setattr(cli, "build_parser", no_parser)
         monkeypatch.setattr(argparse, "ArgumentParser", no_parser)
-        assert run(self.ARGV) == 0
+        assert run(argv) == 0
         assert capsys.readouterr().out == unpatched
 
     def test_back_to_back_calls_share_no_state(self, tmp_path, capsys):
