@@ -146,28 +146,22 @@ def sample_markov(src: MarkovSource, t_len: int, count: int, rng) -> np.ndarray:
 def source_ngram_distribution(src: MarkovSource, n: int, t_len: int) -> dict:
     """Exact occurrence distribution of n-grams over positions 1..T-n+1.
 
-    Returns {gram tuple: probability}; probabilities sum to 1.
+    Returns {gram tuple: probability}; probabilities sum to 1. Every unigram
+    is a key, a longer gram one whose probability p is above 0 at some
+    position: its first state's marginal times each transition, left to
+    right. The positions add p / positions in start order.
     """
     if not 1 <= n <= t_len:
         raise ConfigError(f"n = {n} is not in 1..{t_len}, the sequence length")
-    k = src.k
-    marginals = [src.pi]
-    for _ in range(t_len - 1):
-        marginals.append(marginals[-1] @ src.transition)
-    grams = {}
     positions = t_len - n + 1
-    for start in range(positions):
-        stack = [((s,), marginals[start][s]) for s in range(k)]
+    grams, marginal = {}, src.pi
+    for _ in range(positions):
+        p = marginal  # p[s1, ..., sj] is P(gram s1..sj at this position)
         for _ in range(n - 1):
-            nxt = []
-            for gram, p in stack:
-                for s in range(k):
-                    q = p * src.transition[gram[-1], s]
-                    if q > 0:
-                        nxt.append((gram + (s,), q))
-            stack = nxt
-        for gram, p in stack:
-            grams[gram] = grams.get(gram, 0.0) + p / positions
+            p = p[..., None] * src.transition
+        for gram in map(tuple, np.argwhere((p > 0) | (n == 1)).tolist()):
+            grams[gram] = grams.get(gram, 0.0) + p[gram] / positions
+        marginal = marginal @ src.transition
     return grams
 
 

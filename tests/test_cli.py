@@ -440,6 +440,65 @@ def _options():
             if action.option_strings and not isinstance(action, argparse._HelpAction)]
 
 
+PRESETS = ["desk", "paper"]
+# subcommand -> flag -> (dest, default, type, choices, required), written out rather than read from cli
+OPTION_TABLE = {
+    "train": {
+        "--corpus": ("corpus", None, None, None, True),
+        "--vocab": ("vocab", None, None, None, False),
+        "--preset": ("preset", "desk", None, PRESETS, False),
+        "--steps": ("steps", 1000, int, None, False),
+        "--batch-size": ("batch_size", 32, int, None, False),
+        "--lr": ("lr", 1e-3, float, None, False),
+        "--lambda-adv": ("lambda_adv", 1.0, float, None, False),
+        "--seed": ("seed", 0, int, None, False),
+        "--out": ("out", None, None, None, True),
+        "--trace": ("trace", None, None, None, False),
+        "--config": ("config", None, None, None, False),
+    },
+    "generate": {
+        "--checkpoint": ("checkpoint", None, None, None, True),
+        "--mode": ("mode", "noise", None, ["noise", "decoded-x1"], False),
+        "--count": ("count", 10, int, None, False),
+        "--seed": ("seed", 0, int, None, False),
+        "--vocab": ("vocab", None, None, None, False),
+        "--seed-corpus": ("seed_corpus", None, None, None, False),
+        "--out": ("out", None, None, None, False),
+        "--config": ("config", None, None, None, False),
+    },
+    "evaluate": {
+        "--generated": ("generated", None, None, None, True),
+        "--test": ("test", None, None, None, True),
+        "--orders": ("orders", "2,3", None, None, False),
+        "--out": ("out", None, None, None, False),
+        "--config": ("config", None, None, None, False),
+    },
+    "gradcheck": {
+        "--preset": ("preset", "desk", None, PRESETS, False),
+        "--seed": ("seed", 0, int, None, False),
+        "--config": ("config", None, None, None, False),
+    },
+    "divlab": {
+        "--trials": ("trials", 100, int, None, False),
+        "--outcomes": ("outcomes", 8, int, None, False),
+        "--seed": ("seed", 0, int, None, False),
+        "--out": ("out", None, None, None, False),
+        "--config": ("config", None, None, None, False),
+    },
+}
+
+
+def test_parser_options_match_the_table():
+    """Each subcommand has exactly the table's options, each a one-flag store with its dest,
+    default, type, choices and required; the order of the options is not compared."""
+    got = {cmd: {} for cmd in OPTION_TABLE}
+    for cmd, action in _options():
+        assert type(action) is argparse._StoreAction and len(action.option_strings) == 1, (cmd, action)
+        got.setdefault(cmd, {})[action.option_strings[0]] = (
+            action.dest, action.default, action.type, action.choices, action.required)
+    assert got == OPTION_TABLE
+
+
 def _valid_value(action):
     """A value the flag accepts that is not its default."""
     if action.choices:

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -209,6 +211,72 @@ class TestMarkov:
         emp = empirical_ngram_distribution(seqs, 2)
         exact = source_ngram_distribution(src, 2, 6)
         assert tv_distance(emp, exact) <= 0.02
+
+
+def random_source(rng, k, zeros):
+    """A K-state source; with zeros and K > 1, pi and each transition row hold at least one 0."""
+    laws = rng.dirichlet(np.ones(k), size=k + 1)
+    if zeros and k > 1:
+        rows, drop = np.arange(k + 1), rng.integers(0, k, k + 1)
+        keep = rng.random(laws.shape) >= 0.4
+        keep[rows, drop], keep[rows, (drop + rng.integers(1, k, k + 1)) % k] = False, True
+        laws = laws * keep / (laws * keep).sum(axis=1, keepdims=True)
+    return MarkovSource(pi=laws[0], transition=laws[1:])
+
+
+def loop_ngram_distribution(src, n, t_len):
+    """The gram-at-a-time law that source_ngram_distribution replaced, kept as its reference."""
+    k = src.k
+    marginals = [src.pi]
+    for _ in range(t_len - 1):
+        marginals.append(marginals[-1] @ src.transition)
+    grams = {}
+    positions = t_len - n + 1
+    for start in range(positions):
+        stack = [((s,), marginals[start][s]) for s in range(k)]
+        for _ in range(n - 1):
+            nxt = []
+            for gram, p in stack:
+                for s in range(k):
+                    q = p * src.transition[gram[-1], s]
+                    if q > 0:
+                        nxt.append((gram + (s,), q))
+            stack = nxt
+        for gram, p in stack:
+            grams[gram] = grams.get(gram, 0.0) + p / positions
+    return grams
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("t_len", [1, 2, 3, 4, 5])
+def test_source_law_equals_enumerated_sequences(k, t_len):
+    """Every n-gram law equals the gram frequencies over all K^T sequences, weighted by their probability."""
+    src = random_source(np.random.default_rng(10 * k + t_len), k, zeros=True)
+    freqs = {n: {} for n in range(1, t_len + 1)}
+    for seq in itertools.product(range(k), repeat=t_len):
+        prob = src.pi[seq[0]] * np.prod([src.transition[a, b] for a, b in zip(seq, seq[1:])])
+        for n, freq in freqs.items():
+            for start in range(t_len - n + 1):
+                gram = seq[start:start + n]
+                freq[gram] = freq.get(gram, 0.0) + prob / (t_len - n + 1)
+    for n, freq in freqs.items():
+        law = source_ngram_distribution(src, n, t_len)
+        assert set(law) == {g for g, p in freq.items() if p > 0 or n == 1}
+        for gram, p in law.items():
+            assert abs(p - freq[gram]) <= 1e-12, (n, gram)
+
+
+def test_source_law_equals_the_loop_bit_for_bit():
+    """The same keys in the same order, each value == the loop's and of its type, on 300 sources."""
+    rng = np.random.default_rng(34)
+    for trial in range(300):
+        k, n = int(rng.integers(1, 6)), int(rng.integers(1, 4))
+        src = random_source(rng, k, zeros=trial % 3 == 0)
+        t_len = int(rng.integers(n, 10))
+        got, want = source_ngram_distribution(src, n, t_len), loop_ngram_distribution(src, n, t_len)
+        assert list(got) == list(want), trial
+        assert all(type(got[g]) is type(p) and got[g] == p for g, p in want.items()), trial
+        assert all(type(s) is int for g in got for s in g), trial
 
 
 # byte pieces of word files: words with case and punctuation, every newline
