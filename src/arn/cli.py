@@ -243,13 +243,8 @@ def cmd_divlab(args):
 def build_parser():
     parser = argparse.ArgumentParser(prog="arn", description="Adversarial autoregressive sequence model")
     sub = parser.add_subparsers(dest="command", required=True)
-    # the flags two or more subcommands share, each declared once on a parent parser
-    config = argparse.ArgumentParser(add_help=False)
-    config.add_argument("--config", default=None)
-    seeded = argparse.ArgumentParser(add_help=False, parents=[config])
-    seeded.add_argument("--seed", type=int, default=0)
 
-    p_train = sub.add_parser("train", help="train a model", parents=[seeded])
+    p_train = sub.add_parser("train", help="train a model")
     p_train.add_argument("--corpus", required=True)
     p_train.add_argument("--vocab", default=None)
     p_train.add_argument("--preset", default="desk", choices=["desk", "paper"])
@@ -260,7 +255,7 @@ def build_parser():
     p_train.add_argument("--out", required=True)
     p_train.add_argument("--trace", default=None)
 
-    p_gen = sub.add_parser("generate", help="sample sequences from a checkpoint", parents=[seeded])
+    p_gen = sub.add_parser("generate", help="sample sequences from a checkpoint")
     p_gen.add_argument("--checkpoint", required=True)
     p_gen.add_argument("--mode", default="noise", choices=["noise", "decoded-x1"])
     p_gen.add_argument("--count", type=int, default=10)
@@ -268,19 +263,23 @@ def build_parser():
     p_gen.add_argument("--seed-corpus", default=None)
     p_gen.add_argument("--out", default=None)
 
-    p_eval = sub.add_parser("evaluate", help="BLEU/FC/Diversity report", parents=[config])
+    p_eval = sub.add_parser("evaluate", help="BLEU/FC/Diversity report")
     p_eval.add_argument("--generated", required=True)
     p_eval.add_argument("--test", required=True)
     p_eval.add_argument("--orders", default="2,3")
     p_eval.add_argument("--out", default=None)
 
-    p_grad = sub.add_parser("gradcheck", help="finite-difference loss gradients", parents=[seeded])
+    p_grad = sub.add_parser("gradcheck", help="finite-difference loss gradients")
     p_grad.add_argument("--preset", default="desk", choices=["desk", "paper"])
 
-    p_div = sub.add_parser("divlab", help="divergence-equivalence verification", parents=[seeded])
+    p_div = sub.add_parser("divlab", help="divergence-equivalence verification")
     p_div.add_argument("--trials", type=int, default=100)
     p_div.add_argument("--outcomes", type=int, default=8)
     p_div.add_argument("--out", default=None)
+    for p in (p_train, p_gen, p_grad, p_div):
+        p.add_argument("--seed", type=int, default=0)
+    for p in (p_train, p_gen, p_eval, p_grad, p_div):
+        p.add_argument("--config", default=None)
     return parser
 
 

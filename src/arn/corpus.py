@@ -146,21 +146,21 @@ def sample_markov(src: MarkovSource, t_len: int, count: int, rng) -> np.ndarray:
 def source_ngram_distribution(src: MarkovSource, n: int, t_len: int) -> dict:
     """Exact occurrence distribution of n-grams over positions 1..T-n+1.
 
-    Returns {gram tuple: probability}; probabilities sum to 1. Every unigram
-    is a key, a longer gram one whose probability p is above 0 at some
-    position: its first state's marginal times each transition, left to
-    right. The positions add p / positions in start order.
+    Returns {gram tuple: probability}; probabilities sum to 1. The keys are
+    every unigram and every longer gram with probability above 0 somewhere.
     """
     if not 1 <= n <= t_len:
         raise ConfigError(f"n = {n} is not in 1..{t_len}, the sequence length")
     positions = t_len - n + 1
     grams, marginal = {}, src.pi
     for _ in range(positions):
-        p = marginal  # p[s1, ..., sj] is P(gram s1..sj at this position)
-        for _ in range(n - 1):
-            p = p[..., None] * src.transition
-        for gram in map(tuple, np.argwhere((p > 0) | (n == 1)).tolist()):
-            grams[gram] = grams.get(gram, 0.0) + p[gram] / positions
+        gram, p = np.arange(src.k)[:, None], marginal  # row i of gram has probability p[i] here
+        for _ in range(n - 1):  # extend each gram by every state, keeping those with p > 0
+            q = p[:, None] * src.transition[gram[:, -1]]
+            rows, s = np.nonzero(q > 0)
+            gram, p = np.column_stack([gram[rows], s]), q[rows, s]
+        for key, q in zip(map(tuple, gram.tolist()), p):
+            grams[key] = grams.get(key, 0.0) + q / positions
         marginal = marginal @ src.transition
     return grams
 

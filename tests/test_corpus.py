@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -277,6 +278,20 @@ def test_source_law_equals_the_loop_bit_for_bit():
         assert list(got) == list(want), trial
         assert all(type(got[g]) is type(p) and got[g] == p for g, p in want.items()), trial
         assert all(type(s) is int for g in got for s in g), trial
+
+
+def test_source_law_of_a_sparse_source_stays_small():
+    """A 100-state cycle has 100 trigrams: the law holds those, not a (K,)*n array (8 MB here)."""
+    k = 100
+    src = MarkovSource(pi=np.full(k, 1.0 / k), transition=np.roll(np.eye(k), 1, axis=1))
+    tracemalloc.start()
+    try:
+        law = source_ngram_distribution(src, 3, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert set(law) == {(s, (s + 1) % k, (s + 2) % k) for s in range(k)}
+    assert peak < 1 << 20, peak
 
 
 # byte pieces of word files: words with case and punctuation, every newline

@@ -25,8 +25,6 @@ ROOT = Path(__file__).resolve().parents[1]
 SWAP = {ast.Add: ast.Sub, ast.Sub: ast.Add, ast.Mult: ast.Div, ast.Div: ast.Mult, ast.Pow: ast.Mult,
         ast.LShift: ast.RShift, ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt,
         ast.Eq: ast.NotEq, ast.NotEq: ast.Eq}
-SYMBOL = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/", ast.Pow: "**", ast.LShift: "<<",
-          ast.RShift: ">>", ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">", ast.GtE: ">=", ast.Eq: "==", ast.NotEq: "!="}
 
 
 def sites(tree):
@@ -43,18 +41,16 @@ def sites(tree):
 
 
 def mutate(node, slot):
-    """Apply the site's one change in place and describe it."""
+    """Apply the site's one change in place and describe it as the node's source before and after."""
+    before = ast.unparse(node)
     if slot == "value":
         old = node.value
         node.value = old + 1 if type(old) is int else old * (1 + 1e-6) if old else 1e-6
-        return f"{old!r} -> {node.value!r}"
-    old = node.op if slot == "op" else node.ops[slot]
-    new = SWAP[type(old)]()
-    if slot == "op":
-        node.op = new
+    elif slot == "op":
+        node.op = SWAP[type(node.op)]()
     else:
-        node.ops[slot] = new
-    return f"{SYMBOL[type(old)]} -> {SYMBOL[type(new)]}"
+        node.ops[slot] = SWAP[type(node.ops[slot])]()
+    return f"{before}  ->  {ast.unparse(node)}"
 
 
 def passes(work, args, timeout):
@@ -72,11 +68,9 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("module", help="module path relative to the repository root")
     ap.add_argument("tests", nargs="+", help="test files that should kill each mutant")
-    ap.add_argument("--only", default=None, help="comma-separated site numbers to run")
     args = ap.parse_args()
     source = (ROOT / args.module).read_text(encoding="utf-8")
     count = len(sites(ast.parse(source)))
-    only = range(count) if args.only is None else [int(i) for i in args.only.split(",")]
     with tempfile.TemporaryDirectory(prefix="mutate-") as tmp:
         work = Path(tmp)
         shutil.copytree(ROOT, work, dirs_exist_ok=True, ignore=shutil.ignore_patterns(
@@ -88,7 +82,7 @@ def main():
             sys.exit("the unmutated module fails the tests")
         timeout = 10 * (time.perf_counter() - start) + 30
         survived = []
-        for i in only:
+        for i in range(count):
             tree = ast.parse(source)
             node, slot = sites(tree)[i]
             change = mutate(node, slot)
@@ -99,9 +93,8 @@ def main():
                 verdict = "survived" if whole else "killed by the suite"
             if verdict == "survived":
                 survived.append(i)
-            print(f"{i:3d}  line {node.lineno:4d}  {change:28s} {verdict}", flush=True)
-    print(f"{args.module}: {len(only)} of {count} sites run, {len(only) - len(survived)} killed, "
-          f"{len(survived)} survived {survived}")
+            print(f"{i:3d}  line {node.lineno:4d}  {verdict:19s} {change}", flush=True)
+    print(f"{args.module}: {count} sites, {count - len(survived)} killed, {len(survived)} survived {survived}")
 
 
 if __name__ == "__main__":
