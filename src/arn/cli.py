@@ -9,6 +9,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -18,7 +19,7 @@ from .errors import (
     ArnError, ConfigError, EmptyInputError, EncodingError, NumericsError, ShapeError,
     TrainingAborted, VocabError,
 )
-from .networks import ArnConfig, ArnModel
+from .networks import PRESETS, ArnConfig, ArnModel
 from .tensor import grad_check, no_grad
 
 EXIT_OK = 0
@@ -116,13 +117,7 @@ def cmd_train(args):
     # the largest draw of a step: its (T, B, V) Gumbel uniforms
     _check_draw_size("--batch-size", args.batch_size,
                      (model_cfg.seq_len, args.batch_size, model_cfg.vocab_size))
-    train_cfg = training.TrainConfig(
-        batch_size=args.batch_size,
-        steps=args.steps,
-        lr=args.lr,
-        lambda_adv=args.lambda_adv,
-        seed=args.seed,
-    )
+    train_cfg = training.TrainConfig(**{f.name: getattr(args, f.name) for f in fields(training.TrainConfig)})
     rngs = training.rng_streams(args.seed)
     model = ArnModel.initialized(model_cfg, rngs["init"])
     training.train(model, ids, train_cfg, checkpoint_path=args.out, trace_path=args.trace)
@@ -232,11 +227,7 @@ def cmd_divlab(args):
         raise ConfigError(f"--outcomes must lie in 2..16, got {args.outcomes}")
     report = divlab.run_lab(args.trials, args.outcomes, args.seed)
     _emit(json.dumps(report), args.out)
-    ok = (
-        report["identity_max_gap"] <= 1e-10
-        and report["dstar_max_err"] <= 1e-4
-        and report["nash_tv"] <= divlab.NASH_TOL
-    )
+    ok = all(report[name] <= bound for name, bound in divlab.BOUNDS.items())
     return EXIT_OK if ok else EXIT_NUMERIC
 
 
@@ -247,11 +238,9 @@ def build_parser():
     p_train = sub.add_parser("train", help="train a model")
     p_train.add_argument("--corpus", required=True)
     p_train.add_argument("--vocab", default=None)
-    p_train.add_argument("--preset", default="desk", choices=["desk", "paper"])
-    p_train.add_argument("--steps", type=int, default=1000)
-    p_train.add_argument("--batch-size", type=int, default=32)
-    p_train.add_argument("--lr", type=float, default=1e-3)
-    p_train.add_argument("--lambda-adv", type=float, default=1.0)
+    for f in fields(training.TrainConfig):
+        if f.name != "seed":  # --seed is shared with the other subcommands below
+            p_train.add_argument(f"--{f.name.replace('_', '-')}", type=f.type, default=f.default)
     p_train.add_argument("--out", required=True)
     p_train.add_argument("--trace", default=None)
 
@@ -270,12 +259,13 @@ def build_parser():
     p_eval.add_argument("--out", default=None)
 
     p_grad = sub.add_parser("gradcheck", help="finite-difference loss gradients")
-    p_grad.add_argument("--preset", default="desk", choices=["desk", "paper"])
 
     p_div = sub.add_parser("divlab", help="divergence-equivalence verification")
     p_div.add_argument("--trials", type=int, default=100)
     p_div.add_argument("--outcomes", type=int, default=8)
     p_div.add_argument("--out", default=None)
+    for p in (p_train, p_grad):
+        p.add_argument("--preset", default="desk", choices=list(PRESETS))
     for p in (p_train, p_gen, p_grad, p_div):
         p.add_argument("--seed", type=int, default=0)
     for p in (p_train, p_gen, p_eval, p_grad, p_div):

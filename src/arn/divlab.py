@@ -20,6 +20,8 @@ NASH_TOL = 1e-3
 NASH_STEP = 0.8
 NASH_CLIP = 1.0
 NASH_MAX_ITER = 100_000
+# the largest passing value of each figure of run_lab's report; arn divlab exits 3 past any
+BOUNDS = {"identity_max_gap": 1e-10, "dstar_max_err": 1e-4, "nash_tv": NASH_TOL}
 # grid points between the coarse points of the D* scan, and half its fine window
 _STRIDE = 256
 # |log D|, |log(1 - D)| >= 2^-53 in (0, 1): a D-term of weight 0 or at least this is 0 or normal

@@ -21,6 +21,9 @@ from .tensor import (
 INIT_SCALE = 0.08
 _INIT_BLOCK = 1 << 16  # uniforms per block of ArnModel.initialized's draws
 
+PRESETS = {"desk": {},  # preset name -> ArnConfig keyword arguments; other fields keep their defaults
+           "paper": dict(seq_len=20, vocab_size=10000, d_emb=500, d_hidden=500, d_latent=350, dtype="float32")}
+
 
 @dataclass
 class ArnConfig:
@@ -35,12 +38,9 @@ class ArnConfig:
 
     @staticmethod
     def preset(name: str) -> "ArnConfig":
-        if name == "desk":
-            return ArnConfig()
-        if name == "paper":
-            return ArnConfig(seq_len=20, vocab_size=10000, d_emb=500, d_hidden=500, d_latent=350,
-                             dtype="float32")
-        raise ConfigError(f"unknown preset {name!r}")
+        if name not in PRESETS:
+            raise ConfigError(f"unknown preset {name!r}")
+        return ArnConfig(**PRESETS[name])
 
 
 @dataclass

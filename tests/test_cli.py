@@ -1,6 +1,7 @@
 import argparse
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -145,6 +146,24 @@ class TestTrain:
         assert code == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
+
+    @pytest.fixture
+    def train_cfgs(self, monkeypatch):
+        """The TrainConfig of each training.train call, which trains nothing."""
+        seen = []
+        monkeypatch.setattr(training, "train", lambda model, ids, cfg, **paths: seen.append(cfg))
+        return seen
+
+    def test_each_train_flag_sets_its_field(self, tmp_path, markov_corpus_file, train_cfgs):
+        flags = ["--steps", "7", "--batch-size", "5", "--lr", "0.25", "--lambda-adv", "0.5", "--seed", "9"]
+        assert run(["train", "--corpus", markov_corpus_file, *flags, "--out", str(tmp_path / "m.arn")]) == 0
+        expected = training.TrainConfig(steps=7, batch_size=5, lr=0.25, lambda_adv=0.5, seed=9)
+        assert all(getattr(expected, f.name) != f.default for f in dataclasses.fields(expected))
+        assert train_cfgs == [expected]
+
+    def test_no_train_flag_gives_the_default_settings(self, tmp_path, markov_corpus_file, train_cfgs):
+        assert run(["train", "--corpus", markov_corpus_file, "--out", str(tmp_path / "m.arn")]) == 0
+        assert train_cfgs == [training.TrainConfig()]
 
 
 class TestGenerate:
@@ -400,6 +419,19 @@ class TestDivlab:
         assert run(["divlab", "--trials", "5", "--outcomes", "4"]) == 3
         assert "numeric abort: no convergence" in capsys.readouterr().err
 
+    def test_the_bounds(self):
+        # the identity, D* and Nash bounds of the README; never loosened to make room for a change
+        assert divlab.BOUNDS == {"identity_max_gap": 1e-10, "dstar_max_err": 1e-4, "nash_tv": 1e-3}
+
+    @pytest.mark.parametrize("name", list(divlab.BOUNDS))
+    def test_a_figure_past_its_bound_exits_3(self, monkeypatch, capsys, name):
+        bound = divlab.BOUNDS[name]
+        for figure, code in ((bound, 0), (float(np.nextafter(bound, 1)), 3), (math.nan, 3)):
+            report = {**dict.fromkeys(divlab.BOUNDS, 0.0), name: figure, "trials": 5}
+            monkeypatch.setattr(divlab, "run_lab", lambda trials, k, seed, r=report: r)
+            assert run(["divlab"]) == code, figure
+            assert capsys.readouterr().out == json.dumps(report) + "\n"
+
 
 class TestParserOncePerProcess:
     def test_a_call_builds_no_parser(self, monkeypatch, capsys):
@@ -497,6 +529,22 @@ def test_parser_options_match_the_table():
         got.setdefault(cmd, {})[action.option_strings[0]] = (
             action.dest, action.default, action.type, action.choices, action.required)
     assert got == OPTION_TABLE
+
+
+class TestPresetTable:
+    def test_unknown_preset_is_a_config_error(self):
+        with pytest.raises(ConfigError, match="unknown preset 'bogus'"):
+            ArnConfig.preset("bogus")
+
+    def test_each_call_returns_a_new_config(self):
+        first = ArnConfig.preset("paper")
+        first.vocab_size, first.seq_len = 3, 4  # as cmd_train sets them from its corpus
+        assert ArnConfig.preset("paper") == ArnConfig(seq_len=20, vocab_size=10000, d_emb=500, d_hidden=500,
+                                                      d_latent=350, dtype="float32")
+
+    def test_cli_preset_choices_are_the_table(self):
+        choices = {cmd: action.choices for cmd, action in _options() if action.dest == "preset"}
+        assert choices == {"train": list(networks.PRESETS), "gradcheck": list(networks.PRESETS)}
 
 
 def _valid_value(action):

@@ -6,6 +6,7 @@ import pytest
 from arn.distributions import (
     Categorical,
     GaussianPosterior,
+    entropy,
     gumbel_noise,
     gumbel_softmax,
     js_categorical,
@@ -35,6 +36,10 @@ class TestReparam:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
             reparam_sample(posterior([1.0], [0.0]), np.zeros(2))
+
+    def test_scale_is_the_root_of_the_variance(self):
+        z = reparam_sample(posterior([1.0], [math.log(4.0)]), np.array([0.5]))
+        assert abs(z.item() - 2.0) < 1e-12  # 1 + sqrt(4) * 0.5
 
     def test_monte_carlo_moments(self):
         rng = np.random.default_rng(0)
@@ -152,10 +157,25 @@ def test_categorical_rejects_what_is_not_a_law(probs):
         Categorical(probs)
 
 
+def test_categorical_tolerances_include_their_bounds():
+    """An entry down to -1e-12 is clipped to 0, and a sum within 1e-9 of 1 passes; a step past either fails."""
+    assert Categorical([-1e-12, 0.5, 0.5]).probs.tolist() == [0.0, 0.5, 0.5]
+    with pytest.raises(DomainError):
+        Categorical([np.nextafter(-1e-12, -1), 0.5, 0.5])
+    top = 1.0 + 1e-9  # then the largest float whose distance above 1 is at most 1e-9
+    while top - 1.0 > 1e-9:
+        top = np.nextafter(top, 0)
+    while np.nextafter(top, 2) - 1.0 <= 1e-9:
+        top = np.nextafter(top, 2)
+    assert Categorical([top - 0.5, 0.5]).probs.sum() == top
+    with pytest.raises(DomainError):
+        Categorical([np.nextafter(top, 2) - 0.5, 0.5])
+
+
 class TestCategoricalDivergences:
     def test_kl_zero_at_equality(self):
-        p = Categorical([0.2, 0.3, 0.5])
-        assert kl_categorical(p, p) == 0.0
+        for p in (Categorical([0.2, 0.3, 0.5]), Categorical([1.0, 0.0])):
+            assert kl_categorical(p, p) == 0.0
 
     def test_kl_quoted_values(self):
         assert abs(kl_categorical(Categorical([0.5, 0.5]), Categorical([0.25, 0.75])) - 0.14384) < 1e-4
@@ -163,6 +183,10 @@ class TestCategoricalDivergences:
 
     def test_kl_support_violation_is_infinite(self):
         assert kl_categorical(Categorical([0.5, 0.5]), Categorical([1.0, 0.0])) == math.inf
+        assert kl_categorical(Categorical([0.25, 0.25, 0.5]), Categorical([0.5, 0.5, 0.0])) == math.inf
+
+    def test_entropy_skips_zero_entries(self):
+        assert abs(entropy(Categorical([0.5, 0.0, 0.5])) - math.log(2)) < 1e-15  # 0 log 0 = 0, not nan
 
     def test_js_quoted_values(self):
         assert js_categorical(Categorical([0.3, 0.7]), Categorical([0.3, 0.7])) == 0.0
