@@ -77,13 +77,6 @@ def _read_raw_ids(path, vocab_size):
     return ids
 
 
-def _read_ids(path, vocab, t_len, vocab_size):
-    """(N, t_len) ids of a word corpus under vocab; (N, T) ids of a raw-id corpus when vocab is None."""
-    if vocab is not None:
-        return corpus_mod.load_corpus(path, vocab, t_len)
-    return _read_raw_ids(path, vocab_size)
-
-
 def _check_draw_size(flag, size, shape):
     """Reject a size whose float64 draw of this shape passes NumPy's byte limit.
 
@@ -108,11 +101,12 @@ def cmd_train(args):
     if not args.out or os.path.isdir(args.out) or not os.path.isdir(os.path.dirname(args.out) or "."):
         raise ConfigError(f"--out {args.out!r} must name a file in an existing directory")
     model_cfg = ArnConfig.preset(args.preset)
-    vocab = None
     if args.vocab:
         vocab = corpus_mod.Vocabulary.load(args.vocab)
         model_cfg.vocab_size = len(vocab)
-    ids = _read_ids(args.corpus, vocab, model_cfg.seq_len, model_cfg.vocab_size)
+        ids = corpus_mod.load_corpus(args.corpus, vocab, model_cfg.seq_len)
+    else:
+        ids = _read_raw_ids(args.corpus, model_cfg.vocab_size)
     model_cfg.seq_len = ids.shape[1]
     # the largest draw of a step: its (T, B, V) Gumbel uniforms
     _check_draw_size("--batch-size", args.batch_size,
@@ -141,7 +135,8 @@ def cmd_generate(args):
     seed_tokens = None
     if args.mode == "decoded-x1":
         if args.seed_corpus:
-            ids = _read_ids(args.seed_corpus, vocab, 1, model.config.vocab_size)  # x1 is all it uses
+            ids = (corpus_mod.load_corpus(args.seed_corpus, vocab, 1) if vocab is not None  # x1 is all it uses
+                   else _read_raw_ids(args.seed_corpus, model.config.vocab_size))
             first_dist = np.bincount(ids[:, 0]) / len(ids)  # over ids 0..max(x1)
         else:
             first_dist = np.full(model.config.vocab_size, 1.0 / model.config.vocab_size)

@@ -401,8 +401,6 @@ def gather_rows(table, ids):
     ids = np.asarray(ids, dtype=np.int64)
 
     def backward(g):
-        if not table.requires_grad:
-            return
         if table.grad is None:
             table.grad = np.zeros(table.data.shape, table.data.dtype)  # calloc: untouched rows fault no pages
         # the touched rows in order, and each id's slot among them, without np.unique's sort

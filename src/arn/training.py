@@ -225,8 +225,7 @@ def train(model: ArnModel, corpus_ids: np.ndarray, cfg: TrainConfig,
 
     latent = (cfg.batch_size, model.config.d_latent)
     uniform = (model.config.seq_len, cfg.batch_size, model.config.vocab_size)
-    trace_file = open(trace_path, "w", encoding="utf-8") if trace_path else None
-    try:
+    with open(trace_path, "w", encoding="utf-8") if trace_path else contextlib.nullcontext() as trace_file:
         for step in range(cfg.steps):
             tau = cfg.tau_at(step)
             d_loss_val, fake = 0.0, None
@@ -267,9 +266,6 @@ def train(model: ArnModel, corpus_ids: np.ndarray, cfg: TrainConfig,
             trace.append(record)
             if trace_file:
                 trace_file.write(json.dumps(record) + "\n")
-    finally:
-        if trace_file:
-            trace_file.close()
     if checkpoint_path:
         save_checkpoint(checkpoint_path, model)
     return model, trace

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from arn import divlab
+from arn import divlab, kernels
 from arn.distributions import Categorical, js_categorical, kl_categorical
 from arn.divlab import (
     ToyGame,
@@ -56,6 +56,10 @@ class TestGameValue:
         with pytest.raises(DomainError, match=r"strictly in \(0, 1\)"):
             ToyGame(Categorical([0.5, 0.5]), Categorical([0.2, 0.8]), d)
 
+    def test_discriminator_near_the_ends_of_the_interval(self):
+        game = ToyGame(Categorical([0.5, 0.5]), Categorical([0.2, 0.8]), [5e-7, 1.0 - 5e-7])
+        assert np.isfinite(game_value(game))
+
     def test_monte_carlo_agreement(self):
         rng = np.random.default_rng(1)
         p, q = random_simplex(rng, 5), random_simplex(rng, 5)
@@ -71,10 +75,26 @@ class TestGameValue:
         assert abs(est - exact) <= 3 * se
 
 
+class TestExpectedLog:
+    # laws with a zero and no entry equal to 1, so the zero is the only outcome the checks may skip
+    def test_zero_of_p_g_on_the_support_of_p_d(self):
+        with pytest.raises(SupportError):
+            divlab._expected_log(Categorical([0.4, 0.3, 0.3]), Categorical([0.5, 0.5, 0.0]))
+
+    def test_zero_of_both_laws_is_skipped(self):
+        p = Categorical([0.5, 0.5, 0.0])
+        assert divlab._expected_log(p, p) == math.log(0.5)
+
+
 class TestOptimalDiscriminator:
     def test_equality_gives_half(self):
         p = Categorical([0.25, 0.25, 0.5])
         np.testing.assert_allclose(optimal_discriminator(p, p), 0.5)
+
+    def test_outcome_of_neither_law_is_nan_without_a_warning(self):
+        with np.errstate(all="raise"):
+            d = optimal_discriminator(Categorical([0.75, 0.25, 0.0]), Categorical([0.25, 0.75, 0.0]))
+        assert d[:2].tolist() == [0.75, 0.25] and math.isnan(d[2])
 
     def test_quoted_pair(self):
         d = optimal_discriminator(Categorical([0.8, 0.2]), Categorical([0.2, 0.8]))
@@ -209,6 +229,12 @@ class TestOptimalDiscriminator:
         again = grid_search_discriminator(p, q)
         assert np.isin(again, np.arange(1e-5, 1.0, 1e-5)).all()
         assert again.tobytes() == fine.tobytes()
+
+    def test_grid_step_below_the_default(self, monkeypatch):
+        monkeypatch.setattr(divlab, "GRID_STEP", 5e-7)
+        p, q = Categorical([0.8, 0.15, 0.05]), Categorical([0.2, 0.3, 0.5])
+        err = np.abs(grid_search_discriminator(p, q) - optimal_discriminator(p, q))
+        assert err.max() <= 5e-7
 
     @pytest.mark.parametrize("step", [1.5, 1.0, 0.0, -1e-3, math.nan])
     def test_grid_step_without_a_grid_point_is_a_config_error(self, monkeypatch, step):
@@ -358,6 +384,27 @@ class TestNash:
             denom = np.maximum(1.0, np.abs(analytic) + np.abs(numeric))
             assert np.max(np.abs(analytic - numeric) / denom) <= 1e-6
 
+    def test_direction_is_the_centred_gradient_in_q(self):
+        def objective(p, q):  # KL(p||q) + JS(p||q) by their sums, defined off the simplex too
+            m = 0.5 * (p + q)
+            return np.sum(p * np.log(p / q)) + 0.5 * np.sum(p * np.log(p / m)) + 0.5 * np.sum(q * np.log(q / m))
+
+        rng = np.random.default_rng(10)
+        eps = 1e-6
+        for k in rng.integers(2, 17, size=50):
+            p = random_simplex(rng, int(k)).probs
+            q = 0.5 * rng.dirichlet(np.ones(int(k))) + 0.5 / k  # at least 1/32 on each outcome
+            numeric = np.array([(objective(p, q + d) - objective(p, q - d)) / (2.0 * eps)
+                                for d in eps * np.eye(int(k))])
+            numeric -= np.dot(q, numeric)
+            assert np.max(np.abs(divlab._kl_js_grad(p, q) - numeric)) <= 1e-8
+
+    def test_returns_the_first_iterate_at_exactly_the_tolerance(self, monkeypatch):
+        p, init = Categorical([0.7, 0.2, 0.1]), Categorical([0.1, 0.2, 0.7])
+        first = kernels.softmax_rows(np.log(init.probs))
+        monkeypatch.setattr(divlab, "NASH_TOL", 0.5 * float(np.abs(first - p.probs).sum()))
+        assert solve_nash(p, init).probs.tobytes() == first.tobytes()
+
     def test_stress_converges_fast_and_descends(self, monkeypatch):
         # random games for K = 2..16, and inits with all mass on one outcome: each solve converges
         # within 50 steps without a floating-point error, and KL + JS falls from every iterate to the next
@@ -381,3 +428,33 @@ class TestNash:
                 assert 0.5 * np.abs(q.probs - p.probs).sum() <= divlab.NASH_TOL
                 objective = [kl_js(p, r) for r in iterates + [q.probs]]
                 assert all(b < a for a, b in zip(objective, objective[1:]))
+
+
+class TestRunLab:
+    @staticmethod
+    def stub(monkeypatch, q):
+        """Replace the solve by one returning q, and the scan by the exact D*; returns each solve's target."""
+        targets = []
+        monkeypatch.setattr(divlab, "solve_nash", lambda p_d, init: targets.append(p_d) or Categorical(q))
+        monkeypatch.setattr(divlab, "grid_search_discriminator", optimal_discriminator)
+        return targets
+
+    def test_nash_tv_is_half_the_l1_distance(self, monkeypatch):
+        q = [0.1, 0.2, 0.3, 0.4]
+        targets = self.stub(monkeypatch, q)
+        report = divlab.run_lab(5, 4, 3)
+        (p,) = targets
+        assert report["nash_tv"] == 0.5 * float(np.abs(np.array(q) - p.probs).sum())
+
+    def test_exact_figures_report_zero(self, monkeypatch):
+        self.stub(monkeypatch, [0.25] * 4)
+        monkeypatch.setattr(divlab, "random_simplex", lambda rng, k: Categorical([0.25] * k))
+        monkeypatch.setattr(divlab, "verify_identity", lambda p_d, p_g: (0.0, 0.0, 0.0))
+        report = divlab.run_lab(5, 4, 3)
+        assert report == {"identity_max_gap": 0.0, "dstar_max_err": 0.0, "nash_tv": 0.0, "trials": 5}
+
+    @pytest.mark.parametrize("trials, solves", [(1, 1), (9, 1), (10, 2), (24, 4)])
+    def test_one_nash_solve_per_five_trials_and_at_least_one(self, monkeypatch, trials, solves):
+        targets = self.stub(monkeypatch, [0.5, 0.5])
+        divlab.run_lab(trials, 2, 0)
+        assert len(targets) == solves

@@ -660,6 +660,15 @@ class TestInPlaceAccumulation:
                 + self.dense_scatter(table.shape, dtype, ids_b, wb))
         assert table.grad.dtype == dtype and table.grad.tobytes() == want.tobytes()
 
+    def test_gather_from_a_constant_table_records_no_backward(self):
+        rng = np.random.default_rng(65)
+        table, w = Tensor(rng.standard_normal((6, 3))), t(rng.standard_normal((4, 3)))
+        ids = np.array([5, 0, 5, 2])
+        rows = gather_rows(table, ids)
+        assert not rows.requires_grad and rows._backward is None and rows._prev == ()
+        (rows * w).sum().backward()
+        assert w.grad.tobytes() == table.data[ids].tobytes() and table.grad is None
+
     @staticmethod
     def transient_peak(loss, leaves):
         """Traced bytes that loss.backward() holds at its peak beyond the leaf gradients it leaves."""

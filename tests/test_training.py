@@ -1,3 +1,4 @@
+import builtins
 import ctypes
 import dataclasses
 import io
@@ -511,6 +512,30 @@ class TestTrainLoop:
                            checkpoint_path=str(ckpt), trace_path=str(trace))
         assert [json.loads(line)["step"] for line in trace.read_text().splitlines()] == [0]
         assert_params_equal(training.load_checkpoint(str(ckpt)), seen)
+
+    def test_error_mid_run_propagates_and_closes_the_trace(self, tmp_path, monkeypatch):
+        """An error no step handles leaves the kept records on disk and the trace file closed."""
+        scored, calls, opened = training.generator_loss, [], []
+
+        def fail_at_step_2(*args):
+            calls.append(None)
+            if len(calls) == 3:
+                raise RuntimeError("boom")
+            return scored(*args)
+
+        def recording_open(*args, open_=builtins.open, **kwargs):
+            opened.append(open_(*args, **kwargs))
+            return opened[-1]
+
+        monkeypatch.setattr(training, "generator_loss", fail_at_step_2)
+        monkeypatch.setattr(builtins, "open", recording_open)
+        path = tmp_path / "trace.jsonl"
+        with pytest.raises(RuntimeError, match="boom"):
+            training.train(tiny_model(47), tiny_corpus(48), TrainConfig(batch_size=4, steps=4, seed=47),
+                           trace_path=str(path))
+        monkeypatch.undo()
+        assert [json.loads(line)["step"] for line in path.read_text().splitlines()] == [0, 1]
+        assert [f.name for f in opened] == [str(path)] and opened[0].closed
 
     def test_second_rejection_exits_3_and_writes_out(self, tmp_path, monkeypatch, capsys):
         seen = nan_from_second_d_loss(monkeypatch)
