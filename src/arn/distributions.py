@@ -109,6 +109,8 @@ def sample_rows(probs: np.ndarray, rng, cum=None, mask=None) -> np.ndarray:
     """
     # a float32 running sum over 10^4 tokens drifts by up to 1e-5
     cum = np.cumsum(probs, axis=1, dtype=np.float64, out=cum)
+    if not np.isfinite(cum[:, -1]).all():  # a NaN or Inf law would sample index 0 or K - 1 unnoticed
+        raise NumericsError("non-finite probabilities in sampling")
     cum[:, -1] = 1.0
     u = rng.random(probs.shape[0])
     return np.less(cum, u[:, None], out=mask).sum(axis=1)

@@ -40,7 +40,7 @@ def lstm_cell_forward(pre, c_prev):
 def lstm_cell_backward(dh, dc, c_prev, ifo, g, tc, d_pre):
     """Backward of the fused cell, given lstm_cell_forward's saved (ifo, g, tc).
 
-    dh, dc: (B, H) gradients w.r.t. h_new and c_new; ifo may be the rows
+    dh, dc: (B, H) gradients w.r.t. h_new and c_new (dc may be 0.0); ifo may be the rows
     ifo[:, rows] of the saved block, with g[rows] and tc[rows]. Returns
     (d_pre, d_c_prev), d_pre written into the given C-contiguous (B, 4H) array.
     """

@@ -139,14 +139,10 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    @property
-    def size(self):
-        return self.data.size
-
     def item(self):
         if self.data.size != 1:
             raise RankError(f"item needs a one-element tensor, got shape {self.data.shape}")
-        return float(self.data.reshape(-1)[0])
+        return self.data.item()  # a Python float: the data is a float array
 
     def detach(self):
         return Tensor(self.data.copy())
@@ -423,14 +419,7 @@ def pick(x, ids):
     ids = np.asarray(ids, dtype=np.int64)
     if x.data.ndim != 2 or ids.shape != (x.data.shape[0],):
         raise ShapeError(f"pick needs (B,K) tensor and (B,) ids, got {x.data.shape}, {ids.shape}")
-    rows = np.arange(x.data.shape[0])
-
-    def backward(g):
-        buf = np.zeros(x.data.shape, x.data.dtype)
-        buf[rows, ids] = g
-        x._accum(buf)
-
-    return Tensor._make(x.data[rows, ids], (x,), backward)
+    return x[np.arange(x.data.shape[0]), ids]
 
 
 def lstm_cell(pre, c_prev):
@@ -504,7 +493,7 @@ def lstm_sequence(x, wx, wh, b):
 
     def backward(g):
         d_pre = xw  # the input projections are spent once the tape has run; d_pre reuses their buffer
-        dh_next, dc = 0.0, np.zeros(tape.h.shape[1:], tape.h.dtype)
+        dh_next = dc = 0.0  # the gradients entering the last step; the first backward_step makes arrays
         for t in reversed(range(tlen)):
             dc, dh_next = tape.backward_step(t, g[t] + dh_next, dc, d_pre[t])
         d_pre = d_pre.reshape(tlen * bsz, xw.shape[2])
@@ -559,7 +548,7 @@ def gumbel_lstm_sequence(y0s, emb, wx, wh, b, proj_w, proj_b, gumbel, tau):
             n, hdim = g.shape[1], tape.h.shape[2]
             d_logits, d_x = np.empty((steps, n, vocab), dtype), np.empty((steps, n, x.shape[2]), dtype)
             d_pre = np.empty((steps, n, 4 * hdim), dtype)
-            dy, dh_next, dc = g[steps], 0.0, np.zeros((n, hdim), dtype)
+            dy, dh_next, dc = g[steps], 0.0, 0.0
             for t in reversed(range(steps)):
                 y = rows[t + 1]
                 d_logits[t] = (y * (dy - (dy * y).sum(axis=-1, keepdims=True))) * (1.0 / tau)

@@ -207,6 +207,28 @@ class TestGenerate:
         err = capsys.readouterr().err
         assert str(path) in err and "mix dtypes" in err
 
+    @pytest.mark.parametrize("name, poison", [("gen.proj_w", "nan"), ("dec.w", "inf")])
+    def test_non_finite_checkpoint_is_a_numeric_abort(self, checkpoint, tmp_path, name, poison):
+        model = training.load_checkpoint(checkpoint)
+        data = model.params[name].data.copy()
+        if poison == "nan":
+            data[0, 0] = np.nan
+        else:
+            data[:] = np.inf
+        model.params[name] = Tensor(data)
+        path = tmp_path / f"{poison}.arn"
+        training.save_checkpoint(str(path), model)
+        for mode in ("noise", "decoded-x1"):
+            out = tmp_path / f"{poison}-{mode}.txt"
+            # a subprocess keeps the warning filters a user has, not pytest's
+            proc = subprocess.run(
+                [sys.executable, "-m", "arn.cli", "generate", "--checkpoint", str(path), "--mode", mode,
+                 "--count", "4", "--out", str(out)], capture_output=True, text=True, timeout=60,
+                env=dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__))))
+            assert proc.returncode == 3, (mode, proc.stderr)
+            assert "numeric abort" in proc.stderr and "Traceback" not in proc.stderr, (mode, proc.stderr)
+            assert not out.exists()
+
     def test_float32_checkpoint(self, tmp_path, markov_corpus_file):
         model = ArnModel.initialized(dataclasses.replace(ArnConfig.preset("desk"), dtype="float32"),
                                      training.rng_streams(2)["init"])

@@ -37,9 +37,14 @@ class TestForward:
         with pytest.raises(ShapeError):
             Tensor(np.ones((2, 3))) @ Tensor(np.ones((2, 3)))
 
-    def test_log_domain(self):
+    @pytest.mark.parametrize("bad", [-1.0, 0.0])
+    def test_log_domain(self, bad):
         with pytest.raises(DomainError):
-            Tensor([1.0, -1.0]).log()
+            Tensor([1.0, bad]).log()
+
+    def test_log_takes_every_positive_input(self):
+        x = np.array([5e-324, 1e-7, 1.0])  # the least positive float64 among them
+        assert np.array_equal(Tensor(x).log().data, np.log(x))
 
     def test_log_softmax_matches_log_of_softmax(self):
         x = np.random.default_rng(1).standard_normal((4, 6))
@@ -89,6 +94,12 @@ class TestBackward:
         expected = -soft
         expected[k] += 1.0
         np.testing.assert_allclose(x.grad, expected, atol=1e-12)
+
+    def test_log_sigmoid_closed_form(self):
+        logits = np.linspace(-3.0, 3.0, 7)
+        x = t(logits)
+        x.log_sigmoid().sum().backward()
+        np.testing.assert_allclose(x.grad, 1.0 / (1.0 + np.exp(logits)), rtol=1e-12)  # sigmoid(-x)
 
     def test_multiple_uses_sum(self):
         x = t([2.0])
@@ -268,6 +279,22 @@ def test_lstm_reverse_loop_makes_no_initial_state_gradient(monkeypatch):
     assert len(calls) == out.shape[0] - 1
 
 
+@pytest.mark.parametrize("key", [
+    (np.array([0, 2, 0, 0]), np.array([1, 3, 1, 1])),  # a pick whose (row, column) pairs repeat
+    np.array([1, 1, 0, 1]),  # whole rows, one of them three times
+], ids=["pairs", "rows"])
+def test_advanced_index_gradient_sums_repeated_positions(key):
+    rng = np.random.default_rng(7)
+    x = t(rng.standard_normal((3, 4)))
+    y = x[key]
+    w = rng.standard_normal(y.shape)
+    (y * w).sum().backward()
+    expected = np.zeros((3, 4))
+    for pos, weight in zip(zip(*key) if isinstance(key, tuple) else key, w):
+        expected[pos] += weight  # one position at a time: every repeat adds, none overwrites
+    assert np.array_equal(x.grad, expected)
+
+
 def test_backward_replaces_gradient_of_shared_parameter():
     w = t([1.0, -2.0])
     (w * w).sum().backward()
@@ -320,12 +347,16 @@ def test_grad_check_reports_a_dropped_term():
     assert grad_check(squared, x) >= np.max(ax / np.maximum(1.0, 3.0 * ax)) - 1e-9
 
 
-def test_grad_check_of_an_exact_pair():
-    # at zero every finite-difference step doubles exactly, so n = 2.0 to the bit against a = 2.5
-    def doubled(v):
-        return Tensor._make(v.data * 2.0, (v,), lambda g: v._accum(g * 2.5)).sum()
+@pytest.mark.parametrize("n, a, expected", [
+    (2.0, 2.5, 0.5 / 4.5),
+    (0.25, 0.375, 0.125),  # |a| + |n| below 1: the error is divided by the floor of 1 alone
+])
+def test_grad_check_of_an_exact_pair(n, a, expected):
+    # at zero every finite-difference step scales by a power of two exactly, so n holds to the bit
+    def scaled(v):
+        return Tensor._make(v.data * n, (v,), lambda g: v._accum(g * a)).sum()
 
-    assert grad_check(doubled, Tensor(np.zeros(4))) == 0.5 / 4.5
+    assert grad_check(scaled, Tensor(np.zeros(4))) == expected
 
 
 def test_grad_check_finds_a_broken_lstm_gate(monkeypatch):

@@ -2,6 +2,9 @@
 
     python3 tools/mutate.py src/arn/kernels.py tests/test_kernels.py tests/test_tensor.py tests/test_training.py
 
+`--sites A-B` runs only the sites numbered A to B (both included, as the
+per-site lines number them), so a long audit can run in parts.
+
 A mutant changes one site: an operator swap (+ and -, * and /, ** to *,
 << to >>, < and <=, > and >=, == and !=) or a numeric constant nudged (a
 nonzero float times 1 + 1e-6, a zero float to 1e-6, an int plus 1). It is
@@ -64,13 +67,25 @@ def passes(work, args, timeout):
         return False
 
 
+def site_range(text):
+    """The inclusive site range "A-B" as range(A, B + 1)."""
+    first, sep, last = text.partition("-")
+    if not (sep and first.isdecimal() and last.isdecimal() and int(first) <= int(last)):
+        raise argparse.ArgumentTypeError(f"expected A-B with 0 <= A <= B, got {text!r}")
+    return range(int(first), int(last) + 1)
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("module", help="module path relative to the repository root")
     ap.add_argument("tests", nargs="+", help="test files that should kill each mutant")
+    ap.add_argument("--sites", type=site_range, metavar="A-B", help="run only sites A to B, both included")
     args = ap.parse_args()
     source = (ROOT / args.module).read_text(encoding="utf-8")
     count = len(sites(ast.parse(source)))
+    chosen = args.sites or range(count)
+    if chosen.stop > count:
+        ap.error(f"--sites: {args.module} has sites 0-{count - 1}")
     with tempfile.TemporaryDirectory(prefix="mutate-") as tmp:
         work = Path(tmp)
         shutil.copytree(ROOT, work, dirs_exist_ok=True, ignore=shutil.ignore_patterns(
@@ -82,7 +97,7 @@ def main():
             sys.exit("the unmutated module fails the tests")
         timeout = 10 * (time.perf_counter() - start) + 30
         survived = []
-        for i in range(count):
+        for i in chosen:
             tree = ast.parse(source)
             node, slot = sites(tree)[i]
             change = mutate(node, slot)
@@ -94,7 +109,9 @@ def main():
             if verdict == "survived":
                 survived.append(i)
             print(f"{i:3d}  line {node.lineno:4d}  {verdict:19s} {change}", flush=True)
-    print(f"{args.module}: {count} sites, {count - len(survived)} killed, {len(survived)} survived {survived}")
+    part = f" {chosen.start}-{chosen.stop - 1} of {count}" if args.sites else ""
+    print(f"{args.module}: {len(chosen)} sites{part}, {len(chosen) - len(survived)} killed, "
+          f"{len(survived)} survived {survived}")
 
 
 if __name__ == "__main__":
