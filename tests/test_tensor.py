@@ -43,7 +43,7 @@ class TestForward:
             Tensor([1.0, bad]).log()
 
     def test_log_takes_every_positive_input(self):
-        x = np.array([5e-324, 1e-7, 1.0])  # the least positive float64 among them
+        x = np.array([5e-324, 1e-7, 1.0])  # 5e-324: the least positive float64
         assert np.array_equal(Tensor(x).log().data, np.log(x))
 
     def test_log_softmax_matches_log_of_softmax(self):
