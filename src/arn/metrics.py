@@ -26,8 +26,6 @@ from .errors import ConfigError, EmptyInputError
 
 def ngrams(seq, n):
     """Tuples of n >= 1 consecutive hashable tokens of seq."""
-    if n > len(seq):
-        return []
     return list(zip(*(seq[k:] for k in range(n))))
 
 
@@ -114,12 +112,12 @@ def _check_inputs(orders, generated, test):
 
 def diversity_n(generated, n, pad_id=None) -> float:
     """Diversity-n, full_report's entry; it reads no reference, so one generated sentence serves as one."""
-    return _scores(generated, generated[:1], (n,), pad_id)[0].diversity[n]
+    return full_report(generated, generated[:1], (n,), pad_id).diversity[n]
 
 
 def fc_n(generated, test, n, pad_id=None) -> float:
     """FC-n, full_report's entry."""
-    return _scores(generated, test, (n,), pad_id)[0].fc[n]
+    return full_report(generated, test, (n,), pad_id).fc[n]
 
 
 def corpus_bleu_n(generated, test, n, pad_id=None) -> float:
@@ -149,10 +147,15 @@ class MetricsReport:
         )
 
 
-def _scores(generated, test, orders, pad_id):
-    """full_report without BLEU: its checks, Diversity-n and FC-n, and the counts BLEU reads."""
-    _check_inputs(orders, generated, test)
+def full_report(generated, test, orders=(2, 3), pad_id=None) -> MetricsReport:
+    """BLEU-n, FC-n and Diversity-n for each n in orders.
+
+    Each corpus's k-grams are counted once for k = 1 up to the highest order asked.
+    """
     report = MetricsReport(sample_count=len(generated))
+    if not orders:
+        return report
+    _check_inputs(orders, generated, test)
     counts = _count(generated, test, max(orders), pad_id)
     for n in orders:
         if n > len(counts):
@@ -160,17 +163,6 @@ def _scores(generated, test, orders, pad_id):
         order = counts[n - 1]
         report.diversity[n] = 100.0 * order.distinct / order.grams
         report.fc[n] = 100.0 * order.covered / order.grams
-    return report, counts
-
-
-def full_report(generated, test, orders=(2, 3), pad_id=None) -> MetricsReport:
-    """BLEU-n, FC-n and Diversity-n for each n in orders.
-
-    Each corpus's k-grams are counted once for k = 1 up to the highest order asked.
-    """
-    if not orders:
-        return MetricsReport(sample_count=len(generated))
-    report, counts = _scores(generated, test, orders, pad_id)
     bleu_orders = list(dict.fromkeys(orders))
     report.bleu.update(zip(bleu_orders, _mean_bleus(generated, test, counts, bleu_orders)))
     return report

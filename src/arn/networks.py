@@ -124,8 +124,6 @@ def decode_first_token(model: ArnModel, z) -> Tensor:
     An array z is cast to the model's dtype.
     """
     z = z if isinstance(z, Tensor) else Tensor(np.asarray(z, model.config.dtype))
-    if z.data.ndim != 2 or z.shape[1] != model.config.d_latent:
-        raise ShapeError(f"latents must be (B, {model.config.d_latent}), got shape {z.shape}")
     return z @ model.params["dec.w"] + model.params["dec.b"]
 
 

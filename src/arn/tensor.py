@@ -23,7 +23,6 @@ from .errors import DomainError, GraphReleasedError, NumericsError, RankError, S
 
 _grad_enabled = True
 _ADD_BLOCK = 1 << 18  # elements of each block of a product added into an existing gradient
-_BASIC_INDEX = (int, np.integer, slice, type(Ellipsis), type(None))
 _FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 
 
@@ -283,14 +282,10 @@ class Tensor:
     def __getitem__(self, key):
         a = self
         data = a.data[key]
-        basic = all(isinstance(k, _BASIC_INDEX) for k in (key if isinstance(key, tuple) else (key,)))
 
         def backward(g):
             buf = np.zeros(a.data.shape, a.data.dtype)
-            if basic:  # a view: no index repeats
-                buf[key] += g
-            else:
-                np.add.at(buf, key, g)
+            np.add.at(buf, key, g)  # an array key may repeat an index, whose gradients add
             a._accum(buf)
 
         return Tensor._make(data, (a,), backward)

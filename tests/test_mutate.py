@@ -1,4 +1,5 @@
 import argparse
+import ast
 import importlib.util
 from pathlib import Path
 
@@ -19,3 +20,17 @@ def test_site_range_includes_both_ends(text, sites):
 def test_site_range_rejects_anything_else(text):
     with pytest.raises(argparse.ArgumentTypeError):
         mutate.site_range(text)
+
+
+@pytest.mark.parametrize("source, after", [
+    ("x.reshape(-1)", "x.reshape(-0)"),
+    ("x[:, -1]", "x[:, -0]"),
+    ("x.reshape(1)", "x.reshape(2)"),
+    ("x - 1", "x - 2"),
+    ("-0.5", "-0.5000005"),
+])
+def test_an_int_under_a_unary_minus_is_nudged_toward_zero(source, after):
+    tree = ast.parse(source)
+    ((node, slot),) = [site for site in mutate.sites(tree) if site[1] in ("value", "negated")]
+    mutate.mutate(node, slot)
+    assert ast.unparse(tree) == after

@@ -177,6 +177,11 @@ class TestDiscriminatorLoss:
         with pytest.raises(ConfigError):
             training.discriminator_loss(m, np.empty((0, 3), dtype=int), [])
 
+    def test_empty_fake_batch(self):
+        m = tiny_model()
+        with pytest.raises(ConfigError, match="empty batch"):
+            training.discriminator_loss(m, tiny_corpus(5, n=4), Tensor(np.zeros((TINY.seq_len, 0, TINY.vocab_size))))
+
     def test_detachment_of_fake_batch(self):
         m = tiny_model(7)
         rngs = training.rng_streams(7)
@@ -397,6 +402,21 @@ class TestAdam:
             assert saved.m[name].tobytes() == state.m[name].tobytes(), name
             assert saved.v[name].tobytes() == state.v[name].tobytes(), name
 
+    def test_a_param_of_adam_block_elements_shares_the_call(self, monkeypatch):
+        sizes, adam_update = [], kernels.adam_update
+
+        def spy(param, *args):
+            sizes.append(param.size)
+            return adam_update(param, *args)
+
+        monkeypatch.setattr(kernels, "adam_update", spy)
+        params = {"a": Tensor(np.zeros(kernels.ADAM_BLOCK), requires_grad=True),
+                  "b": Tensor(np.zeros(3), requires_grad=True)}
+        for p in params.values():
+            p.grad = np.ones(p.data.size)
+        optimizer_step(params, AdamState(), 1e-3)
+        assert sizes == [kernels.ADAM_BLOCK + 3]
+
     @pytest.mark.parametrize("lambda_adv", [0.0, 1.0])
     def test_desk_step_makes_one_adam_call_per_optimizer_step(self, monkeypatch, lambda_adv):
         # every desk parameter has at most ADAM_BLOCK elements, so each phase's update is one call
@@ -491,6 +511,31 @@ class TestTrainLoop:
         assert proc.returncode == 0, proc.stderr
         assert int(proc.stdout) < 40 * 20  # glibc's default trimming faulted in about 600 pages a step
 
+    @pytest.mark.skipif(not hasattr(ctypes.CDLL(None), "mallopt"), reason="the C library has no mallopt")
+    def test_arrays_from_16_mib_are_mapped_and_smaller_ones_reuse_the_heap(self):
+        script = textwrap.dedent("""
+            import resource
+            import numpy as np
+            from arn import training
+            training._keep_freed_heap()
+
+            def faults(nbytes):
+                np.ones(nbytes // 8)
+                before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+                for _ in range(5):
+                    np.ones(nbytes // 8)
+                return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+            print(faults(1 << 20), faults(15 << 20), faults(16 << 20))
+        """)
+        src = os.path.dirname(os.path.dirname(training.__file__))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=60,
+                              env=dict(os.environ, PYTHONPATH=src))
+        assert proc.returncode == 0, proc.stderr
+        small, below, mapped = map(int, proc.stdout.split())
+        # a freed mapping is returned, so each new one faults again (8 or more pages: 2 MiB huge pages or 4 KiB)
+        assert small < 5 and below < 5 and mapped >= 5 * 8
+
     def test_nonfinite_discriminator_loss_rejects_the_step(self, tmp_path, monkeypatch):
         nan_at_second_d_loss(monkeypatch)
         path = tmp_path / "trace.jsonl"
@@ -547,6 +592,36 @@ class TestTrainLoop:
         assert capsys.readouterr().err.startswith("numeric abort:")
         assert_params_equal(training.load_checkpoint(str(out)), seen)
 
+    @pytest.mark.parametrize("lambda_adv", [1.0, 0.0])
+    def test_a_rejected_step_halves_the_learning_rate_once(self, monkeypatch, lambda_adv):
+        stepped, losses = [], []
+
+        def recording_step(params, state, lr, step=training.optimizer_step):
+            stepped.append(lr)
+            return step(params, state, lr)
+
+        def reject_step_2(*args, loss=training.generator_loss):
+            losses.append(None)
+            if len(losses) == 3:
+                raise NumericsError("rejected")
+            return loss(*args)
+
+        monkeypatch.setattr(training, "optimizer_step", recording_step)
+        monkeypatch.setattr(training, "generator_loss", reject_step_2)
+        cfg = TrainConfig(batch_size=4, steps=6, lambda_adv=lambda_adv, seed=49)
+        _, trace = training.train(tiny_model(49), tiny_corpus(50), cfg)
+        assert [r["step"] for r in trace] == [0, 1, 3, 4, 5]
+        phases = 2 if lambda_adv else 1  # D's update, then G's
+        # steps 0 and 1, and the D update of step 2, run before its generator loss is rejected
+        assert stepped == [cfg.lr] * (3 * phases - 1) + [cfg.lr * 0.5] * (3 * phases)
+
+    @pytest.mark.parametrize("lambda_adv", [1.0, 0.0])
+    def test_a_batch_of_1_trains(self, lambda_adv):
+        _, trace = training.train(tiny_model(51), tiny_corpus(52),
+                                  TrainConfig(batch_size=1, steps=2, lambda_adv=lambda_adv, seed=51))
+        assert [r["step"] for r in trace] == [0, 1]
+        assert all(math.isfinite(v) for r in trace for v in r.values())
+
     def test_rejected_d_phase_has_drawn_the_g_phase_noise(self, monkeypatch):
         # one generator pass per step draws z_D, the ELBO noise and z_G, then u_D and u_G,
         # before D scores anything: a rejected D phase leaves these streams where a kept one does
@@ -589,6 +664,10 @@ class TestTrainConfig:
     def test_rejects_out_of_range_setting(self, field, value):
         with pytest.raises(ConfigError, match=field):
             TrainConfig(**{field: value})
+
+    def test_tau_anneals_over_the_run_and_stays_at_its_end(self):
+        cfg = TrainConfig(steps=2)
+        assert [cfg.tau_at(step) for step in (0, 1, 5)] == [training.TAU_START] + [training.TAU_END] * 2
 
     def test_zero_steps_and_zero_lambda_are_valid(self):
         cfg = TrainConfig(steps=0, lambda_adv=0.0)
@@ -803,6 +882,29 @@ class TestCheckpoint:
         monkeypatch.setattr(training.os, "fstat", lambda fd: full)
         with pytest.raises(ConfigError, match="truncated"):
             training.load_checkpoint(str(path))
+
+    def test_last_tensor_past_any_file_size_is_truncated(self, tmp_path):
+        m = tiny_model(48)
+        entries = meta_entries(TINY) + [(name, p.data) for name, p in sorted(m.params.items())]
+        raw = checkpoint_bytes(entries)
+        last, data = entries[-1]
+        # its first u64 extent, after the name and the u8 rank, declares 2**60 rows of 8-byte floats
+        at = raw.index(last.encode()) + len(last) + 1
+        assert struct.unpack_from("<Q", raw, at) == (data.shape[0],)
+        path = tmp_path / "model.arn"
+        path.write_bytes(raw[:at] + struct.pack("<Q", 2**60) + raw[at + 8:])
+        with pytest.raises(ConfigError, match="truncated"):
+            training.load_checkpoint(str(path))
+
+    @pytest.mark.parametrize("field", ["vocab_size", "d_emb", "d_hidden", "d_latent"])
+    def test_a_model_size_of_1_loads(self, tmp_path, field):
+        cfg = dataclasses.replace(TINY, **{field: 1})
+        m = ArnModel.initialized(cfg, np.random.default_rng(49))
+        path = tmp_path / "model.arn"
+        training.save_checkpoint(str(path), m)
+        loaded = training.load_checkpoint(str(path))
+        assert loaded.config == cfg
+        assert_params_equal(loaded, {name: p.data for name, p in m.params.items()})
 
     def test_empty_tensor_with_impossible_extent(self, tmp_path):
         m = tiny_model(38)

@@ -7,11 +7,13 @@ per-site lines number them), so a long audit can run in parts.
 
 A mutant changes one site: an operator swap (+ and -, * and /, ** to *,
 << to >>, < and <=, > and >=, == and !=) or a numeric constant nudged (a
-nonzero float times 1 + 1e-6, a zero float to 1e-6, an int plus 1). It is
-written into a copy of the checkout (without .git and caches) in a
-temporary directory, never into the checkout itself, and runs `pytest -x -q`
-on the named test files. A mutant they do not kill runs the whole suite.
-Stdlib only; prints one line per mutant, then the totals.
+nonzero float times 1 + 1e-6, a zero float to 1e-6, an int plus 1, or
+toward zero under a unary minus, so -1 becomes -0, since NumPy reads -2 as
+it reads -1 in `reshape`). It is written into a copy of the checkout
+(without .git and caches) in a temporary directory, never into the checkout
+itself, and runs `pytest -x -q` on the named test files. A mutant they do
+not kill runs the whole suite. Stdlib only; prints one line per mutant, then
+the totals.
 """
 
 import argparse
@@ -31,24 +33,30 @@ SWAP = {ast.Add: ast.Sub, ast.Sub: ast.Add, ast.Mult: ast.Div, ast.Div: ast.Mult
 
 
 def sites(tree):
-    """(node, slot) of every site in ast.walk order: slot "op", an index into Compare.ops, or "value"."""
-    found = []
-    for node in ast.walk(tree):
+    """(node, slot) of every site in ast.walk order: slot "op", an index into Compare.ops, "value",
+    or "negated" for a constant under a unary minus."""
+    found, negated = [], set()
+    for node in ast.walk(tree):  # a node comes before its children
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+            negated.add(id(node.operand))
         if isinstance(node, (ast.BinOp, ast.AugAssign)) and type(node.op) in SWAP:
             found.append((node, "op"))
         elif isinstance(node, ast.Compare):
             found += [(node, i) for i, op in enumerate(node.ops) if type(op) in SWAP]
         elif isinstance(node, ast.Constant) and type(node.value) in (int, float):
-            found.append((node, "value"))
+            found.append((node, "negated" if id(node) in negated else "value"))
     return sorted(found, key=lambda site: (site[0].lineno, site[0].col_offset))  # stable: walk order in a tie
 
 
 def mutate(node, slot):
     """Apply the site's one change in place and describe it as the node's source before and after."""
     before = ast.unparse(node)
-    if slot == "value":
+    if slot in ("value", "negated"):
         old = node.value
-        node.value = old + 1 if type(old) is int else old * (1 + 1e-6) if old else 1e-6
+        if type(old) is int:
+            node.value = old - 1 if slot == "negated" else old + 1
+        else:
+            node.value = old * (1 + 1e-6) if old else 1e-6
     elif slot == "op":
         node.op = SWAP[type(node.op)]()
     else:
