@@ -9,7 +9,6 @@ import numpy as np
 
 from .distributions import sample_rows
 from .errors import ConfigError, EmptyInputError, EncodingError, VocabError
-from .metrics import ngrams
 
 PAD_TOKEN = "<PAD>"
 UNK_TOKEN = "<UNK>"
@@ -166,7 +165,7 @@ def source_ngram_distribution(src: MarkovSource, n: int, t_len: int) -> dict:
 
 
 def empirical_ngram_distribution(sequences, n: int) -> dict:
-    counts = Counter(g for seq in sequences for g in ngrams(seq, n))
+    counts = Counter(g for seq in sequences for g in zip(*(seq[k:] for k in range(n))))
     total = sum(counts.values())
     if total == 0:
         raise EmptyInputError(f"no {n}-grams")

@@ -24,11 +24,6 @@ import numpy as np
 from .errors import ConfigError, EmptyInputError
 
 
-def ngrams(seq, n):
-    """Tuples of n >= 1 consecutive hashable tokens of seq."""
-    return list(zip(*(seq[k:] for k in range(n))))
-
-
 # one order k's counts: each generated sentence's k-grams clipped by their max count in any one
 # test sentence, and in all; the generated corpus's k-grams in all, distinct, and found in the test
 _Order = namedtuple("_Order", "clipped totals grams distinct covered")

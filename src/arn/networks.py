@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .distributions import GaussianPosterior, gumbel_noise, gumbel_softmax, sample_rows
+from .distributions import GaussianPosterior, gumbel_noise, gumbel_softmax, reparam_sample, sample_rows
 from .errors import ConfigError, ShapeError, VocabError
 from .tensor import (
     Tensor, concat, gather_rows, gumbel_lstm_sequence, lstm_cell, lstm_sequence, no_grad, pick,
@@ -167,13 +167,12 @@ def generate_batch(model: ArnModel, z: np.ndarray, rng) -> np.ndarray:
 
 
 def draw_latents(model: ArnModel, rng, count, seed_tokens=None) -> np.ndarray:
-    """(count, d_z) latent draws: z ~ N(0, I) without seed tokens, else z ~ q(z | seed_tokens[k])."""
-    dz = model.config.d_latent
+    """(count, d_z) latents: z ~ N(0, I) without seed tokens, else reparam_sample's z ~ q(z | seed_tokens[k])."""
+    eps = rng.standard_normal((count, model.config.d_latent))
     if seed_tokens is None:
-        return rng.standard_normal((count, dz))
+        return eps
     with no_grad():
-        q = encode_first_token(model, np.asarray(seed_tokens))
-        return q.mu.data + np.exp(0.5 * q.log_var.data) * rng.standard_normal((count, dz))
+        return reparam_sample(encode_first_token(model, np.asarray(seed_tokens)), eps).data
 
 
 def generate_relaxed_batch(model: ArnModel, tau: float, *draws) -> list:

@@ -182,6 +182,13 @@ class TestGenerate:
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ") and captured.out == ""
 
+    def test_draw_size_limit_is_numpys_byte_limit(self):
+        # (2**63 - 1) // 8 float64s fill all but 7 of the bytes NumPy allows; 9 bytes each would pass it
+        n = np.iinfo(np.intp).max // 8
+        cli._check_draw_size("--count", n, (n,))
+        with pytest.raises(ConfigError, match=f"^--count {n + 1} is too large"):
+            cli._check_draw_size("--count", n + 1, (n + 1,))
+
     def test_negative_count(self, checkpoint):
         assert run(["generate", "--checkpoint", checkpoint, "--count", "-1"]) == 2
 
@@ -381,10 +388,20 @@ class TestEvaluate:
         assert "no 1000000-grams" in proc.stderr
 
     @pytest.mark.parametrize("orders", ["x", "2,,3", "0", "-1"])
-    def test_bad_orders(self, tmp_path, orders):
+    def test_bad_orders(self, tmp_path, capsys, orders):
         gen = tmp_path / "gen.txt"
         gen.write_text("a b c\n")
         assert run(["evaluate", "--generated", str(gen), "--test", str(gen), "--orders", orders]) == 2
+        assert capsys.readouterr().err == (
+            f"error: --orders must be comma-separated positive integers, got {orders!r}\n")
+
+    def test_out_file_holds_the_printed_line(self, tmp_path, capsys):
+        gen, out = tmp_path / "gen.txt", tmp_path / "report.json"
+        gen.write_text("a b c\nb c a\n")
+        assert run(["evaluate", "--generated", str(gen), "--test", str(gen), "--out", str(out)]) == 0
+        printed = capsys.readouterr().out
+        assert json.loads(printed)["samples"] == 2
+        assert out.read_bytes().decode("utf-8") == printed
 
 
 class TestGradcheck:
@@ -409,12 +426,30 @@ class TestGradcheck:
         assert run(["gradcheck"]) == 3
         assert json.loads(capsys.readouterr().out) == {"elbo": 2e-4, "discriminator": 0.0, "generator": 0.0}
 
+    def test_an_error_of_exactly_the_bound_passes(self, monkeypatch, capsys):
+        for error, code in ((1e-4, 0), (float(np.nextafter(1e-4, 1)), 3)):
+            errors = iter([error])
+            monkeypatch.setattr(cli, "grad_check", lambda f, x, eps=1e-5, e=errors: next(e, 0.0))
+            assert run(["gradcheck"]) == code, error
+            assert json.loads(capsys.readouterr().out)["elbo"] == error
+
 
 class TestDivlab:
     def test_small_run_passes(self, capsys):
         assert run(["divlab", "--trials", "20", "--outcomes", "2", "--seed", "0"]) == 0
         report = json.loads(capsys.readouterr().out)
         assert set(report) == {"identity_max_gap", "dstar_max_err", "nash_tv", "trials"}
+
+    def test_one_trial_passes(self, capsys):
+        assert run(["divlab", "--trials", "1", "--outcomes", "4"]) == 0
+        assert json.loads(capsys.readouterr().out)["trials"] == 1
+
+    def test_out_file_holds_the_printed_line(self, tmp_path, capsys):
+        out = tmp_path / "lab.json"
+        assert run(["divlab", "--trials", "2", "--outcomes", "4", "--out", str(out)]) == 0
+        printed = capsys.readouterr().out
+        assert json.loads(printed)["trials"] == 2
+        assert out.read_bytes().decode("utf-8") == printed
 
     def test_fixed_seed_identical_report(self, capsys):
         run(["divlab", "--trials", "10", "--outcomes", "4", "--seed", "5"])
@@ -425,6 +460,7 @@ class TestDivlab:
     def test_bad_outcomes(self, capsys):
         for argv, message in ((["--outcomes", "99"], "--outcomes must lie in 2..16, got 99"),
                               (["--outcomes", "1"], "--outcomes must lie in 2..16, got 1"),
+                              (["--outcomes", "17"], "--outcomes must lie in 2..16, got 17"),
                               (["--trials", "0"], "--trials must be >= 1, got 0")):
             assert run(["divlab", *argv]) == 2
             assert capsys.readouterr().err == f"error: {message}\n"

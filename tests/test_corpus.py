@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 from arn.corpus import (
     MarkovSource,
     PAD_ID,
+    PAD_TOKEN,
     UNK_ID,
+    UNK_TOKEN,
     Vocabulary,
     build_vocab,
     empirical_ngram_distribution,
@@ -59,6 +61,17 @@ class TestVocabulary:
     def test_empty_corpus(self):
         with pytest.raises(EmptyInputError):
             build_vocab([""], 4)
+
+    def test_cap_3_keeps_one_word(self):
+        assert build_vocab(["b a a"], 3).tokens == [PAD_TOKEN, UNK_TOKEN, "a"]
+        with pytest.raises(ConfigError, match="at least 3"):
+            build_vocab(["b a a"], 2)
+
+    def test_pad_and_unk_ids_index_their_tokens(self, tmp_path):
+        path = tmp_path / "vocab.txt"
+        build_vocab(["x y z y"], 5).save(str(path))
+        for vocab in (build_vocab(["a a b"], 3), build_vocab(["a a b"], 4), Vocabulary.load(str(path))):
+            assert (vocab.index[PAD_TOKEN], vocab.index[UNK_TOKEN]) == (PAD_ID, UNK_ID)
 
     def test_file_roundtrip(self, tmp_path):
         vocab = build_vocab(["x y z y"], 5)
@@ -212,6 +225,16 @@ class TestMarkov:
         emp = empirical_ngram_distribution(seqs, 2)
         exact = source_ngram_distribution(src, 2, 6)
         assert tv_distance(emp, exact) <= 0.02
+
+    def test_empirical_law_of_one_gram_and_of_none(self):
+        assert empirical_ngram_distribution([[0, 1], [2]], 2) == {(0, 1): 1.0}
+        with pytest.raises(EmptyInputError, match="no 3-grams"):
+            empirical_ngram_distribution([[0, 1], [2]], 3)
+
+    def test_tv_distance_is_exact(self):
+        assert tv_distance({"a": 1.0}, {"b": 1.0}) == 1.0
+        assert tv_distance({"a": 0.5, "b": 0.5}, {"a": 1.0}) == 0.5
+        assert tv_distance({"a": 0.25, "b": 0.75}, {"b": 0.75, "a": 0.25}) == 0.0
 
 
 def random_source(rng, k, zeros):

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from arn import kernels, networks, training
-from arn.distributions import gumbel_softmax, sample_rows
+from arn.distributions import gumbel_softmax, reparam_sample, sample_rows
 from arn.networks import ArnConfig, ArnModel
-from arn.tensor import Tensor
+from arn.tensor import Tensor, no_grad
 from arn.training import TrainConfig
 
 F32 = ArnConfig(vocab_size=50, dtype="float32")
@@ -125,6 +125,12 @@ def test_sampling_stays_float32(float64_arrays, mode):
     model = f32_model(3)
     rng = np.random.default_rng(4)
     z = networks.draw_latents(model, rng, 6, np.arange(6) if mode == "decoded-x1" else None)
+    if mode == "decoded-x1":  # the posterior draw is training's reparam_sample, in float32
+        eps = np.random.default_rng(4).standard_normal((6, F32.d_latent))
+        with no_grad():
+            draw = reparam_sample(networks.encode_first_token(model, np.arange(6)), eps).data
+        assert z.dtype == np.float32
+        assert np.array_equal(z, draw)
     ids = networks.generate_batch(model, z, rng)
     assert ids.shape == (6, F32.seq_len)
     assert float64_arrays == []

@@ -25,3 +25,8 @@ def test_the_check_sees_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_no_unused_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_the_data_layer_imports_no_scorer():
+    tree = ast.parse((Path(arn.__file__).parent / "corpus.py").read_text(encoding="utf-8"))
+    assert "metrics" not in {node.module for node in tree.body if isinstance(node, ast.ImportFrom)}

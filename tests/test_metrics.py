@@ -7,7 +7,7 @@ import pytest
 
 from arn import cli
 from arn.errors import ConfigError, EmptyInputError
-from arn.metrics import corpus_bleu_n, diversity_n, fc_n, full_report
+from arn.metrics import MetricsReport, corpus_bleu_n, diversity_n, fc_n, full_report
 
 A, B, C, D, X, Y = range(6)
 
@@ -181,6 +181,13 @@ class TestFullReport:
         for n in (2, 3):
             assert report.bleu[n] == 100.0
             assert report.fc[n] == report.diversity[n]
+
+    def test_default_orders_are_2_and_3(self):
+        gen, test = [[A, B, C, D], [B, C, A, X]], [[A, B, C, Y]]
+        assert full_report(gen, test) == full_report(gen, test, orders=(2, 3))
+
+    def test_an_empty_report_counts_no_samples(self):
+        assert MetricsReport().to_json() == '{"bleu": {}, "fc": {}, "diversity": {}, "samples": 0}'
 
     def test_json_schema(self):
         corpus = [[A, B, C, D]]

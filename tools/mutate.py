@@ -13,13 +13,15 @@ it reads -1 in `reshape`). It is written into a copy of the checkout
 (without .git and caches) in a temporary directory, never into the checkout
 itself, and runs `pytest -x -q` on the named test files. A mutant they do
 not kill runs the whole suite. Stdlib only; prints one line per mutant, then
-the totals.
+the totals. A SIGTERM kills the running pytest and removes the temporary
+copy before the audit exits.
 """
 
 import argparse
 import ast
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -49,8 +51,9 @@ def sites(tree):
 
 
 def mutate(node, slot):
-    """Apply the site's one change in place and describe it as the node's source before and after."""
-    before = ast.unparse(node)
+    """Apply the site's one change in place and describe it as the site's source before and after."""
+    sign = "-" if slot == "negated" else ""
+    before = sign + ast.unparse(node)
     if slot in ("value", "negated"):
         old = node.value
         if type(old) is int:
@@ -61,7 +64,7 @@ def mutate(node, slot):
         node.op = SWAP[type(node.op)]()
     else:
         node.ops[slot] = SWAP[type(node.ops[slot])]()
-    return f"{before}  ->  {ast.unparse(node)}"
+    return f"{before}  ->  {sign}{ast.unparse(node)}"
 
 
 def passes(work, args, timeout):
@@ -89,6 +92,8 @@ def main():
     ap.add_argument("tests", nargs="+", help="test files that should kill each mutant")
     ap.add_argument("--sites", type=site_range, metavar="A-B", help="run only sites A to B, both included")
     args = ap.parse_args()
+    # raised in the main thread: subprocess.run kills its child and the with block removes the copy
+    signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
     source = (ROOT / args.module).read_text(encoding="utf-8")
     count = len(sites(ast.parse(source)))
     chosen = args.sites or range(count)
