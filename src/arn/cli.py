@@ -20,7 +20,7 @@ from .errors import (
     TrainingAborted, VocabError,
 )
 from .networks import PRESETS, ArnConfig, ArnModel
-from .tensor import grad_check, no_grad
+from .tensor import Tensor, grad_check, no_grad
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -130,7 +130,7 @@ def cmd_generate(args):
         raise VocabError(f"{args.vocab}: {len(vocab)} tokens, but the checkpoint was "
                          f"trained on {model.config.vocab_size}")
     _check_draw_size("--count", args.count, (args.count, model.config.d_latent))  # the latents
-    rng = training.rng_streams(args.seed)["noise"]
+    rng = training.rng_streams(args.seed, "noise")["noise"]
     # all seed tokens, then all latents, then the samples in chunks of rows
     seed_tokens = None
     if args.mode == "decoded-x1":
@@ -179,6 +179,8 @@ def gradcheck_report(preset: str, seed: int) -> dict:
     # the discriminator probes perturb no generator parameter, so one fake serves them all
     with no_grad():
         (fake,) = networks.generate_relaxed_batch(model, 0.8, (z_adv, gumbel))
+    # each probe differentiates only the parameter it perturbs; the others enter as constants
+    constants = {name: Tensor(p.data) for name, p in model.params.items()}
 
     def elbo_loss(m):
         return training.generator_loss(m, ids, noise, None, 1.0)[0]
@@ -200,9 +202,7 @@ def gradcheck_report(preset: str, seed: int) -> dict:
         for name, p in params.items():
 
             def probe(x, _name=name, _fn=fn):
-                trial = ArnModel(model.config, dict(model.params))
-                trial.params[_name] = x
-                return _fn(trial)
+                return _fn(ArnModel(model.config, {**constants, _name: x}))
 
             worst = max(worst, grad_check(probe, p))
         report[loss_name] = worst

@@ -1,9 +1,9 @@
 """Probability primitives: diagonal Gaussians, Gumbel-Softmax, categorical divergences.
 
-All divergences are in nats.
+All divergences are in nats. The categorical ones take one law or a stack of
+laws, and reduce over the outcome axis, the last.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,18 +32,24 @@ class GaussianPosterior:
 
 @dataclass
 class Categorical:
-    """Explicit finite distribution on the probability simplex."""
+    """Explicit finite distribution on the probability simplex, or a stack of them.
+
+    probs has shape (..., K): each row along the last axis is one law and is
+    validated on its own. len is the support size K.
+    """
 
     probs: np.ndarray
 
     def __post_init__(self):
         self.probs = np.asarray(self.probs, dtype=np.float64)
-        if not (np.all(self.probs >= -1e-12) and abs(self.probs.sum() - 1.0) <= 1e-9):
+        if self.probs.ndim == 0:
+            raise ShapeError("probs must have an outcome axis")
+        if not (np.all(self.probs >= -1e-12) and np.all(np.abs(self.probs.sum(axis=-1) - 1.0) <= 1e-9)):
             raise DomainError("probs must be nonnegative and sum to 1")
         self.probs = np.clip(self.probs, 0.0, None)
 
     def __len__(self):
-        return self.probs.size
+        return self.probs.shape[-1]
 
 
 def reparam_sample(q: GaussianPosterior, noise) -> Tensor:
@@ -116,32 +122,44 @@ def sample_rows(probs: np.ndarray, rng, cum=None, mask=None) -> np.ndarray:
     return np.less(cum, u[:, None], out=mask).sum(axis=1)
 
 
-def _kl_raw(p: np.ndarray, q: np.ndarray) -> float:
-    mask = p > 0
-    if np.any(q[mask] == 0):
-        return math.inf
-    return float(np.sum(p[mask] * np.log(p[mask] / q[mask])))
+def expected_log(p: np.ndarray, x: np.ndarray):
+    """Sum over the last axis of p log x, a term with p = 0 counting as 0 whatever x is there.
+
+    A float for one law, an array of the stack's shape for a stack.
+    """
+    terms = np.log(x, out=np.zeros_like(p), where=p > 0)
+    terms *= p
+    total = terms.sum(axis=-1)
+    return float(total) if total.ndim == 0 else total
+
+
+def _kl_raw(p: np.ndarray, q: np.ndarray):
+    # only the p > 0 ratios are read: where q = 0 < p, p / q and the sum are +inf
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return expected_log(p, p / q)
 
 
 def check_support(p: Categorical, q: Categorical) -> None:
-    """ShapeError unless p and q have one support size."""
+    """ShapeError unless p and q have one support size and one stack shape."""
     if len(p) != len(q):
         raise ShapeError(f"support size mismatch: {len(p)} vs {len(q)}")
+    if p.probs.shape != q.probs.shape:
+        raise ShapeError(f"stack shape mismatch: {p.probs.shape[:-1]} vs {q.probs.shape[:-1]}")
 
 
-def kl_categorical(p: Categorical, q: Categorical) -> float:
+def kl_categorical(p: Categorical, q: Categorical):
     """KL(p || q) with 0 log(0/x) = 0; +inf when absolute continuity fails."""
     check_support(p, q)
     return _kl_raw(p.probs, q.probs)
 
 
-def js_categorical(p: Categorical, q: Categorical) -> float:
+def js_categorical(p: Categorical, q: Categorical):
     """Jensen-Shannon divergence; symmetric, bounded by ln 2."""
     check_support(p, q)
     m = 0.5 * (p.probs + q.probs)
     return 0.5 * _kl_raw(p.probs, m) + 0.5 * _kl_raw(q.probs, m)
 
 
-def entropy(p: Categorical) -> float:
-    mask = p.probs > 0
-    return float(-np.sum(p.probs[mask] * np.log(p.probs[mask])))
+def entropy(p: Categorical):
+    """-sum p log p with 0 log 0 = 0."""
+    return -expected_log(p.probs, p.probs)

@@ -32,13 +32,15 @@ PAYLOAD_ALIGN = 64  # version 2 pads the manifest with zero bytes to this; versi
 _STREAMS = {"init": 0, "noise": 1, "gumbel": 2, "data": 3, "lab": 17}
 
 
-def rng_streams(seed: int) -> dict:
-    """One generator per named stream; the package's only place a seed becomes generators."""
+def rng_streams(seed: int, *names) -> dict:
+    """One generator per named stream, or per stream of _STREAMS when no name is given; the
+    package's only place a seed becomes generators. A stream draws the same whichever others
+    are made with it."""
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
     return {
-        name: np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, sid])))
-        for name, sid in _STREAMS.items()
+        name: np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, _STREAMS[name]])))
+        for name in names or _STREAMS
     }
 
 

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from arn import cli, corpus, divlab, networks, training
+from arn import cli, corpus, divlab, kernels, networks, training
 from arn.errors import ArnError, ConfigError, ConvergenceError, NumericsError, TrainingAborted
 from arn.networks import ArnConfig, ArnModel
 from arn.tensor import Tensor
@@ -434,6 +434,24 @@ class TestGradcheck:
             assert json.loads(capsys.readouterr().out)["elbo"] == error
 
 
+    def test_each_probe_differentiates_only_its_parameter(self, monkeypatch):
+        # dec.b reaches the ELBO only through log p(x1 | z), so its audit backpropagates
+        # through no LSTM step; every other probe is replaced by 0.0
+        names = list(ArnModel.initialized(ArnConfig.preset("desk"), training.rng_streams(0)["init"])
+                     .generator_params())
+        calls, backward = iter(range(10 ** 6)), []
+        original, lstm_backward = cli.grad_check, kernels.lstm_cell_backward
+        monkeypatch.setattr(kernels, "lstm_cell_backward",
+                            lambda *a: backward.append(1) or lstm_backward(*a))
+
+        def only_dec_b(f, x, eps=1e-5):
+            return original(f, x, eps) if next(calls) == names.index("dec.b") else 0.0
+
+        monkeypatch.setattr(cli, "grad_check", only_dec_b)
+        report = cli.gradcheck_report("desk", 0)
+        assert 0.0 < report["elbo"] <= 1e-4 and backward == []
+
+
 class TestDivlab:
     def test_small_run_passes(self, capsys):
         assert run(["divlab", "--trials", "20", "--outcomes", "2", "--seed", "0"]) == 0
@@ -476,6 +494,21 @@ class TestDivlab:
         monkeypatch.setattr(divlab, "solve_nash", no_convergence)
         assert run(["divlab", "--trials", "5", "--outcomes", "4"]) == 3
         assert "numeric abort: no convergence" in capsys.readouterr().err
+
+    def test_a_nan_identity_gap_exits_3(self, monkeypatch, capsys):
+        monkeypatch.setattr(divlab, "verify_identity",
+                            lambda p_d, p_g: (np.full(p_d.probs.shape[:-1], math.nan),) * 3)
+        assert run(["divlab", "--trials", "5", "--outcomes", "4"]) == 3
+        assert math.isnan(json.loads(capsys.readouterr().out)["identity_max_gap"])
+
+    def test_a_nan_nash_iterate_exits_3(self, monkeypatch, capsys):
+        class Iterate:
+            def __init__(self, k):
+                self.probs = np.full(k, math.nan)
+
+        monkeypatch.setattr(divlab, "solve_nash", lambda p_d, init: Iterate(len(p_d)))
+        assert run(["divlab", "--trials", "5", "--outcomes", "4"]) == 3
+        assert math.isnan(json.loads(capsys.readouterr().out)["nash_tv"])
 
     def test_the_bounds(self):
         # the identity, D* and Nash bounds of the README; never loosened to make room for a change

@@ -6,7 +6,9 @@ import pytest
 from arn.distributions import (
     Categorical,
     GaussianPosterior,
+    check_support,
     entropy,
+    expected_log,
     gumbel_noise,
     gumbel_softmax,
     js_categorical,
@@ -82,6 +84,9 @@ class TestGaussKL:
     def test_batched_rows(self):
         q = posterior([[0.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]])
         np.testing.assert_allclose(kl_gauss_std(q).data, [0.0, 0.5])
+        # more rows than latent dimensions: the constant is the latent size, not the batch
+        q = posterior([[0.0, 0.0], [1.0, 0.0], [0.0, 2.0]], np.zeros((3, 2)))
+        np.testing.assert_allclose(kl_gauss_std(q).data, [0.0, 0.5, 2.0])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("field", ["mu", "log_var"])
@@ -201,6 +206,88 @@ class TestCategoricalDivergences:
             p, q = Categorical(x / x.sum()), Categorical(y / y.sum())
             assert js_categorical(p, q) == js_categorical(q, p)
             assert -1e-12 <= js_categorical(p, q) <= math.log(2) + 1e-12
+
+
+def law_stack(rng, shape, zeros=0):
+    """Dirichlet(1) laws of the given (..., K) shape, each with its first `zeros` outcomes set to 0."""
+    x = rng.gamma(1.0, 1.0, size=shape) + 1e-9
+    x[..., :zeros] = 0.0
+    return x / x.sum(axis=-1, keepdims=True)
+
+
+STACKED = {"kl": kl_categorical, "js": js_categorical, "entropy": lambda p, q: entropy(p)}
+
+
+class TestCategoricalStacks:
+    @pytest.mark.parametrize("name", list(STACKED))
+    def test_zero_free_stack_equals_its_rows_bit_for_bit(self, name):
+        fn, rng = STACKED[name], np.random.default_rng(20)
+        for k in range(2, 17):
+            p, q = law_stack(rng, (3, 4, k)), law_stack(rng, (3, 4, k))
+            got = fn(Categorical(p), Categorical(q))
+            assert isinstance(got, np.ndarray) and got.shape == (3, 4)
+            want = [fn(Categorical(a), Categorical(b)) for a, b in zip(p.reshape(-1, k), q.reshape(-1, k))]
+            assert all(type(w) is float for w in want)
+            assert got.reshape(-1).tobytes() == np.array(want).tobytes(), k
+
+    @pytest.mark.parametrize("name", list(STACKED))
+    def test_stack_with_zero_outcomes_agrees_with_its_rows(self, name):
+        # a zero term is summed as 0 in the stack and skipped in one law's compacted sum, so
+        # the two may differ in the last bits; q = 0 < p is +inf either way
+        fn, rng = STACKED[name], np.random.default_rng(21)
+        for k in range(2, 17):
+            p = law_stack(rng, (30, k), zeros=rng.integers(0, k))
+            q = law_stack(rng, (30, k), zeros=rng.integers(0, k))
+            p, q = rng.permuted(p, axis=1), rng.permuted(q, axis=1)
+            got = fn(Categorical(p), Categorical(q))
+            want = np.array([fn(Categorical(a), Categorical(b)) for a, b in zip(p, q)])
+            assert (np.isinf(got) == np.isinf(want)).all() and (got[np.isinf(got)] > 0).all()
+            np.testing.assert_allclose(got[np.isfinite(got)], want[np.isfinite(want)], rtol=1e-14, atol=0)
+
+    def test_support_violation_is_infinite_row_by_row(self):
+        p = Categorical([[0.5, 0.5], [0.5, 0.5], [0.0, 1.0]])
+        q = Categorical([[1.0, 0.0], [0.5, 0.5], [0.0, 1.0]])
+        with np.errstate(all="raise"):
+            assert kl_categorical(p, q).tolist() == [math.inf, 0.0, 0.0]
+            assert entropy(q).tolist() == [0.0, math.log(2), 0.0]
+
+    def test_expected_log_skips_zero_weights_whatever_x_is(self):
+        p = np.array([[0.5, 0.5, 0.0], [0.0, 1.0, 0.0]])
+        x = np.array([[0.25, 0.25, 0.0], [math.nan, 0.5, -1.0]])
+        with np.errstate(all="raise"):
+            assert expected_log(p, x).tolist() == [math.log(0.25), math.log(0.5)]
+        assert type(expected_log(p[0], x[0])) is float
+
+    def test_len_is_the_support_size(self):
+        assert len(Categorical(np.full((4, 3, 5), 0.2))) == 5
+
+    def test_each_row_is_validated(self):
+        # the rows' sums are 0.5 and 1.5, the stack's mean sum 1
+        with pytest.raises(DomainError, match="nonnegative and sum to 1"):
+            Categorical([[0.25, 0.25], [0.75, 0.75]])
+        with pytest.raises(DomainError, match="nonnegative and sum to 1"):
+            Categorical([[0.5, 0.5], [1.5, -0.5]])
+
+    def test_a_scalar_is_not_a_law(self):
+        with pytest.raises(ShapeError, match="outcome axis"):
+            Categorical(1.0)
+
+    def test_stack_shape_mismatch(self):
+        with pytest.raises(ShapeError, match=r"stack shape mismatch: \(2,\) vs \(3,\)"):
+            check_support(Categorical(np.full((2, 4), 0.25)), Categorical(np.full((3, 4), 0.25)))
+        with pytest.raises(ShapeError, match=r"stack shape mismatch: \(\) vs \(1,\)"):
+            kl_categorical(Categorical([0.5, 0.5]), Categorical([[0.5, 0.5]]))
+        with pytest.raises(ShapeError, match="^support size mismatch: 2 vs 3$"):
+            js_categorical(Categorical(np.full((2, 2), 0.5)), Categorical(np.full((2, 3), 1 / 3)))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("at", [0, 1, 2])
+def test_sample_rows_rejects_a_non_finite_entry_anywhere(bad, at):
+    probs = np.full((2, 3), 1 / 3)
+    probs[1, at] = bad
+    with pytest.raises(NumericsError, match="non-finite probabilities"):
+        sample_rows(probs, np.random.default_rng(0))
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])

@@ -1,3 +1,4 @@
+import json
 import math
 import re
 from unittest import mock
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from arn import divlab, kernels
+from arn import divlab, kernels, training
 from arn.distributions import Categorical, js_categorical, kl_categorical
 from arn.divlab import (
     ToyGame,
@@ -430,6 +431,114 @@ class TestNash:
                 assert all(b < a for a, b in zip(objective, objective[1:]))
 
 
+def stacked_games(rng, shape):
+    """Random pairs of laws of a (..., K) shape, as the lab draws them."""
+    games = random_simplex(rng, shape[-1], (2, *shape[:-1])).probs
+    return Categorical(games[0]), Categorical(games[1])
+
+
+class TestStacks:
+    CHECKS = {
+        "verify_identity": lambda p, q: np.stack(verify_identity(p, q), axis=-1),
+        "optimal_discriminator": optimal_discriminator,
+        "grid_search_discriminator": grid_search_discriminator,
+        "expected_log": divlab._expected_log,
+    }
+
+    @pytest.mark.parametrize("name", list(CHECKS))
+    def test_stack_equals_its_games_bit_for_bit(self, name):
+        check, rng = self.CHECKS[name], np.random.default_rng(30)
+        for k in range(2, 17):
+            p, q = stacked_games(rng, (2, 3, k))
+            got = np.asarray(check(p, q))
+            want = [np.asarray(check(Categorical(a), Categorical(b)))
+                    for a, b in zip(p.probs.reshape(-1, k), q.probs.reshape(-1, k))]
+            assert got.shape[:2] == (2, 3)
+            assert got.tobytes() == np.stack(want).tobytes(), k
+
+    def test_one_game_gives_floats(self):
+        p, q = stacked_games(np.random.default_rng(31), (4,))
+        assert all(type(x) is float for x in verify_identity(p, q))
+        assert type(divlab._expected_log(p, q)) is float
+
+    def test_scan_takes_the_whole_grid_only_for_games_that_need_it(self, monkeypatch):
+        # the middle game of three has a subnormal weight: its outcomes, and only those, are
+        # scanned over the whole grid, and every game's points equal its own call's
+        rng = np.random.default_rng(32)
+        p, q = stacked_games(rng, (3, 4))
+        tiny = np.array([0.5, 1e-320, 0.25, 0.25 - 1e-320])
+        p = Categorical(np.stack([p.probs[0], tiny, p.probs[2]]))
+        want = [grid_search_discriminator(Categorical(a), Categorical(b)) for a, b in zip(p.probs, q.probs)]
+        widths = []
+        d_terms = divlab._d_terms
+
+        def spy(a, b, g):
+            widths.append((len(a), g.shape[-1]))
+            return d_terms(a, b, g)
+
+        monkeypatch.setattr(divlab, "_d_terms", spy)
+        found = grid_search_discriminator(p, q)
+        assert found.tobytes() == np.stack(want).tobytes()
+        n = len(np.arange(divlab.GRID_STEP, 1.0, divlab.GRID_STEP))
+        assert [w for _, w in widths[1::2]] == [2 * divlab._STRIDE + 1, n]
+        assert [rows for rows, _ in widths] == [8, 8, 4, 4]
+
+    @pytest.mark.parametrize("tiny_law", [0, 1])
+    def test_whole_grid_for_a_weight_below_2_to_the_minus_960_only(self, monkeypatch, tiny_law):
+        # the boundary is exclusive: a weight of 2^-960 keeps the windows, the next float below does not
+        widths = []
+        d_terms = divlab._d_terms
+
+        def spy(a, b, g):
+            widths.append(g.shape[-1])
+            return d_terms(a, b, g)
+
+        monkeypatch.setattr(divlab, "_d_terms", spy)
+        n = len(np.arange(divlab.GRID_STEP, 1.0, divlab.GRID_STEP))
+        for weight, width in ((2.0 ** -960, 2 * divlab._STRIDE + 1), (np.nextafter(2.0 ** -960, 0), n)):
+            laws = [Categorical([0.5, weight, 0.5]), Categorical([0.25, 0.25, 0.5])]
+            widths.clear()
+            grid_search_discriminator(laws[tiny_law], laws[1 - tiny_law])
+            assert widths[1] == width, weight
+
+    def test_a_stack_of_tiny_games_is_scanned_whole(self):
+        p = Categorical([[0.5, 1e-320, 0.5 - 1e-320], [0.5, 0.25, 0.25]])
+        q = Categorical([[0.25, 0.25, 0.5], [1e-320, 0.5, 0.5 - 1e-320]])
+        want = [TestOptimalDiscriminator.unblocked_grid_search(Categorical(a), Categorical(b))
+                for a, b in zip(p.probs, q.probs)]
+        assert grid_search_discriminator(p, q).tobytes() == np.stack(want).tobytes()
+
+    def test_expected_log_support_violation_anywhere_in_the_stack(self):
+        p = Categorical([[0.5, 0.5], [0.4, 0.6]])
+        with pytest.raises(SupportError):
+            divlab._expected_log(p, Categorical([[0.5, 0.5], [1.0, 0.0]]))
+
+    @pytest.mark.parametrize("k", [2, 5, 16])
+    def test_random_simplex_stack_draws_what_one_law_calls_draw(self, k):
+        stack = random_simplex(np.random.default_rng(33), k, (3, 2))
+        rng = np.random.default_rng(33)
+        rows = [random_simplex(rng, k).probs for _ in range(6)]
+        assert stack.probs.shape == (3, 2, k)
+        assert stack.probs.tobytes() == np.stack(rows).tobytes()
+        assert random_simplex(np.random.default_rng(33), k).probs.shape == (k,)
+
+    def test_single_law_apis_reject_a_stack(self):
+        p = Categorical(np.full((2, 3), 1 / 3))
+        with pytest.raises(ShapeError, match=r"expected one law, got a stack of shape \(2,\)"):
+            solve_nash(p, p)
+        with pytest.raises(ShapeError, match=r"expected one law, got a stack of shape \(2,\)"):
+            game_value(ToyGame(p, p, np.full(3, 0.5)))
+        with pytest.raises(ShapeError, match=r"expected one law"):
+            ToyGame(p, p, np.full((2, 3), 0.5))
+
+    def test_single_law_messages_are_unchanged(self):
+        two, three = Categorical([0.5, 0.5]), Categorical([0.2, 0.3, 0.5])
+        for fn in (verify_identity, optimal_discriminator, grid_search_discriminator, solve_nash,
+                   kl_categorical, js_categorical):
+            with pytest.raises(ShapeError, match="^support size mismatch: 2 vs 3$"):
+                fn(two, three)
+
+
 class TestRunLab:
     @staticmethod
     def stub(monkeypatch, q):
@@ -448,10 +557,67 @@ class TestRunLab:
 
     def test_exact_figures_report_zero(self, monkeypatch):
         self.stub(monkeypatch, [0.25] * 4)
-        monkeypatch.setattr(divlab, "random_simplex", lambda rng, k: Categorical([0.25] * k))
-        monkeypatch.setattr(divlab, "verify_identity", lambda p_d, p_g: (0.0, 0.0, 0.0))
+        monkeypatch.setattr(divlab, "random_simplex",
+                            lambda rng, k, batch=(): Categorical(np.full((*batch, k), 0.25)))
+        monkeypatch.setattr(divlab, "verify_identity", lambda p_d, p_g: (np.zeros(p_d.probs.shape[:-1]),) * 3)
         report = divlab.run_lab(5, 4, 3)
         assert report == {"identity_max_gap": 0.0, "dstar_max_err": 0.0, "nash_tv": 0.0, "trials": 5}
+        assert all(type(report[name]) is float for name in divlab.BOUNDS)
+
+    @pytest.mark.parametrize("trials, k, seed", [(1, 2, 0), (4, 3, 1), (5, 8, 2), (11, 16, 3), (33, 9, 4)])
+    def test_equals_a_loop_over_the_trials(self, trials, k, seed):
+        # the lab as one game at a time: each trial's pair, then each solve's pair, from one stream
+        rng = training.rng_streams(seed)["lab"]
+        gap = err = tv = 0.0
+        for _ in range(trials):
+            pd, pg = random_simplex(rng, k), random_simplex(rng, k)
+            gap = max(gap, verify_identity(pd, pg)[2])
+            err = max(err, float(np.max(np.abs(optimal_discriminator(pd, pg) - grid_search_discriminator(pd, pg)))))
+        for _ in range(max(1, trials // 5)):
+            pd = random_simplex(rng, k)
+            q = solve_nash(pd, random_simplex(rng, k))
+            tv = max(tv, 0.5 * float(np.abs(q.probs - pd.probs).sum()))
+        want = {"identity_max_gap": gap, "dstar_max_err": err, "nash_tv": tv, "trials": trials}
+        assert json.dumps(divlab.run_lab(trials, k, seed)) == json.dumps(want)
+
+    def test_one_call_of_each_check_and_of_the_draw(self, monkeypatch):
+        calls = {name: [] for name in ("random_simplex", "verify_identity", "optimal_discriminator",
+                                       "grid_search_discriminator", "solve_nash")}
+        for name, seen in calls.items():
+            fn = getattr(divlab, name)
+            monkeypatch.setattr(divlab, name, lambda *a, _fn=fn, _seen=seen, **kw: _seen.append(a) or _fn(*a, **kw))
+        divlab.run_lab(12, 4, 5)
+        assert {name: len(seen) for name, seen in calls.items()} == {
+            "random_simplex": 1, "verify_identity": 1, "optimal_discriminator": 1,
+            "grid_search_discriminator": 1, "solve_nash": 2}
+        assert calls["random_simplex"][0][1:] == (4, (14, 2))
+        assert calls["verify_identity"][0][0].probs.shape == (12, 4)
+
+    @pytest.mark.parametrize("trial", [0, 3])
+    def test_a_nan_identity_gap_is_the_figure(self, monkeypatch, trial):
+        def verify(p_d, p_g):
+            gaps = np.zeros(p_d.probs.shape[:-1])
+            gaps[trial] = math.nan
+            return gaps, gaps, gaps
+
+        monkeypatch.setattr(divlab, "verify_identity", verify)
+        assert math.isnan(divlab.run_lab(5, 4, 3)["identity_max_gap"])
+
+    def test_a_nan_nash_iterate_is_the_figure(self, monkeypatch):
+        monkeypatch.setattr(divlab, "solve_nash", lambda p_d, init: mock.Mock(probs=np.full(len(p_d), math.nan)))
+        assert math.isnan(divlab.run_lab(5, 4, 3)["nash_tv"])
+
+    def test_a_nan_scan_point_is_the_figure(self, monkeypatch):
+        scan = divlab.grid_search_discriminator
+        monkeypatch.setattr(divlab, "grid_search_discriminator",
+                            lambda p_d, p_g: np.where(np.arange(len(p_d)) == 1, math.nan, scan(p_d, p_g)))
+        assert math.isnan(divlab.run_lab(5, 4, 3)["dstar_max_err"])
+
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_no_trial_is_a_config_error(self, trials):
+        # a report over no game would pass every bound
+        with pytest.raises(ConfigError, match=f"^trials must be >= 1, got {trials}$"):
+            divlab.run_lab(trials, 4, 0)
 
     @pytest.mark.parametrize("trials, solves", [(1, 1), (9, 1), (10, 2), (24, 4)])
     def test_one_nash_solve_per_five_trials_and_at_least_one(self, monkeypatch, trials, solves):

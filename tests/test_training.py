@@ -622,6 +622,14 @@ class TestTrainLoop:
         assert [r["step"] for r in trace] == [0, 1]
         assert all(math.isfinite(v) for r in trace for v in r.values())
 
+    @pytest.mark.parametrize("names", [("lab",), ("noise",), ("gumbel", "init"), ("data", "lab", "noise")])
+    def test_named_streams_draw_what_the_full_set_draws(self, names):
+        full, named = training.rng_streams(6), training.rng_streams(6, *names)
+        assert list(named) == list(names)
+        for name in names:
+            assert named[name].random(5).tobytes() == full[name].random(5).tobytes(), name
+        assert list(training.rng_streams(6)) == ["init", "noise", "gumbel", "data", "lab"]
+
     def test_rejected_d_phase_has_drawn_the_g_phase_noise(self, monkeypatch):
         # one generator pass per step draws z_D, the ELBO noise and z_G, then u_D and u_G,
         # before D scores anything: a rejected D phase leaves these streams where a kept one does
